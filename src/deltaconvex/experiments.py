@@ -11,8 +11,8 @@ import numpy as np
 from .spaces import (NormedSpace, SampleBudget, analytic_modulus_lower,
                      modulus_of_convexity)
 from .functions import LipschitzFunction, corpus_function, CORPUS_LABELS
-from .regularize import (SolverConfig, ball_grid, inf_convolve_grid,
-                         rate_bound, regularize_power_grid)
+from .regularize import (SolverConfig, analytic_power_constant, ball_grid,
+                         inf_convolve_grid, rate_bound, regularize_power_grid)
 from . import trees as _trees
 
 __all__ = [
@@ -183,7 +183,8 @@ def _lambdas(cfg, default):
 
 def run_converge(cfg):
     """Rate sweep: sup grid |f - f_lambda^p| against the analytic guarantee
-    (L/(lambda C))^(1/(p-1)) with Clarkson C = 1."""
+    (L/(lambda C))^(1/(p-1)) with Clarkson C = 1, which is proven only on
+    l_q with 2 <= q <= power; other spaces are refused."""
     space = _space(cfg)
     f = _function(cfg, space)
     power = cfg.get_float("power", max(2.0, min(space.p_exponent, 8.0)
@@ -191,6 +192,11 @@ def run_converge(cfg):
                                        else 2.0))
     if power < 2.0:
         raise ConfigError("power", "must be >= 2")
+    C = analytic_power_constant(space, power)
+    if C is None:
+        raise ConfigError(
+            "power", f"no proven rate bound on {space.describe()} at power "
+            f"{power:g}; it needs l_q with 2 <= q <= power, q finite")
     lams = _lambdas(cfg, [16.0, 64.0, 256.0])
     center, radius, grid = _region(cfg, space)
     tol = cfg.get_float("bound_slack", 1e-4)
@@ -204,7 +210,7 @@ def run_converge(cfg):
         vals, _, evals, _, _ = regularize_power_grid(
             f, power, lam, X, space, solver)
         measured = float(np.abs(fX - vals).max())
-        bound = rate_bound(power, 1.0, lam, f.lipschitz_constant)
+        bound = rate_bound(power, C, lam, f.lipschitz_constant)
         rows.append(ResultRow(
             experiment="converge", space=space.describe(), function=f.label,
             lam=lam, measured=measured, bound=bound,

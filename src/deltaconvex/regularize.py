@@ -10,7 +10,7 @@ Returned values are upper bounds on the true infimum by construction.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -494,9 +494,7 @@ def decompose(f, lam, space, cfg=SolverConfig()):
     if analytic_power_constant(space, 2.0) is None and lam / L < 3.0 - 1e-12:
         raise ParameterError(
             f"normalized parameter lambda/L = {lam / L:.6g} < 3")
-    d_cfg = SolverConfig(coarse_samples=cfg.coarse_samples,
-                         refine_iterations=cfg.refine_iterations,
-                         tolerance=cfg.tolerance, seed=cfg.seed + 1)
+    d_cfg = replace(cfg, seed=cfg.seed + 1)
 
     def c(x):
         x = np.asarray(x, dtype=float)

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _ENUM_CAP = 1 << 21  # max node count for exhaustive materialization
+_PAIR_BLOCK = 1 << 20  # doubles in one block of pair distances
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,78 @@ def _check_family_distance(fam, cap=512):
         arrays.append(np.vstack(lvls))
     for i in range(len(arrays)):
         for j in range(i + 1, len(arrays)):
-            d = space.norm(arrays[i][:, None, :] - arrays[j][None, :, :])
-            if d.min() < fam.mutual_distance - 1e-12:
+            dmin, _, _ = _min_pair_distance(space, arrays[i], arrays[j])
+            if dmin < fam.mutual_distance - 1e-12:
                 raise AssertionError(
-                    f"family members {i} and {j} are {d.min()} apart, "
+                    f"family members {i} and {j} are {dmin} apart, "
                     f"below {fam.mutual_distance}")
+
+
+def _min_pair_distance(space, A, B, upper=False):
+    """Smallest ``space`` distance between a row of A and a row of B.
+
+    Returns (min, (i, j), pairs_checked) with (i, j) the first minimizing
+    pair in row-major order.  With ``upper`` B must be A and only the pairs
+    i < j count.  Rows go in blocks of about _PAIR_BLOCK distances, and a
+    block accumulates one coordinate at a time, so memory stays bounded
+    whatever the row counts and dimension.  A coordinate zero in both A and
+    B adds nothing to any l_p distance and is skipped; one zero in all of B
+    (or all of A) adds a per-row (per-column) term summed once.
+    """
+    p = space.p_exponent
+    combine = np.maximum if p == math.inf else np.add
+
+    def term(x, out=None):
+        out = np.abs(x, out=out)
+        if p == 2.0:
+            np.square(out, out=out)
+        elif p not in (1.0, math.inf):
+            np.power(out, p, out=out)
+        return out
+
+    def edge(X, cols):
+        acc = np.zeros(X.shape[0])
+        for c in cols:
+            combine(acc, term(X[:, c]), out=acc)
+        return acc
+
+    nz_a = (A != 0).any(axis=0)
+    nz_b = (B != 0).any(axis=0)
+    row = edge(A, np.flatnonzero(nz_a & ~nz_b))
+    col = edge(B, np.flatnonzero(nz_b & ~nz_a))
+    shared = np.flatnonzero(nz_a & nz_b)
+    At = np.ascontiguousarray(A[:, shared].T)
+    Bt = np.ascontiguousarray(B[:, shared].T)
+
+    m, n = A.shape[0], B.shape[0]
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    best, pair, checked = math.inf, None, 0
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        j0 = lo + 1 if upper else 0
+        if j0 >= n:
+            break
+        acc = combine.outer(row[lo:hi], col[j0:])
+        buf = np.empty_like(acc)
+        for a, b in zip(At, Bt):
+            np.subtract(a[lo:hi, None], b[None, j0:], out=buf)
+            combine(acc, term(buf, out=buf), out=acc)
+        if p == 2.0:
+            np.sqrt(acc, out=acc)
+        elif p not in (1.0, math.inf):
+            np.power(acc, 1.0 / p, out=acc)
+        if upper:
+            # row lo+r, column j0+c: the pair is i < j exactly when c >= r
+            below = np.arange(hi - lo)[:, None] > np.arange(n - j0)[None, :]
+            acc[below] = math.inf
+            checked += acc.size - int(below.sum())
+        else:
+            checked += acc.size
+        r, c = divmod(int(np.argmin(acc)), acc.shape[1])
+        if acc[r, c] < best:
+            best = float(acc[r, c])
+            pair = (lo + r, j0 + c)
+    return best, pair, checked
 
 
 @dataclass(frozen=True)
@@ -236,9 +304,9 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     subsampling beyond."""
     worst_gap = 0.0
     violation = None
+    children = tree.level_array(0)
     for k in range(tree.depth):
-        parents = tree.level_array(k)
-        children = tree.level_array(k + 1)
+        parents, children = children, tree.level_array(k + 1)
         mid = 0.5 * children[0::2] + 0.5 * children[1::2]
         eq = parents == mid
         if not eq.all():
@@ -262,19 +330,8 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
         all_nodes = np.vstack([tree.level_array(k)
                                for k in range(tree.depth + 1)])
         max_norm = float(space.norm(all_nodes).max())
-        pairs_checked = 0
-        chunk = max(16, (1 << 22) // max(n * tree.ambient_dim, 1))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            d = space.norm(all_nodes[lo:hi, None, :] - all_nodes[None, :, :])
-            iu = np.arange(lo, hi)[:, None] < np.arange(n)[None, :]
-            if iu.any():
-                dm = np.where(iu, d, math.inf)
-                i = np.unravel_index(np.argmin(dm), dm.shape)
-                if dm[i] < min_sep:
-                    min_sep = float(dm[i])
-                    sep_pair = (lo + int(i[0]), int(i[1]))
-                pairs_checked += int(iu.sum())
+        min_sep, sep_pair, pairs_checked = _min_pair_distance(
+            space, all_nodes, all_nodes, upper=True)
         exhaustive = True
     else:
         # structured pairs (parent/child and siblings at every level) plus a
@@ -324,8 +381,8 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
 
 
 def _random_nodes(tree, rng, m):
-    """m uniformly random (level, sign-prefix) nodes, vectorized for sign
-    trees and looped for explicit ones."""
+    """m uniformly random (level, sign-prefix) nodes: computed from the
+    signs for sign trees, looked up by heap index for explicit ones."""
     ks = rng.integers(0, tree.depth + 1, size=m)
     signs = rng.choice((-1.0, 1.0), size=(m, tree.depth))
     mask = np.arange(tree.depth)[None, :] < ks[:, None]
@@ -337,8 +394,13 @@ def _random_nodes(tree, rng, m):
         if st.lead:
             X[:, st.block_start] = st.scale
         return X
-    return np.array([tree.node(tuple(int(s) for s in row[:k]))
-                     for row, k in zip(signs, ks)])
+    # heap order: level k starts at row 2^k - 1 and lists its nodes in
+    # level_signs order, where a -1 sign is a 1 bit, most significant first
+    nodes = np.vstack([tree.level_array(k) for k in range(tree.depth + 1)])
+    bits = (signs < 0) & mask
+    weights = np.left_shift(1, np.maximum(ks[:, None] - 1
+                                          - np.arange(tree.depth), 0))
+    return nodes[(1 << ks) - 1 + (bits * weights).sum(axis=1)]
 
 
 def counterexample_function(family, space):

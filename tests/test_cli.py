@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from deltaconvex import build_sign_tree, save_tree
 from deltaconvex.cli import CSV_HEADER, main
@@ -104,6 +105,22 @@ class TestExitCodes:
                      "--set", "grid=5", "--out", str(out)])
         assert code == 0
         assert "# grid=5" in out.read_text()
+
+    @pytest.mark.parametrize("space", [
+        ["--set", "p=inf"],
+        ["--set", "p=1"],
+        ["--set", "p=3", "--set", "power=2"],
+    ])
+    def test_converge_refuses_unproven_bound(self, tmp_path, space):
+        code, data = run(tmp_path, ["converge"] + FAST_CONVERGE + space)
+        assert code == 2
+        assert data == b""
+
+    def test_converge_lq_power_runs(self, tmp_path):
+        code, data = run(tmp_path, ["converge"] + FAST_CONVERGE
+                         + ["--set", "p=4", "--set", "power=4"])
+        assert code == 0
+        assert data.count(b"\nconverge,") == 2
 
     def test_bound_violation_exits_one(self, tmp_path):
         # a negative slack allowance turns any honest run into a failure

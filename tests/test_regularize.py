@@ -219,6 +219,22 @@ class TestDecompose:
             gu, gv, gm = g(u), g(v), g(0.5 * (u + v))
             assert np.max(gm - 0.5 * (gu + gv)) <= 1e-9 + 4e-6
 
+    def test_d_route_keeps_solver_config(self, monkeypatch):
+        import deltaconvex.regularize as reg
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(obj, X, space, cfg, *args, **kwargs):
+            seen.append(cfg)
+            return real(obj, X, space, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        cfg = SolverConfig(coarse_samples=64, refine_iterations=20,
+                           tolerance=1e-5, seed=7, starts=1)
+        decompose(const_fn(L2_1, 0.0), 4.0, L2_1, cfg).d(np.array([0.3]))
+        assert seen == [SolverConfig(coarse_samples=64, refine_iterations=20,
+                                     tolerance=1e-5, seed=8, starts=1)]
+
     def test_pair_fields(self):
         pair = decompose(const_fn(L2_1, 0.0), 4.0, L2_1)
         assert isinstance(pair, ConvexPair)

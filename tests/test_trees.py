@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import deltaconvex
 from deltaconvex import (NormedSpace, adversarial_branch_walk,
                          build_sign_tree, build_tree_family,
                          counterexample_function, error_lower_bound,
                          load_tree, save_tree, validate_tree)
+from deltaconvex import trees as trees_mod
+from deltaconvex.trees import TreeFamily
 
 LINF2 = NormedSpace(2, math.inf)
 
@@ -72,6 +78,127 @@ class TestValidation:
         rep = validate_tree(t, NormedSpace(3, math.inf))
         assert rep.min_separation < 1.0
         assert not rep.separation_ok
+
+
+def _brute_separation(tree, space):
+    """Reference for exhaustive validation: one broadcast over all pairs,
+    first minimum of the upper triangle in row-major order."""
+    nodes = np.vstack([tree.level_array(k) for k in range(tree.depth + 1)])
+    n = nodes.shape[0]
+    d = space.norm(nodes[:, None, :] - nodes[None, :, :])
+    d[~(np.arange(n)[:, None] < np.arange(n)[None, :])] = math.inf
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    return float(d[i, j]), (int(i), int(j)), n * (n - 1) // 2
+
+
+def _reference_trees():
+    out = []
+    for tree in (build_sign_tree(3), build_sign_tree(6),
+                 build_tree_family([3, 5], scale=0.5).trees[1]):
+        out.append(tree)
+        # move the all-plus leaf off the lattice of the other nodes, to
+        # 0.8125 * theta from its sibling in l_inf
+        leaf = (1,) * tree.depth
+        sib = tree.node(leaf[:-1] + (-1,))
+        bump = np.zeros(tree.ambient_dim)
+        bump[-1] = 0.375
+        bump[-2] = 0.8125 * tree.theta
+        out.append(tree.with_node(leaf, sib + bump))
+    return out
+
+
+def _close(p, got, want):
+    if p in (1.0, math.inf):
+        return got == want
+    return math.isclose(got, want, rel_tol=4 * np.finfo(float).eps)
+
+
+class TestPairKernel:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_kernel_matches_broadcast(self, monkeypatch, p, block):
+        if block is not None:
+            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(5)
+        space = NormedSpace(9, p)
+        # columns 0-2 only in A, 3-5 in both, 6-7 only in B, 8 in neither
+        A = rng.uniform(-1, 1, size=(40, 9))
+        B = rng.uniform(-1, 1, size=(30, 9))
+        A[:, 6:] = 0.0
+        B[:, :3] = 0.0
+        B[:, 8] = 0.0
+        for X, Y, upper in ((A, B, False), (A, A, True)):
+            d = space.norm(X[:, None, :] - Y[None, :, :])
+            if upper:
+                d[~(np.arange(len(X))[:, None] < np.arange(len(Y)))] = math.inf
+            i, j = np.unravel_index(np.argmin(d), d.shape)
+            got, pair, count = trees_mod._min_pair_distance(space, X, Y, upper)
+            assert pair == (i, j)
+            assert count == int(np.isfinite(d).sum())
+            assert _close(p, got, float(d[i, j]))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("tree", _reference_trees(),
+                             ids=lambda t: f"d{t.depth}-D{t.ambient_dim}-"
+                             f"{'fault' if t.explicit_nodes else 'clean'}")
+    def test_exhaustive_matches_broadcast(self, monkeypatch, tree, p, block):
+        # a small block puts tied minima in different row blocks, where only
+        # the first in row-major order may win
+        if block is not None:
+            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+        space = NormedSpace(tree.ambient_dim, p)
+        rep = validate_tree(tree, space)
+        want_min, want_pair, want_pairs = _brute_separation(tree, space)
+        assert rep.exhaustive_pairs
+        assert rep.pairs_checked == want_pairs
+        assert rep.separation_pair == want_pair
+        assert _close(p, rep.min_separation, want_min)
+
+    def test_family_fault_in_last_row_block(self, monkeypatch):
+        # one row per block, so the faulty last row is the last block
+        monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", 8)
+        fam = build_tree_family([4, 4])
+        trees_mod._check_family_distance(fam)
+        a, b = fam.trees
+        last = (-1,) * a.depth  # the last row of member 0's node matrix
+        bad = a.with_node(last, b.node(()) - 0.5 * np.eye(fam.ambient_dim)[5])
+        broken = TreeFamily(trees=(bad, b), rho=fam.rho,
+                            mutual_distance=fam.mutual_distance)
+        with pytest.raises(AssertionError, match="0.5 apart"):
+            trees_mod._check_family_distance(broken)
+
+    def test_explicit_sampler_matches_implicit(self):
+        tree = build_tree_family([3, 6], scale=0.5).trees[1]
+        explicit = tree.to_explicit()
+        for seed in range(3):
+            want = trees_mod._random_nodes(
+                tree, np.random.default_rng(seed), 5000)
+            got = trees_mod._random_nodes(
+                explicit, np.random.default_rng(seed), 5000)
+            assert np.array_equal(got, want)
+
+    def test_deep_family_memory(self, tmp_path):
+        # the family check at depths 32/64/128 once broadcast 1023 x 1023 x
+        # 227 doubles (3.7 GB peak); streamed it needs a small fraction.  A
+        # child's ru_maxrss counts the memory of the process it was forked
+        # from, so a fresh interpreter runs the CLI and reports its peak.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(deltaconvex.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        argv = [sys.executable, "-m", "deltaconvex.cli", "adversary",
+                "--set", "depths=32,64,128", "--set", "deep_samples=64",
+                "--out", str(tmp_path / "adv.csv")]
+        probe = ("import resource, subprocess; "
+                 f"rc = subprocess.run({argv!r}).returncode; "
+                 "print(rc, resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=600)
+        rc, peak_kib = map(int, proc.stdout.split())
+        assert rc == 0, proc.stderr
+        assert peak_kib / 1024 < 600
 
 
 class TestFamily:
