@@ -3,17 +3,17 @@ l_p spaces, with dyadic-tree adversaries certifying approximation limits."""
 
 from .spaces import (NormedSpace, SampleBudget, ModulusEstimate,
                      PowerTypeConstant, DimensionMismatchError,
-                     analytic_modulus_lower, modulus_of_convexity,
-                     power_type_constant)
+                     analytic_modulus_lower, analytic_power_constant,
+                     modulus_of_convexity, power_type_constant)
 from .functions import (LipschitzFunction, PointSet, LipschitzReport,
                         CORPUS_LABELS, distance_function, make_corpus,
                         corpus_function, verify_lipschitz)
 from .regularize import (ParameterError, SolverError, SolverConfig,
                          RegularizationResult, ConvexPair, search_radius,
-                         analytic_power_constant, regularize_power,
-                         regularize_power_grid, regularize_quadratic,
-                         inf_convolve, inf_convolve_grid, inner_minimize,
-                         decompose, ball_grid, sup_distance, rate_bound)
+                         regularize_power, regularize_power_grid,
+                         regularize_quadratic, inf_convolve,
+                         inf_convolve_grid, inner_minimize, decompose,
+                         ball_grid, sup_distance, rate_bound)
 from .trees import (DyadicTree, TreeFamily, TreeValidation, WalkLevel,
                     WalkReport, build_sign_tree, build_tree_family,
                     validate_tree, counterexample_function,

@@ -74,6 +74,8 @@ def _run_experiment(name, args):
         rows = rows[:-1] + [dataclasses.replace(rows[-1],
                                                 runtime_ms=elapsed_ms)]
     _emit(format_rows(rows, cfg.resolved), args.out)
+    for msg in result.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
     for msg in result.violations:
         print(f"bound violation: {msg}", file=sys.stderr)
     return result.exit_code

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (NormedSpace, SampleBudget, analytic_modulus_lower,
-                     modulus_of_convexity)
+                     analytic_power_constant, modulus_of_convexity)
 from .functions import LipschitzFunction, corpus_function, CORPUS_LABELS
-from .regularize import (SolverConfig, analytic_power_constant, ball_grid,
-                         inf_convolve_grid, rate_bound, regularize_power_grid)
+from .regularize import (SolverConfig, ball_grid, inf_convolve_grid,
+                         rate_bound, regularize_power_grid)
 from . import trees as _trees
 
 __all__ = [
@@ -137,6 +137,7 @@ class ResultRow:
 class ExperimentResult:
     rows: list
     violations: list
+    warnings: list = field(default_factory=list)
 
     @property
     def exit_code(self):
@@ -172,6 +173,15 @@ def _region(cfg, space):
     return np.zeros(space.dim), radius, grid
 
 
+def _warn_nonconverged(warnings, experiment, lam, flags):
+    """Append a warning naming the operators whose solve did not converge
+    at lam; ``flags`` maps operator name to its converged flag."""
+    failed = [name for name, ok in flags.items() if not ok]
+    if failed:
+        warnings.append(f"{experiment} lambda={lam:g}: {', '.join(failed)} "
+                        "did not converge")
+
+
 def _lambdas(cfg, default):
     lams = cfg.get_float_list("lambdas", default)
     if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -204,11 +214,13 @@ def run_converge(cfg):
 
     X = ball_grid(space, center, radius, grid)
     fX = np.asarray(f(X), dtype=float)
-    rows, violations = [], []
+    rows, violations, warnings = [], [], []
     prev = None
     for lam in lams:
-        vals, _, evals, _, _ = regularize_power_grid(
+        vals, _, evals, conv, _ = regularize_power_grid(
             f, power, lam, X, space, solver)
+        _warn_nonconverged(
+            warnings, "converge", lam, {"regularize_power_grid": conv})
         measured = float(np.abs(fX - vals).max())
         bound = rate_bound(power, C, lam, f.lipschitz_constant)
         rows.append(ResultRow(
@@ -225,7 +237,8 @@ def run_converge(cfg):
                 f"lambda={lam:g}: error not non-increasing "
                 f"({measured:.6g} > {prev:.6g})")
         prev = measured
-    return ExperimentResult(rows=rows, violations=violations)
+    return ExperimentResult(rows=rows, violations=violations,
+                            warnings=warnings)
 
 
 def run_hilbert_equiv(cfg):
@@ -243,11 +256,15 @@ def run_hilbert_equiv(cfg):
     solver = cfg.solver(coarse=160, starts=2)
 
     X = ball_grid(space, center, radius, grid)
-    rows, violations = [], []
+    rows, violations, warnings = [], [], []
     for lam in lams:
-        qvals, _, ev1, _, _ = regularize_power_grid(
+        qvals, _, ev1, conv1, _ = regularize_power_grid(
             f, 2.0, lam, X, space, solver)
-        mvals, _, ev2, _, _ = inf_convolve_grid(f, 2.0, lam, X, space, solver)
+        mvals, _, ev2, conv2, _ = inf_convolve_grid(
+            f, 2.0, lam, X, space, solver)
+        _warn_nonconverged(warnings, "hilbert-equiv", lam,
+                           {"regularize_power_grid": conv1,
+                            "inf_convolve_grid": conv2})
         measured = float(np.abs(qvals - mvals).max())
         bound = 2.0 * solver.tolerance
         rows.append(ResultRow(
@@ -258,7 +275,8 @@ def run_hilbert_equiv(cfg):
         if measured > bound:
             violations.append(
                 f"lambda={lam:g}: gap {measured:.6g} exceeds {bound:.6g}")
-    return ExperimentResult(rows=rows, violations=violations)
+    return ExperimentResult(rows=rows, violations=violations,
+                            warnings=warnings)
 
 
 def run_sandwich(cfg):
@@ -275,13 +293,16 @@ def run_sandwich(cfg):
 
     X = ball_grid(space, center, radius, grid)
     fX = np.asarray(f(X), dtype=float)
-    rows, violations = [], []
+    rows, violations, warnings = [], [], []
     prev = None
     for lam in lams:
-        env, _, ev1, _, _ = regularize_power_grid(
+        env, _, ev1, conv1, _ = regularize_power_grid(
             f, power, lam, X, space, solver)
-        infc, _, ev2, _, _ = inf_convolve_grid(
+        infc, _, ev2, conv2, _ = inf_convolve_grid(
             f, power, lam, X, space, solver)
+        _warn_nonconverged(warnings, "sandwich", lam,
+                           {"regularize_power_grid": conv1,
+                            "inf_convolve_grid": conv2})
         low = float(np.max(infc - env, initial=0.0))
         high = float(np.max(env - fX, initial=0.0))
         mono = 0.0
@@ -298,7 +319,8 @@ def run_sandwich(cfg):
             violations.append(
                 f"lambda={lam:g}: sandwich violated by {measured:.6g}")
         prev = env
-    return ExperimentResult(rows=rows, violations=violations)
+    return ExperimentResult(rows=rows, violations=violations,
+                            warnings=warnings)
 
 
 def convex_pair_catalog(ambient_dim, space):

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import qmc
 
-from .spaces import NormedSpace, PowerTypeConstant
+from .spaces import NormedSpace, PowerTypeConstant, analytic_power_constant
 
 __all__ = [
     "SolverConfig",
@@ -104,7 +104,7 @@ def _unit_ball_pool(space, m, seed):
 def _project_rows(space, Y, centers, radii):
     """Radial projection of each row into ball(centers[i], radii[i])."""
     diff = Y - centers
-    nd = space.norm(diff)
+    nd = space._norm(diff)
     over = nd > radii
     if np.any(over):
         scale = np.where(over, radii / np.maximum(nd, 1e-300), 1.0)
@@ -192,7 +192,7 @@ def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
         ok = np.ones((N, n_keep), dtype=bool)
         for idx in chosen:
             prev = keep_pts[np.arange(N), idx]
-            dist = space.norm(keep_pts - prev[:, None, :])
+            dist = space._norm(keep_pts - prev[:, None, :])
             ok &= dist >= sep[:, None]
         for idx in chosen:
             ok[np.arange(N), idx] = False
@@ -333,30 +333,11 @@ def search_radius(x, L, lam, space):
     return 2.0 * (1.0 + float(space.norm(x)))
 
 
-def analytic_power_constant(space, p):
-    """Clarkson constant C = 1 for l_q with 2 <= q <= p, else None."""
-    q = space.p_exponent
-    if 2.0 <= q <= p and q != math.inf:
-        return 1.0
-    return None
-
-
-def _power_threshold(space, p, L):
-    C = analytic_power_constant(space, p)
-    return 3.0 * L / (C if C is not None else 1.0)
-
-
 def _defect_objective(f, lam, p, X, space):
-    if p == 2.0:
-        nx2 = space.norm(X) ** 2  # fixed per row; hoisted out of the loop
+    ax = space._defect_term(p, X)  # fixed per row; hoisted out of the loop
 
-        def obj(Y, idx):
-            ny = space.norm(Y)
-            nxy = space.norm(X[idx] + Y)
-            return f(Y) + lam * (2.0 * nx2[idx] + 2.0 * ny**2 - nxy**2)
-    else:
-        def obj(Y, idx):
-            return f(Y) + lam * space.defect_p(p, X[idx], Y)
+    def obj(Y, idx):
+        return f(Y) + lam * space._defect(p, ax[idx], Y, X[idx] + Y)
     return obj
 
 
@@ -364,9 +345,9 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
     """Values of the power-p regularizer at every row of ``points``."""
     if not p >= 2.0:
         raise ParameterError(f"power exponent must be >= 2, got {p}")
-    X = np.atleast_2d(np.asarray(points, dtype=float))
+    X = space._check(np.atleast_2d(points))
     L = f.lipschitz_constant
-    nx = space.norm(X)
+    nx = space._norm(X)
     C = analytic_power_constant(space, p)
     obj = _defect_objective(f, lam, p, X, space)
     if C is not None:
@@ -379,7 +360,7 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
     else:
         # without a defect constant only the restricted-infimum reduction
         # |y| <= 2(1 + |x|) is available, and it needs lambda/L >= 3
-        thr = _power_threshold(space, p, L)
+        thr = 3.0 * L
         if lam < thr - 1e-12:
             raise ParameterError(
                 f"lambda = {lam:.6g} below the proven threshold {thr:.6g} "
@@ -417,7 +398,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
         raise ParameterError(f"power must be >= 1, got {power}")
     if not lam > 0:
         raise ParameterError("lambda must be positive")
-    X = np.atleast_2d(np.asarray(points, dtype=float))
+    X = space._check(np.atleast_2d(points))
     L = f.lipschitz_constant
     if power > 1.0:
         r = (L / lam) ** (1.0 / (power - 1.0))
@@ -426,7 +407,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
     radii = np.full(X.shape[0], r)
 
     def obj(Y, idx):
-        return f(Y) + lam * space.norm(X[idx] - Y) ** power
+        return f(Y) + lam * space._powered(X[idx] - Y, power)
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg,
@@ -458,6 +439,7 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     d = center.shape[0]
     if space is None:
         space = NormedSpace(dim=d, p_exponent=2.0)
+    center = space._check(center)
 
     batch = objective
     try:
@@ -503,15 +485,15 @@ def decompose(f, lam, space, cfg=SolverConfig()):
     def d(x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = np.atleast_2d(x)
+        X = space._check(np.atleast_2d(x))
         # sup_y lam|x+y|^2 - 2lam|y|^2 - f(y)  ==  c(x) - inf_y (f + lam*Q2)
         # searched directly as a minimization of the negated objective
-        nx = space.norm(X)
+        nx = space._norm(X)
         R = 2.0 * (1.0 + nx)
 
         def obj(Y, idx):
-            return f(Y) + lam * (2.0 * space.norm(Y) ** 2
-                                 - space.norm(X[idx] + Y) ** 2)
+            return f(Y) + lam * (2.0 * space._powered(Y, 2.0)
+                                 - space._powered(X[idx] + Y, 2.0))
 
         C = analytic_power_constant(space, 2.0)
         if C is not None:

@@ -61,7 +61,10 @@ class NormedSpace:
         Dispatch is exact per case: p = 1, 2 and inf never go through the
         power/root formula.
         """
-        x = self._check(x)
+        return self._norm(self._check(x))
+
+    def _norm(self, x):
+        """``norm`` without input checks, for rows already validated."""
         p = self.p_exponent
         if p == 1.0:
             return np.abs(x).sum(axis=-1)
@@ -70,6 +73,43 @@ class NormedSpace:
         if p == math.inf:
             return np.abs(x).max(axis=-1)
         return (np.abs(x) ** p).sum(axis=-1) ** (1.0 / p)
+
+    def _powered(self, x, power):
+        """|x|^power per row, without input checks: the one distance kernel
+        of every Q evaluation.
+
+        When ``power`` is the space's own finite exponent the sum of
+        coordinate powers is returned as is, with no root taken and then
+        undone; otherwise the result is ``_norm(x) ** power``.
+        """
+        if power != self.p_exponent or power in (1.0, math.inf):
+            return self._norm(x) ** power
+        if float(power).is_integer() and power <= 8.0:
+            # at most four roundings from repeated products of x*x, and much
+            # cheaper than a general pow per coordinate
+            n = int(power)
+            sq = x * x
+            acc = sq
+            for _ in range(n // 2 - 1):
+                acc = acc * sq
+            if n % 2:
+                acc = acc * np.abs(x)
+            return acc.sum(axis=-1)
+        return (np.abs(x) ** power).sum(axis=-1)
+
+    def _defect_term(self, p, x):
+        """2^(p-1)|x|^p: the term of the power-p defect fixed per x row."""
+        return 2.0 ** (p - 1.0) * self._powered(x, p)
+
+    def _defect(self, p, ax, y, xy):
+        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p from its hoisted
+        x term ``ax = _defect_term(p, x)``, ``y`` and ``xy = x + y``; the one
+        formula for Q_p in the package, unchecked."""
+        b = self._defect_term(p, y)
+        c = -self._powered(xy, p)
+        if p > 8.0:
+            return _err_sum3(ax, b, c)
+        return ax + b + c
 
     def dual_exponent(self):
         p = self.p_exponent
@@ -83,10 +123,7 @@ class NormedSpace:
         """Quadratic convexity defect 2|x|^2 + 2|y|^2 - |x+y|^2 (>= 0)."""
         x = self._check(x)
         y = self._check(y)
-        nx = self.norm(x)
-        ny = self.norm(y)
-        nxy = self.norm(x + y)
-        return 2.0 * nx**2 + 2.0 * ny**2 - nxy**2
+        return self._defect(2.0, self._defect_term(2.0, x), y, x + y)
 
     def defect_p(self, p, x, y):
         """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, p >= 2."""
@@ -94,12 +131,7 @@ class NormedSpace:
             raise ValueError(f"defect exponent must be >= 2, got {p}")
         x = self._check(x)
         y = self._check(y)
-        a = 2.0 ** (p - 1.0) * self.norm(x) ** p
-        b = 2.0 ** (p - 1.0) * self.norm(y) ** p
-        c = -(self.norm(x + y) ** p)
-        if p > 8.0:
-            return _err_sum3(a, b, c)
-        return a + b + c
+        return self._defect(p, self._defect_term(p, x), y, x + y)
 
     def unit_sphere_sample(self, rng, n):
         """n points with l_p norm exactly 1 (up to one final division)."""
@@ -286,6 +318,15 @@ def modulus_of_convexity(space, epsilon, budget=SampleBudget()):
                            samples_used=used)
 
 
+def analytic_power_constant(space, p):
+    """Clarkson constant C = 1 with C|x-y|^p <= defect_p(x, y), proven for
+    l_q with 2 <= q <= p and q finite; None elsewhere."""
+    q = space.p_exponent
+    if 2.0 <= q <= p and q != math.inf:
+        return 1.0
+    return None
+
+
 def power_type_constant(space, p, samples=100_000, seed=0):
     """Largest known C with C|x-y|^p <= defect_p(x, y) for all pairs.
 
@@ -295,8 +336,7 @@ def power_type_constant(space, p, samples=100_000, seed=0):
     """
     if not p >= 2.0:
         raise ValueError(f"power exponent must be >= 2, got {p}")
-    q = space.p_exponent
-    if 2.0 <= q <= p and q != math.inf:
+    if analytic_power_constant(space, p) is not None:
         return PowerTypeConstant(value=1.0, empirical=False)
 
     rng = np.random.default_rng(seed)

@@ -31,6 +31,8 @@ __all__ = [
 
 _ENUM_CAP = 1 << 21  # max node count for exhaustive materialization
 _PAIR_BLOCK = 1 << 20  # doubles in one block of pair distances
+_EXHAUSTIVE_PAIRS = 1 << 22  # node pairs always checked exhaustively
+_SIGNS = np.array((-1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -300,8 +302,9 @@ class TreeValidation:
 
 def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     """Midpoint law checked bit-exactly on every internal node; separation
-    >= theta by full pairwise enumeration up to ~2M pairs, deterministic
-    subsampling beyond."""
+    >= theta by full pairwise enumeration up to max(sample_pairs, 2^22)
+    pairs (a depth-10 tree has 2,094,081), deterministic subsampling of
+    sample_pairs pairs beyond."""
     worst_gap = 0.0
     violation = None
     children = tree.level_array(0)
@@ -326,7 +329,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     sep_pair = None
     max_norm = 0.0
 
-    if total_pairs <= sample_pairs:
+    if total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS):
         all_nodes = np.vstack([tree.level_array(k)
                                for k in range(tree.depth + 1)])
         max_norm = float(space.norm(all_nodes).max())
@@ -384,7 +387,7 @@ def _random_nodes(tree, rng, m):
     """m uniformly random (level, sign-prefix) nodes: computed from the
     signs for sign trees, looked up by heap index for explicit ones."""
     ks = rng.integers(0, tree.depth + 1, size=m)
-    signs = rng.choice((-1.0, 1.0), size=(m, tree.depth))
+    signs = _SIGNS[rng.integers(0, 2, size=(m, tree.depth))]
     mask = np.arange(tree.depth)[None, :] < ks[:, None]
     if tree.structure is not None:
         st = tree.structure

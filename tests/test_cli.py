@@ -146,3 +146,37 @@ class TestValidateTree:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate-tree", str(tmp_path / "nope.txt")]) == 2
+
+    def test_depth10_tree_checked_exhaustively(self, tmp_path, capsys):
+        path = tmp_path / "tree10.txt"
+        save_tree(build_sign_tree(10), path)
+        assert main(["validate-tree", str(path)]) == 0
+        assert ("pairs_checked=2094081 exhaustive=True"
+                in capsys.readouterr().out)
+
+
+class TestNonConvergedWarnings:
+    def test_sandwich_warns_per_lambda(self, tmp_path, capsys):
+        # the flat quartic objective of the distance function on l4^2 keeps
+        # inf_convolve_grid's compass search at its iteration cap at
+        # lambda 16 and 64 (and both operators at lambda 4)
+        code, data = run(tmp_path, [
+            "sandwich", "--set", "dim=2", "--set", "p=4",
+            "--set", "power=4", "--set", "function=distance"])
+        assert code == 0
+        assert data.count(b"\nsandwich,") == 3
+        lines = capsys.readouterr().err.splitlines()
+        warned = [ln for ln in lines if ln.startswith("warning: ")]
+        assert warned == lines
+        lams = [ln.split("lambda=")[1].split(":")[0] for ln in warned]
+        assert len(set(lams)) == len(lams)
+        for lam in ("16", "64"):
+            line = warned[lams.index(lam)]
+            assert line.startswith(f"warning: sandwich lambda={lam}: ")
+            assert "inf_convolve_grid" in line
+            assert line.endswith("did not converge")
+
+    def test_converged_run_is_silent(self, tmp_path, capsys):
+        code, _ = run(tmp_path, ["converge"] + FAST_CONVERGE)
+        assert code == 0
+        assert "warning:" not in capsys.readouterr().err

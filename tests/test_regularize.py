@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from deltaconvex import (ConvexPair, LipschitzFunction, NormedSpace,
-                         ParameterError, PowerTypeConstant, SolverConfig,
+from deltaconvex import (ConvexPair, DimensionMismatchError,
+                         LipschitzFunction, NormedSpace, ParameterError, PowerTypeConstant, SolverConfig,
                          SolverError, ball_grid, corpus_function, decompose,
                          inf_convolve, inf_convolve_grid, inner_minimize,
                          rate_bound, regularize_power, regularize_power_grid,
@@ -275,6 +275,51 @@ class TestGridHelpers:
             return np.zeros(np.atleast_2d(x).shape[0])
 
         assert sup_distance(f, zero, space, np.zeros(2), 1.0, 3) == 1.0
+
+
+BOUNDARY_CFG = SolverConfig(coarse_samples=16, refine_iterations=5)
+
+
+def _entry_points(space):
+    f = corpus_function(space, "linear")
+    return {
+        "regularize_power_grid": lambda X: regularize_power_grid(
+            f, 2.0, 4.0, X, space, BOUNDARY_CFG),
+        "inf_convolve_grid": lambda X: inf_convolve_grid(
+            f, 2.0, 4.0, X, space, BOUNDARY_CFG),
+        "decompose.d": lambda X: decompose(f, 4.0, space, BOUNDARY_CFG).d(X),
+        "inner_minimize": lambda X: inner_minimize(
+            lambda Y: np.asarray(Y)[..., 0], X[0], 1.0, BOUNDARY_CFG, space),
+    }
+
+
+class TestBoundaryValidation:
+    """Each public entry point checks its points once, before any solve."""
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, q, bad):
+        space = NormedSpace(2, q)
+        for name, call in _entry_points(space).items():
+            with pytest.raises(ValueError, match="non-finite"):
+                call(np.array([[0.1, bad]]))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_wrong_dimension(self, dim):
+        for name, call in _entry_points(L2_2).items():
+            with pytest.raises(DimensionMismatchError):
+                call(np.zeros((1, dim)))
+
+    def test_inner_minimize_checks_before_evaluating(self):
+        calls = []
+
+        def obj(Y):
+            calls.append(Y)
+            return np.zeros(np.atleast_2d(Y).shape[0])
+
+        with pytest.raises(ValueError, match="non-finite"):
+            inner_minimize(obj, np.array([math.nan, 0.0]), 1.0)
+        assert calls == []
 
 
 class TestRateBound:

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltaconvex import (DimensionMismatchError, NormedSpace, SampleBudget,
-                         analytic_modulus_lower, modulus_of_convexity,
-                         power_type_constant)
+                         analytic_modulus_lower, analytic_power_constant,
+                         modulus_of_convexity, power_type_constant)
+from deltaconvex.spaces import _err_sum3
 
 
 def vec(*xs):
@@ -114,6 +116,74 @@ class TestDefects:
             NormedSpace(2, 2.0).defect_p(1.5, vec(1, 0), vec(0, 1))
 
 
+def near_diagonal(d, n=1000, seed=17):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    return x, x + rng.normal(0.0, 1e-3, (n, d))
+
+
+def root_formula(space, p, x, y):
+    """The defect as computed from p-th-root norms raised back to p."""
+    a = 2.0 ** (p - 1.0) * space.norm(x) ** p
+    b = 2.0 ** (p - 1.0) * space.norm(y) ** p
+    c = -(space.norm(x + y) ** p)
+    return _err_sum3(a, b, c) if p > 8.0 else a + b + c
+
+
+class TestPowerKernel:
+    @pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (4, 2), (4, 3)])
+    def test_exact_reference_p_equals_q(self, q, d):
+        space = NormedSpace(d, float(q))
+        x, y = near_diagonal(d)
+        got = space.defect_p(float(q), x, y)
+        old = root_formula(space, float(q), x, y)
+
+        def exact(xr, yr):
+            fx, fy = map(lambda r: [Fraction(v) for v in r], (xr, yr))
+            return (2 ** (q - 1) * sum(abs(v) ** q for v in fx + fy)
+                    - sum(abs(a + b) ** q for a, b in zip(fx, fy)))
+
+        ref = [exact(xr, yr) for xr, yr in zip(x, y)]
+        err_new = max(abs(Fraction(v) - r) for v, r in zip(got, ref))
+        err_old = max(abs(Fraction(v) - r) for v, r in zip(old, ref))
+        assert err_new <= err_old
+        assert err_new < 3e-14
+
+    @pytest.mark.parametrize("q,p", [(3.0, 4.0), (math.inf, 2.0),
+                                     (1.0, 2.0), (2.0, 4.0), (3.0, 12.0)])
+    def test_other_exponents_bit_identical(self, q, p):
+        space = NormedSpace(3, q)
+        x, y = near_diagonal(3, n=500)
+        assert np.array_equal(space.defect_p(p, x, y),
+                              root_formula(space, p, x, y))
+        assert np.array_equal(space._powered(x - y, p),
+                              space.norm(x - y) ** p)
+
+    def test_defect2_is_defect_p2(self):
+        for q in (1.0, 2.0, 3.0, math.inf):
+            space = NormedSpace(3, q)
+            x, y = near_diagonal(3, n=200)
+            assert np.array_equal(space.defect2(x, y),
+                                  space.defect_p(2.0, x, y))
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 5.0, 8.0, 2.5, 10.0])
+    def test_powered_matches_norm_power(self, q):
+        space = NormedSpace(4, q)
+        v = np.random.default_rng(1).uniform(-2.0, 2.0, (300, 4))
+        assert np.allclose(space._powered(v, q), space.norm(v) ** q,
+                           rtol=1e-14, atol=0.0)
+
+    def test_checked_entry_points(self):
+        space = NormedSpace(2, 4.0)
+        for bad in (vec(1.0, math.nan), vec(math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                space.defect_p(4.0, bad, vec(0.0, 0.0))
+            with pytest.raises(ValueError):
+                space.defect2(vec(0.0, 0.0), bad)
+        with pytest.raises(DimensionMismatchError):
+            space.defect_p(4.0, vec(1.0, 2.0, 3.0), vec(0.0, 0.0))
+
+
 class TestModulus:
     def test_l2_analytic_match(self):
         space = NormedSpace(2, 2.0)
@@ -159,6 +229,16 @@ class TestPowerType:
         c = power_type_constant(NormedSpace(2, 1.0), 2.0, samples=2000)
         assert c.empirical
         assert c.value == 0.0  # witness pair e_1, e_2 collapses the defect
+
+    def test_clarkson_rule(self):
+        for q, p, want in [(2.0, 2.0, 1.0), (3.0, 4.0, 1.0), (4.0, 4.0, 1.0),
+                           (4.0, 3.0, None), (1.0, 2.0, None),
+                           (1.5, 4.0, None), (math.inf, 2.0, None),
+                           (math.inf, math.inf, None)]:
+            space = NormedSpace(2, q)
+            assert analytic_power_constant(space, p) == want
+            if want is not None:
+                assert power_type_constant(space, p).value == want
 
     def test_empirical_flag(self):
         c = power_type_constant(NormedSpace(2, math.inf), 2.0, samples=2000)

@@ -346,3 +346,27 @@ class TestSerialization:
         path.write_text("1 2 1\n0 0\n+ 1\n- -1 0\n")
         with pytest.raises(ValueError, match="coordinates"):
             load_tree(path)
+
+
+class TestRandomNodes:
+    def test_draw_pinned(self):
+        # rows and generator state as drawn by rng.choice((-1.0, 1.0), ...)
+        rng = np.random.default_rng(3)
+        X = trees_mod._random_nodes(build_sign_tree(16), rng, 8)
+        want = ["----+---++---000", "-000000000000000", "+--0000000000000",
+                "---+000000000000", "---0000000000000", "+-++-+--+++-+000",
+                "-++-++--++---+00", "+--+-+-++0000000"]
+        sym = {"+": 1.0, "-": -1.0, "0": 0.0}
+        assert np.array_equal(
+            X, np.array([[sym[c] for c in row] for row in want]))
+        assert list(rng.integers(0, 1000, 3)) == [886, 964, 968]
+
+    def test_sampled_path_unchanged_past_exhaustive_cap(self):
+        # depth 12 has 33,542,145 pairs, past the exhaustive cap, so the
+        # default budget of 2M pairs is sampled; the count (distinct pairs
+        # among the draws) pins the draws
+        t = build_sign_tree(12)
+        rep = validate_tree(t, NormedSpace(12, math.inf), seed=5)
+        assert not rep.exhaustive_pairs
+        assert rep.pairs_checked == 1_976_327
+        assert rep.min_separation == 1.0
