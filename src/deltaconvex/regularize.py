@@ -1,21 +1,24 @@
 """Delta-convex regularization operators and the shared inner minimizer.
 
 The quadratic/power operators minimize f(y) + lambda * Q_p(x, y) over the
-ball |y| <= 2(1 + |x|); the inf-convolution baseline minimizes
-f(y) + w * |x - y|^power over a ball centered at x.  All searches share one
-derivative-free solver: a low-discrepancy coarse stage, compass search from
-the best three separated candidates, and a golden-section axis polish.
-Returned values are upper bounds on the true infimum by construction.
+ball of radius (L/(lambda*C))^(1/(p-1)) around x where a Clarkson constant C
+is proven, and over |y| <= 2(1 + |x|) otherwise; the inf-convolution
+baseline minimizes f(y) + w * |x - y|^power over a ball centered at x.  All
+searches share one derivative-free solver: a coarse stage on an in-package
+scrambled Sobol' pool (bit-identical to scipy's), compass search from the
+best three separated candidates, and a golden-section axis polish.
+Returned values are objective values at points the solver found, so they
+are upper bounds on the true infimum up to the rounding of lambda*Q, which
+the minimizer can exploit at about the 1e-12 level.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
+from ._sobol import ScrambledSobol
 from .spaces import NormedSpace, PowerTypeConstant, analytic_power_constant
 
 __all__ = [
@@ -86,14 +89,12 @@ class ConvexPair:
 @lru_cache(maxsize=32)
 def _unit_ball_pool(space, m, seed):
     """m low-discrepancy points in the unit ball of the space norm."""
-    sob = qmc.Sobol(d=space.dim, scramble=True, seed=seed)
+    sob = ScrambledSobol(space.dim, seed)
     pts = np.empty((0, space.dim))
     nbatch = 1
     while pts.shape[0] < m:
         nbatch = max(nbatch * 2, 2 * m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            draw = 2.0 * sob.random(nbatch) - 1.0
+        draw = 2.0 * sob.random(nbatch) - 1.0
         keep = draw[space.norm(draw) <= 1.0]
         pts = np.vstack([pts, keep])
     pool = pts[:m].copy()
@@ -140,8 +141,7 @@ def _lex_best(cands, vals):
     return int(tied[order[0]])
 
 
-def _coarse_stage(obj, X, space, cfg, samp_centers, samp_radii,
-                  proj_centers, proj_radii, counter, n_keep=8):
+def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
     """Evaluate the shared pool around each row; return the n_keep best
     candidates (points and values) per row, value-sorted."""
     N, d = X.shape
@@ -153,12 +153,12 @@ def _coarse_stage(obj, X, space, cfg, samp_centers, samp_radii,
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         rows = np.arange(lo, hi)
-        cand = samp_centers[rows][:, None, :] + \
-            samp_radii[rows][:, None, None] * pool[None, :, :]
+        cand = centers[rows][:, None, :] + \
+            radii[rows][:, None, None] * pool[None, :, :]
         flat = cand.reshape(-1, d)
         flat = _project_rows(space, flat,
-                             np.repeat(proj_centers[rows], m, axis=0),
-                             np.repeat(proj_radii[rows], m))
+                             np.repeat(centers[rows], m, axis=0),
+                             np.repeat(radii[rows], m))
         vals = _checked(obj, flat, np.repeat(rows, m), counter).reshape(-1, m)
         cand = flat.reshape(-1, m, d)
         k = min(n_keep, m)
@@ -204,7 +204,7 @@ def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
     return starts
 
 
-def _compass(obj, Y, vals, step, space, cfg, proj_centers, proj_radii, counter):
+def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
     N, d = Y.shape
     dirs = np.vstack([np.eye(d), -np.eye(d)])  # (2d, d)
     tol = cfg.tolerance
@@ -216,8 +216,8 @@ def _compass(obj, Y, vals, step, space, cfg, proj_centers, proj_radii, counter):
         T = Y[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
         flat = T.reshape(-1, d)
         flat = _project_rows(space, flat,
-                             np.repeat(proj_centers[rows], 2 * d, axis=0),
-                             np.repeat(proj_radii[rows], 2 * d))
+                             np.repeat(centers[rows], 2 * d, axis=0),
+                             np.repeat(radii[rows], 2 * d))
         tv = _checked(obj, flat, np.repeat(rows, 2 * d), counter).reshape(-1, 2 * d)
         j = tv.argmin(axis=1)
         tmin = tv[np.arange(rows.size), j]
@@ -229,7 +229,7 @@ def _compass(obj, Y, vals, step, space, cfg, proj_centers, proj_radii, counter):
     return (step < tol).all()
 
 
-def _axis_polish(obj, Y, vals, space, cfg, proj_centers, proj_radii, counter,
+def _axis_polish(obj, Y, vals, space, cfg, centers, radii, counter,
                  sweeps=2, iters=30):
     """Golden-section descent along each axis inside a small bracket around
     the compass endpoint; keeps the result only when it improves."""
@@ -246,7 +246,7 @@ def _axis_polish(obj, Y, vals, space, cfg, proj_centers, proj_radii, counter,
             def val_at(t):
                 P = Y.copy()
                 P[:, k] = Y[:, k] + t
-                P = _project_rows(space, P, proj_centers, proj_radii)
+                P = _project_rows(space, P, centers, radii)
                 return _checked(obj, P, idx, counter)
 
             f1 = val_at(x1)
@@ -270,44 +270,39 @@ def _axis_polish(obj, Y, vals, space, cfg, proj_centers, proj_radii, counter,
             if improved.any():
                 P = Y.copy()
                 P[:, k] = Y[:, k] + t_best
-                P = _project_rows(space, P, proj_centers, proj_radii)
+                P = _project_rows(space, P, centers, radii)
                 Y[improved] = P[improved]
                 vals[improved] = f_best[improved]
     return Y, vals
 
 
-def _minimize_rows(obj, X, space, cfg, samp_centers, samp_radii,
-                   proj_centers, proj_radii, extra_vals=None,
-                   extra_pts=None, k_starts=None):
-    """Shared batch minimizer.  Row i minimizes obj(., i) sampled around
-    samp_centers[i] (radius samp_radii[i]) subject to membership in
-    ball(proj_centers[i], proj_radii[i]).  Returns (values, minimizers,
-    evaluations, converged)."""
+def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
+                   extra_pts=None):
+    """Shared batch minimizer.  Row i minimizes obj(., i) over
+    ball(centers[i], radii[i]).  Returns (values, minimizers, evaluations,
+    converged)."""
     N, d = X.shape
     counter = _Counter()
     keep_pts, keep_vals = _coarse_stage(
-        obj, X, space, cfg, samp_centers, samp_radii, proj_centers,
-        proj_radii, counter)
+        obj, X, space, cfg, centers, radii, counter)
     starts = _select_starts(space, keep_pts, keep_vals,
-                            sep=samp_radii * 0.25,
-                            k_starts=cfg.starts if k_starts is None
-                            else k_starts)
+                            sep=radii * 0.25, k_starts=cfg.starts)
     best_vals = np.full(N, np.inf)
     best_pts = np.empty((N, d))
     converged = True
     for s, Y0 in enumerate(starts):
         Y = Y0.copy()
         vals = _checked(obj, Y, np.arange(N), counter)
-        step = samp_radii.copy() * 0.25
-        conv = _compass(obj, Y, vals, step, space, cfg, proj_centers,
-                        proj_radii, counter)
+        step = radii * 0.25
+        conv = _compass(obj, Y, vals, step, space, cfg, centers, radii,
+                        counter)
         converged = converged and conv
         upd = vals < best_vals
         best_vals[upd] = vals[upd]
         best_pts[upd] = Y[upd]
     # a single axis polish of the best compass endpoint per row
     best_pts, best_vals = _axis_polish(obj, best_pts, best_vals, space, cfg,
-                                       proj_centers, proj_radii, counter)
+                                       centers, radii, counter)
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -333,6 +328,21 @@ def search_radius(x, L, lam, space):
     return 2.0 * (1.0 + float(space.norm(x)))
 
 
+def _search_ball(X, nx, L, lam, p, C):
+    """Centres and radii of the ball holding the infimum of
+    f(y) + lam*Q_p(x, y) for each row x of X (nx = |x|).
+
+    With a proven Clarkson constant C, any y beating y = x satisfies
+    lam*C*|x-y|^p <= L*|x-y|, so the infimum lies in ball(x, r_loc) for
+    every lambda > 0.  Without one, only the restricted-infimum reduction
+    |y| <= 2(1 + |x|) is available; it needs lambda/L >= 3, which each
+    caller checks with its own message.
+    """
+    if C is not None:
+        return X, np.full(X.shape[0], (L / (lam * C)) ** (1.0 / (p - 1.0)))
+    return np.zeros_like(X), 2.0 * (1.0 + nx)
+
+
 def _defect_objective(f, lam, p, X, space):
     ax = space._defect_term(p, X)  # fixed per row; hoisted out of the loop
 
@@ -347,33 +357,17 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
         raise ParameterError(f"power exponent must be >= 2, got {p}")
     X = space._check(np.atleast_2d(points))
     L = f.lipschitz_constant
-    nx = space._norm(X)
     C = analytic_power_constant(space, p)
-    obj = _defect_objective(f, lam, p, X, space)
-    if C is not None:
-        # any y beating y = x satisfies lam*C*|x-y|^p <= L*|x-y|, so the
-        # infimum is attained in ball(x, r_loc) for every lambda > 0
-        r_loc = np.full(X.shape[0], (L / (lam * C)) ** (1.0 / (p - 1.0)))
-        samp_centers = proj_centers = X
-        proj_radii = r_loc
-        R = nx + r_loc
-    else:
-        # without a defect constant only the restricted-infimum reduction
-        # |y| <= 2(1 + |x|) is available, and it needs lambda/L >= 3
-        thr = 3.0 * L
-        if lam < thr - 1e-12:
-            raise ParameterError(
-                f"lambda = {lam:.6g} below the proven threshold {thr:.6g} "
-                f"for p = {p} on {space.describe()}; raise lambda.")
-        R = 2.0 * (1.0 + nx)
-        r_loc = R
-        samp_centers = proj_centers = np.zeros_like(X)
-        proj_radii = R
+    if C is None and lam < 3.0 * L - 1e-12:
+        raise ParameterError(
+            f"lambda = {lam:.6g} below the proven threshold {3.0 * L:.6g} "
+            f"for p = {p} on {space.describe()}; raise lambda.")
+    nx = space._norm(X)
+    centers, radii = _search_ball(X, nx, L, lam, p, C)
     vals, pts, evals, conv = _minimize_rows(
-        obj, X, space, cfg,
-        samp_centers=samp_centers, samp_radii=r_loc,
-        proj_centers=proj_centers, proj_radii=proj_radii,
-        extra_vals=np.asarray(f(X), dtype=float), extra_pts=X)
+        _defect_objective(f, lam, p, X, space), X, space, cfg, centers,
+        radii, extra_vals=np.asarray(f(X), dtype=float), extra_pts=X)
+    R = nx + radii if C is not None else radii
     return vals, pts, evals, conv, R
 
 
@@ -410,9 +404,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
         return f(Y) + lam * space._powered(X[idx] - Y, power)
 
     vals, pts, evals, conv = _minimize_rows(
-        obj, X, space, cfg,
-        samp_centers=X, samp_radii=radii,
-        proj_centers=X, proj_radii=radii,
+        obj, X, space, cfg, X, radii,
         extra_vals=np.asarray(f(X), dtype=float), extra_pts=X)
     return vals, pts, evals, conv, radii
 
@@ -457,9 +449,7 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     radii = np.array([float(radius)])
     cval = np.asarray(batch(center[None]), dtype=float)
     vals, pts, evals, conv = _minimize_rows(
-        obj, X, space, cfg,
-        samp_centers=X, samp_radii=radii,
-        proj_centers=X, proj_radii=radii,
+        obj, X, space, cfg, X, radii,
         extra_vals=cval, extra_pts=X)
     diagnostics = {"evaluations": evals, "converged": bool(conv)}
     return pts[0], float(vals[0]), diagnostics
@@ -473,7 +463,8 @@ def decompose(f, lam, space, cfg=SolverConfig()):
     regularize_quadratic is a genuine two-route consistency check.
     """
     L = f.lipschitz_constant
-    if analytic_power_constant(space, 2.0) is None and lam / L < 3.0 - 1e-12:
+    C = analytic_power_constant(space, 2.0)
+    if C is None and lam / L < 3.0 - 1e-12:
         raise ParameterError(
             f"normalized parameter lambda/L = {lam / L:.6g} < 3")
     d_cfg = replace(cfg, seed=cfg.seed + 1)
@@ -489,26 +480,15 @@ def decompose(f, lam, space, cfg=SolverConfig()):
         # sup_y lam|x+y|^2 - 2lam|y|^2 - f(y)  ==  c(x) - inf_y (f + lam*Q2)
         # searched directly as a minimization of the negated objective
         nx = space._norm(X)
-        R = 2.0 * (1.0 + nx)
 
         def obj(Y, idx):
             return f(Y) + lam * (2.0 * space._powered(Y, 2.0)
                                  - space._powered(X[idx] + Y, 2.0))
 
-        C = analytic_power_constant(space, 2.0)
-        if C is not None:
-            r_loc = np.full(X.shape[0], L / (lam * C))
-            samp_centers = proj_centers = X
-            proj_radii = r_loc
-        else:
-            r_loc = R
-            samp_centers = proj_centers = np.zeros_like(X)
-            proj_radii = R
+        centers, radii = _search_ball(X, nx, L, lam, 2.0, C)
         extra = np.asarray(f(X), dtype=float) - 2.0 * lam * nx ** 2
         vals, _, _, _ = _minimize_rows(
-            obj, X, space, d_cfg,
-            samp_centers=samp_centers, samp_radii=r_loc,
-            proj_centers=proj_centers, proj_radii=proj_radii,
+            obj, X, space, d_cfg, centers, radii,
             extra_vals=extra, extra_pts=X)
         out = -vals
         return float(out[0]) if single else out
