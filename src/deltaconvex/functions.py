@@ -3,7 +3,9 @@ sampling-based Lipschitz-constant verifier.
 
 Evaluators are black boxes: callables taking an array of shape (d,) or
 (n, d) and returning a scalar / shape-(n,) array.  They must be pure and
-reentrant.
+reentrant.  The norm and distance evaluators call the unchecked norm kernel:
+the solver feeds them validated rows and rejects any non-finite value
+they return.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +100,7 @@ def distance_function(space, point_set):
             sq = (np.einsum("ij,ij->i", x, x)[:, None]
                   - 2.0 * (x @ pts.T) + pts_sq)
             return np.sqrt(np.maximum(sq.min(axis=1), 0.0))
-        diffs = x[..., None, :] - pts
-        return space.norm(diffs).min(axis=-1)
+        return space._norm(x[..., None, :] - pts).min(axis=-1)
 
     return LipschitzFunction(evaluator=ev, lipschitz_constant=1.0,
                              label="distance")
@@ -126,7 +127,7 @@ def make_corpus(space, seed=2357):
     elast[-1] = 1.0
 
     def f_norm(x):
-        return space.norm(x)
+        return space._norm(x)
 
     def f_linear(x):
         return np.asarray(x, dtype=float)[..., 0]

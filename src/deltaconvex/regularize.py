@@ -6,7 +6,8 @@ is proven, and over |y| <= 2(1 + |x|) otherwise; the inf-convolution
 baseline minimizes f(y) + w * |x - y|^power over a ball centered at x.  All
 searches share one derivative-free solver: a coarse stage on an in-package
 scrambled Sobol' pool (bit-identical to scipy's), compass search from the
-best three separated candidates, and a golden-section axis polish.
+best separated candidates (three by default), run as one batch over every
+start of every row, and a golden-section axis polish.
 Returned values are objective values at points the solver found, so they
 are upper bounds on the true infimum up to the rounding of lambda*Q, which
 the minimizer can exploit at about the 1e-12 level.
@@ -103,13 +104,16 @@ def _unit_ball_pool(space, m, seed):
 
 
 def _project_rows(space, Y, centers, radii):
-    """Radial projection of each row into ball(centers[i], radii[i])."""
+    """Radial projection of each row into ball(centers[i], radii[i]).  Rows
+    inside their ball come back untouched, so a row's result does not depend
+    on the other rows of the batch."""
     diff = Y - centers
     nd = space._norm(diff)
     over = nd > radii
     if np.any(over):
-        scale = np.where(over, radii / np.maximum(nd, 1e-300), 1.0)
-        Y = centers + diff * scale[..., None]
+        Y = Y.copy()
+        scale = radii[over] / nd[over]
+        Y[over] = centers[over] + diff[over] * scale[:, None]
     return Y
 
 
@@ -186,7 +190,7 @@ def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
     """Greedy value-ordered start selection, forcing mutual separation so the
     multistart explores distinct basins."""
     N, n_keep, d = keep_pts.shape
-    starts = [keep_pts[:, 0, :].copy()]
+    starts = [keep_pts[:, 0, :]]
     chosen = [np.zeros(N, dtype=int)]
     for _ in range(1, k_starts):
         ok = np.ones((N, n_keep), dtype=bool)
@@ -200,7 +204,7 @@ def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
         first_ok = np.where(any_ok, ok.argmax(axis=1),
                             np.minimum(len(chosen), n_keep - 1))
         chosen.append(first_ok)
-        starts.append(keep_pts[np.arange(N), first_ok].copy())
+        starts.append(keep_pts[np.arange(N), first_ok])
     return starts
 
 
@@ -280,26 +284,30 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
                    extra_pts=None):
     """Shared batch minimizer.  Row i minimizes obj(., i) over
     ball(centers[i], radii[i]).  Returns (values, minimizers, evaluations,
-    converged)."""
+    converged).
+
+    The compass search runs once over all starts of all rows, stacked so
+    that row s*N + i is start s of row i; every stacked row moves only on
+    its own values, so the result equals one search per start."""
     N, d = X.shape
     counter = _Counter()
     keep_pts, keep_vals = _coarse_stage(
         obj, X, space, cfg, centers, radii, counter)
     starts = _select_starts(space, keep_pts, keep_vals,
                             sep=radii * 0.25, k_starts=cfg.starts)
-    best_vals = np.full(N, np.inf)
-    best_pts = np.empty((N, d))
-    converged = True
-    for s, Y0 in enumerate(starts):
-        Y = Y0.copy()
-        vals = _checked(obj, Y, np.arange(N), counter)
-        step = radii * 0.25
-        conv = _compass(obj, Y, vals, step, space, cfg, centers, radii,
-                        counter)
-        converged = converged and conv
-        upd = vals < best_vals
-        best_vals[upd] = vals[upd]
-        best_pts[upd] = Y[upd]
+    owner = np.tile(np.arange(N), len(starts))
+
+    def stacked(Y, idx):
+        return obj(Y, owner[idx])
+
+    Y = np.concatenate(starts)
+    vals = _checked(obj, Y, owner, counter)
+    converged = _compass(stacked, Y, vals, radii[owner] * 0.25, space, cfg,
+                         centers[owner], radii[owner], counter)
+    # argmin keeps the first minimum: a tie goes to the earlier start
+    best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
+    best_vals = vals[best]
+    best_pts = Y[best]
     # a single axis polish of the best compass endpoint per row
     best_pts, best_vals = _axis_polish(obj, best_pts, best_vals, space, cfg,
                                        centers, radii, counter)
@@ -435,19 +443,20 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
 
     batch = objective
     try:
-        probe = np.asarray(batch(center[None]), dtype=float)
-        if probe.shape != (1,):
+        # the probe doubles as the value at the centre, a candidate itself
+        cval = np.asarray(batch(center[None]), dtype=float)
+        if cval.shape != (1,):
             raise TypeError
     except Exception:
         def batch(Y):
             return np.array([float(objective(row)) for row in Y])
+        cval = batch(center[None])
 
     def obj(Y, idx):
         return batch(Y)
 
     X = center[None]
     radii = np.array([float(radius)])
-    cval = np.asarray(batch(center[None]), dtype=float)
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
         extra_vals=cval, extra_pts=X)

@@ -330,8 +330,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     max_norm = 0.0
 
     if total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS):
-        all_nodes = np.vstack([tree.level_array(k)
-                               for k in range(tree.depth + 1)])
+        all_nodes = _heap_nodes(tree)
         max_norm = float(space.norm(all_nodes).max())
         min_sep, sep_pair, pairs_checked = _min_pair_distance(
             space, all_nodes, all_nodes, upper=True)
@@ -353,15 +352,19 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                     min_sep = float(dist[i])
                     sep_pair = (k, i)
                 pairs_checked += dist.size
-        remaining = sample_pairs - pairs_checked
+        remaining = max(sample_pairs - pairs_checked, 0)
         if tree.structure is None:
             remaining = min(remaining, 50_000)
-        for lo in range(0, max(remaining, 0), 65536):
+            space._check(_heap_nodes(tree))  # once: the batches use _norm
+        # one set of batch buffers, filled in place by every batch
+        pa, pb, diff = (np.zeros((min(remaining, 65536), tree.ambient_dim))
+                        for _ in range(3))
+        for lo in range(0, remaining, 65536):
             m = min(remaining - lo, 65536)
-            pa = _random_nodes(tree, rng, m)
-            pb = _random_nodes(tree, rng, m)
-            same = (pa == pb).all(axis=1)
-            dist = space.norm(pa - pb)[~same]
+            a = _random_nodes(tree, rng, m, out=pa[:m])
+            b = _random_nodes(tree, rng, m, out=pb[:m])
+            same = (a == b).all(axis=1)
+            dist = space._norm(np.subtract(a, b, out=diff[:m]))[~same]
             if dist.size:
                 i = int(np.argmin(dist))
                 if dist[i] < min_sep:
@@ -383,27 +386,39 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     )
 
 
-def _random_nodes(tree, rng, m):
+def _random_nodes(tree, rng, m, out=None):
     """m uniformly random (level, sign-prefix) nodes: computed from the
-    signs for sign trees, looked up by heap index for explicit ones."""
+    signs for sign trees, looked up by heap index for explicit ones.  With
+    ``out`` (m rows, zero outside a sign tree's block) the nodes are written
+    there instead of into a new array."""
     ks = rng.integers(0, tree.depth + 1, size=m)
-    signs = _SIGNS[rng.integers(0, 2, size=(m, tree.depth))]
+    # uint32 draws the same values as the default int64, in half the memory
+    draw = rng.integers(0, 2, size=(m, tree.depth), dtype=np.uint32)
     mask = np.arange(tree.depth)[None, :] < ks[:, None]
     if tree.structure is not None:
         st = tree.structure
-        X = np.zeros((m, tree.ambient_dim))
+        if out is None:
+            out = np.zeros((m, tree.ambient_dim))
         off = st.block_start + (1 if st.lead else 0)
-        X[:, off:off + tree.depth] = signs * mask * st.scale
+        block = out[:, off:off + tree.depth]
+        np.take(_SIGNS, draw, out=block, mode="clip")
+        block *= mask
+        block *= st.scale
         if st.lead:
-            X[:, st.block_start] = st.scale
-        return X
-    # heap order: level k starts at row 2^k - 1 and lists its nodes in
-    # level_signs order, where a -1 sign is a 1 bit, most significant first
-    nodes = np.vstack([tree.level_array(k) for k in range(tree.depth + 1)])
-    bits = (signs < 0) & mask
+            out[:, st.block_start] = st.scale
+        return out
+    # level k starts at heap row 2^k - 1 and lists its nodes in level_signs
+    # order, where a -1 sign (draw 0) is a 1 bit, most significant first
+    bits = (draw == 0) & mask
     weights = np.left_shift(1, np.maximum(ks[:, None] - 1
                                           - np.arange(tree.depth), 0))
-    return nodes[(1 << ks) - 1 + (bits * weights).sum(axis=1)]
+    rows = (1 << ks) - 1 + (bits * weights).sum(axis=1)
+    return np.take(_heap_nodes(tree), rows, axis=0, out=out)
+
+
+def _heap_nodes(tree):
+    """Every node of the tree, level by level: heap order."""
+    return np.vstack([tree.level_array(k) for k in range(tree.depth + 1)])
 
 
 def counterexample_function(family, space):

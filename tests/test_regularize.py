@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import deltaconvex.regularize as reg
 from deltaconvex import (ConvexPair, DimensionMismatchError,
                          LipschitzFunction, NormedSpace, ParameterError, PowerTypeConstant, SolverConfig,
                          SolverError, ball_grid, corpus_function, decompose,
@@ -364,3 +366,120 @@ class TestSolverConfig:
         a = regularize_power_grid(f, 2.0, 9.0, X, L2_2)[0]
         b = regularize_power_grid(f, 2.0, 9.0, X, L2_2)[0]
         assert np.array_equal(a, b)
+
+
+def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None,
+                         extra_pts=None):
+    """Reference: one compass search per start, reduced in start order with
+    a strict <, as the minimizer ran before the starts were stacked."""
+    N, d = X.shape
+    counter = reg._Counter()
+    keep_pts, keep_vals = reg._coarse_stage(
+        obj, X, space, cfg, centers, radii, counter)
+    starts = reg._select_starts(space, keep_pts, keep_vals,
+                                sep=radii * 0.25, k_starts=cfg.starts)
+    best_vals = np.full(N, np.inf)
+    best_pts = np.empty((N, d))
+    converged = True
+    for Y0 in starts:
+        Y = Y0.copy()
+        vals = reg._checked(obj, Y, np.arange(N), counter)
+        conv = reg._compass(obj, Y, vals, radii * 0.25, space, cfg, centers,
+                            radii, counter)
+        converged = converged and conv
+        upd = vals < best_vals
+        best_vals[upd] = vals[upd]
+        best_pts[upd] = Y[upd]
+    best_pts, best_vals = reg._axis_polish(obj, best_pts, best_vals, space,
+                                           cfg, centers, radii, counter)
+    if extra_vals is not None:
+        upd = extra_vals < best_vals
+        best_vals[upd] = extra_vals[upd]
+        best_pts[upd] = extra_pts[upd]
+    return best_vals, best_pts, counter.evals, converged
+
+
+STACK_CFG = SolverConfig(coarse_samples=64, refine_iterations=40, seed=3)
+STACK_CASES = [(NormedSpace(2, 2.0), 2.0), (NormedSpace(2, 4.0), 4.0),
+               (NormedSpace(3, 1.0), 2.0), (NormedSpace(2, math.inf), 2.0)]
+
+
+class TestStackedMultistart:
+    """The stacked compass search returns exactly what one search per start
+    returned: values, minimizers, evaluation count and converged flag."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            seen.append((got, _sequential_minimize(*args, **kwargs)))
+            return got
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        return seen
+
+    def assert_identical(self, solves, calls):
+        assert len(solves) == calls
+        for got, want in solves:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[2] == want[2]
+            assert bool(got[3]) == bool(want[3])
+
+    @pytest.mark.parametrize("starts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("space,p", STACK_CASES,
+                             ids=lambda c: c.describe() if hasattr(c, "describe")
+                             else f"p{c:g}")
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_power_and_inf_convolution(self, solves, space, p, starts, n):
+        cfg = replace(STACK_CFG, starts=starts)
+        X = space.ball_sample(np.random.default_rng(n), n)
+        for label in ("norm", "max-affine"):
+            f = corpus_function(space, label)
+            regularize_power_grid(f, p, 9.0, X, space, cfg)
+            inf_convolve_grid(f, p, 9.0, X, space, cfg)
+        self.assert_identical(solves, 4)
+
+    def test_grid_of_more_than_100_rows(self, solves):
+        X = ball_grid(L2_2, np.zeros(2), 1.0, 13)
+        assert X.shape[0] > 100
+        f = corpus_function(L2_2, "distance")
+        regularize_power_grid(f, 2.0, 9.0, X, L2_2, STACK_CFG)
+        inf_convolve_grid(f, 2.0, 9.0, X, L2_2, STACK_CFG)
+        self.assert_identical(solves, 2)
+
+    @pytest.mark.parametrize("starts", [1, 2, 3, 5])
+    def test_decompose_d_and_scalar_inner_minimize(self, solves, starts):
+        cfg = replace(STACK_CFG, starts=starts)
+        f = corpus_function(L2_2, "sawtooth")
+        decompose(f, 9.0, L2_2, cfg).d(ball_grid(L2_2, np.zeros(2), 1.0, 5))
+        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()),
+                       np.array([0.1, -0.2]), 1.0, cfg)
+        self.assert_identical(solves, 2)
+
+    @pytest.mark.parametrize("starts", [2, 3])
+    def test_tie_goes_to_the_earlier_start(self, starts):
+        # two flat-bottomed basins where the objective is exactly 0: every
+        # start already sits at 0, so all compass endpoints tie
+        def obj(Y, idx):
+            y = Y[:, 0]
+            return np.maximum(
+                0.0, np.minimum(np.abs(y - 0.6), np.abs(y + 0.6)) - 0.2)
+
+        X = np.zeros((1, 1))
+        radii = np.array([1.5])
+        cfg = replace(STACK_CFG, starts=starts)
+        keep_pts, keep_vals = reg._coarse_stage(
+            obj, X, L2_1, cfg, X, radii, reg._Counter())
+        first = reg._select_starts(L2_1, keep_pts, keep_vals,
+                                   sep=radii * 0.25, k_starts=starts)
+        assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
+        assert not np.array_equal(first[0], first[1])
+        vals, pts, _, _ = reg._minimize_rows(obj, X, L2_1, cfg, X, radii)
+        want = _sequential_minimize(obj, X, L2_1, cfg, X, radii)
+        assert vals[0] == 0.0
+        assert np.array_equal(pts, first[0])
+        assert np.array_equal(pts, want[1])

@@ -370,3 +370,10 @@ class TestRandomNodes:
         assert not rep.exhaustive_pairs
         assert rep.pairs_checked == 1_976_327
         assert rep.min_separation == 1.0
+
+    def test_sampled_path_rejects_non_finite_explicit_tree(self):
+        # depth 14 puts the last leaf past the structured-pair budget, so
+        # only the node table check can see the NaN there
+        t = build_sign_tree(14).with_node((-1,) * 14, np.full(14, math.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_tree(t, NormedSpace(14, math.inf), seed=0)
