@@ -106,14 +106,17 @@ def _unit_ball_pool(space, m, seed):
 def _project_rows(space, Y, centers, radii):
     """Radial projection of each row into ball(centers[i], radii[i]).  Rows
     inside their ball come back untouched, so a row's result does not depend
-    on the other rows of the batch."""
+    on the other rows of the batch.  ``centers`` and ``radii`` need only
+    broadcast against ``Y`` and its rows: one centre per row of a candidate
+    block serves all of the block."""
     diff = Y - centers
     nd = space._norm(diff)
     over = nd > radii
-    if np.any(over):
+    if over.any():
         Y = Y.copy()
-        scale = radii[over] / nd[over]
-        Y[over] = centers[over] + diff[over] * scale[:, None]
+        scale = np.broadcast_to(radii, nd.shape)[over] / nd[over]
+        Y[over] = (np.broadcast_to(centers, Y.shape)[over]
+                   + diff[over] * scale[:, None])
     return Y
 
 
@@ -157,14 +160,12 @@ def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         rows = np.arange(lo, hi)
-        cand = centers[rows][:, None, :] + \
-            radii[rows][:, None, None] * pool[None, :, :]
+        ctr = centers[lo:hi][:, None, :]
+        rad = radii[lo:hi][:, None]
+        cand = _project_rows(space, ctr + rad[:, :, None] * pool[None, :, :],
+                             ctr, rad)
         flat = cand.reshape(-1, d)
-        flat = _project_rows(space, flat,
-                             np.repeat(centers[rows], m, axis=0),
-                             np.repeat(radii[rows], m))
         vals = _checked(obj, flat, np.repeat(rows, m), counter).reshape(-1, m)
-        cand = flat.reshape(-1, m, d)
         k = min(n_keep, m)
         part = np.argpartition(vals, k - 1, axis=1)[:, :k]
         r = np.arange(hi - lo)[:, None]
@@ -218,16 +219,15 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
             break
         rows = np.flatnonzero(active)
         T = Y[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
+        T = _project_rows(space, T, centers[rows][:, None, :],
+                          radii[rows][:, None])
         flat = T.reshape(-1, d)
-        flat = _project_rows(space, flat,
-                             np.repeat(centers[rows], 2 * d, axis=0),
-                             np.repeat(radii[rows], 2 * d))
         tv = _checked(obj, flat, np.repeat(rows, 2 * d), counter).reshape(-1, 2 * d)
         j = tv.argmin(axis=1)
         tmin = tv[np.arange(rows.size), j]
         better = tmin < vals[rows]
         moved = rows[better]
-        Y[moved] = flat.reshape(-1, 2 * d, d)[better, j[better]]
+        Y[moved] = T[better, j[better]]
         vals[moved] = tmin[better]
         step[rows[~better]] *= 0.5
     return (step < tol).all()

@@ -33,6 +33,28 @@ def _err_sum3(a, b, c):
     return s2 + (e1 + e2)
 
 
+# below this many rows one reduce call costs less than the column loop
+_ROWSUM_MIN_ROWS = 64
+
+
+def _rowsum(a):
+    """``a.sum(axis=-1)`` bit for bit, faster on a short last axis.
+
+    numpy adds fewer than 8 terms of a row in plain order, so adding the
+    columns one at a time into a copy of column 0 rounds the same way and
+    skips the slow reduce over a short axis.  From 8 terms on numpy sums
+    pairwise, and below 64 rows the loop costs more than the reduce; both
+    cases run the reduce itself.
+    """
+    d = a.shape[-1]
+    if d >= 8 or a.size < _ROWSUM_MIN_ROWS * d:
+        return np.add.reduce(a, axis=-1)
+    s = a[..., 0].copy()
+    for k in range(1, d):
+        s += a[..., k]
+    return s
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """R^dim under the l_p norm. ``p_exponent`` is a real >= 1 or math.inf."""
@@ -64,15 +86,19 @@ class NormedSpace:
         return self._norm(self._check(x))
 
     def _norm(self, x):
-        """``norm`` without input checks, for rows already validated."""
+        """``norm`` without input checks, for rows already validated.
+
+        Row sums run column by column (``_rowsum``) for dim < 8 on batches
+        of at least 64 rows, bit-identical to numpy's ``sum``.
+        """
         p = self.p_exponent
         if p == 1.0:
-            return np.abs(x).sum(axis=-1)
+            return _rowsum(np.abs(x))
         if p == 2.0:
-            return np.sqrt(np.square(x).sum(axis=-1))
+            return np.sqrt(_rowsum(np.square(x)))
         if p == math.inf:
             return np.abs(x).max(axis=-1)
-        return (np.abs(x) ** p).sum(axis=-1) ** (1.0 / p)
+        return _rowsum(np.abs(x) ** p) ** (1.0 / p)
 
     def _powered(self, x, power):
         """|x|^power per row, without input checks: the one distance kernel
@@ -80,7 +106,8 @@ class NormedSpace:
 
         When ``power`` is the space's own finite exponent the sum of
         coordinate powers is returned as is, with no root taken and then
-        undone; otherwise the result is ``_norm(x) ** power``.
+        undone; otherwise the result is ``_norm(x) ** power``.  The sums
+        run through ``_rowsum``, as in ``_norm``.
         """
         if power != self.p_exponent or power in (1.0, math.inf):
             return self._norm(x) ** power
@@ -94,8 +121,8 @@ class NormedSpace:
                 acc = acc * sq
             if n % 2:
                 acc = acc * np.abs(x)
-            return acc.sum(axis=-1)
-        return (np.abs(x) ** power).sum(axis=-1)
+            return _rowsum(acc)
+        return _rowsum(np.abs(x) ** power)
 
     def _defect_term(self, p, x):
         """2^(p-1)|x|^p: the term of the power-p defect fixed per x row."""

@@ -353,16 +353,18 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                     sep_pair = (k, i)
                 pairs_checked += dist.size
         remaining = max(sample_pairs - pairs_checked, 0)
+        nodes = None
         if tree.structure is None:
             remaining = min(remaining, 50_000)
-            space._check(_heap_nodes(tree))  # once: the batches use _norm
+            # one node table for every batch, checked once: they use _norm
+            nodes = space._check(_heap_nodes(tree))
         # one set of batch buffers, filled in place by every batch
         pa, pb, diff = (np.zeros((min(remaining, 65536), tree.ambient_dim))
                         for _ in range(3))
         for lo in range(0, remaining, 65536):
             m = min(remaining - lo, 65536)
-            a = _random_nodes(tree, rng, m, out=pa[:m])
-            b = _random_nodes(tree, rng, m, out=pb[:m])
+            a = _random_nodes(tree, rng, m, out=pa[:m], nodes=nodes)
+            b = _random_nodes(tree, rng, m, out=pb[:m], nodes=nodes)
             same = (a == b).all(axis=1)
             dist = space._norm(np.subtract(a, b, out=diff[:m]))[~same]
             if dist.size:
@@ -386,9 +388,10 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     )
 
 
-def _random_nodes(tree, rng, m, out=None):
+def _random_nodes(tree, rng, m, out=None, nodes=None):
     """m uniformly random (level, sign-prefix) nodes: computed from the
-    signs for sign trees, looked up by heap index for explicit ones.  With
+    signs for sign trees, looked up by heap index for explicit ones, in
+    ``nodes`` (``_heap_nodes(tree)``, built here when not given).  With
     ``out`` (m rows, zero outside a sign tree's block) the nodes are written
     there instead of into a new array."""
     ks = rng.integers(0, tree.depth + 1, size=m)
@@ -413,7 +416,9 @@ def _random_nodes(tree, rng, m, out=None):
     weights = np.left_shift(1, np.maximum(ks[:, None] - 1
                                           - np.arange(tree.depth), 0))
     rows = (1 << ks) - 1 + (bits * weights).sum(axis=1)
-    return np.take(_heap_nodes(tree), rows, axis=0, out=out)
+    if nodes is None:
+        nodes = _heap_nodes(tree)
+    return np.take(nodes, rows, axis=0, out=out)
 
 
 def _heap_nodes(tree):

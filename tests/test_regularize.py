@@ -483,3 +483,27 @@ class TestStackedMultistart:
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
+
+
+class TestBatchIndependence:
+    """A row's value and minimiser do not depend on how many rows share its
+    grid call: the kernels behind the solver take a different summation path
+    below 64 rows, with identical rounding."""
+
+    # not distance: on l_2 it evaluates through a matrix product, whose
+    # rounding depends on the batch shape
+    @pytest.mark.parametrize("label", ["norm", "linear", "max-affine",
+                                       "sawtooth"])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_grid_rows_equal_single_rows(self, q, label):
+        space = NormedSpace(2, q)
+        cfg = SolverConfig(coarse_samples=160, starts=2, seed=3)
+        X = ball_grid(space, np.zeros(2), 1.0, 11)
+        assert X.shape[0] > 64
+        f = corpus_function(space, label)
+        vals, pts, _, _, _ = regularize_power_grid(f, q, 9.0, X, space, cfg)
+        for i in (0, X.shape[0] // 2, X.shape[0] - 1):
+            v, y, _, _, _ = regularize_power_grid(f, q, 9.0, X[i:i + 1],
+                                                  space, cfg)
+            assert v[0] == vals[i]
+            assert np.array_equal(y[0], pts[i])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from deltaconvex import (DimensionMismatchError, NormedSpace, SampleBudget,
                          analytic_modulus_lower, analytic_power_constant,
                          modulus_of_convexity, power_type_constant)
-from deltaconvex.spaces import _err_sum3
+from deltaconvex.spaces import _err_sum3, _rowsum
 
 
 def vec(*xs):
@@ -182,6 +182,57 @@ class TestPowerKernel:
                 space.defect2(vec(0.0, 0.0), bad)
         with pytest.raises(DimensionMismatchError):
             space.defect_p(4.0, vec(1.0, 2.0, 3.0), vec(0.0, 0.0))
+
+
+def rowsum_values(kind, shape, seed=5):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, shape)
+    if kind == "tiny":  # squares in the subnormal range
+        return np.square(rng.uniform(0.0, 1e-160, shape))
+    return rng.uniform(0.0, 1e150, shape)
+
+
+class TestRowsum:
+    """``_rowsum`` must round exactly as numpy's ``sum(axis=-1)``: below 8
+    terms numpy adds a row in plain order.  If a numpy release changes its
+    reduction order, these tests fail."""
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 10_000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_equals_numpy_sum(self, d, rows):
+        for kind in ("random", "tiny", "huge"):
+            a = rowsum_values(kind, (rows, d))
+            assert np.array_equal(_rowsum(a), a.sum(axis=-1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_select_starts_shape(self, d, n):
+        # (N, n_keep, d), as the start selection measures its candidates
+        for kind in ("random", "tiny", "huge"):
+            a = rowsum_values(kind, (n, 8, d))
+            got = _rowsum(a)
+            assert got.shape == (n, 8)
+            assert np.array_equal(got, a.sum(axis=-1))
+
+
+class TestBatchIndependence:
+    """A row's norm and power kernel do not depend on the batch it comes
+    in, on either side of the short-batch fallback of ``_rowsum``."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
+    def test_norm_and_powered_per_row(self, q):
+        space = NormedSpace(3, q)
+        X = np.random.default_rng(8).uniform(-2.0, 2.0, (200, 3))
+        powers = (q, q + 1.0, 12.0)
+        batch = [space._norm(X)] + [space._powered(X, w) for w in powers]
+        for i in range(X.shape[0]):
+            row = X[i:i + 1]
+            single = [space._norm(row)] + [space._powered(row, w)
+                                           for w in powers]
+            for b, s in zip(batch, single):
+                assert s.shape == (1,)
+                assert b[i] == s[0]
 
 
 class TestModulus:
