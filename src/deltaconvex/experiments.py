@@ -351,11 +351,10 @@ def convex_pair_catalog(ambient_dim, space):
 def _tree_error_nodes(tree, rng, deep_samples=2048):
     """Node arrays used to measure the sup error: full levels up to 10 plus
     a deterministic random sample of deeper nodes."""
-    arrays = [tree.level_array(k)
-              for k in range(min(tree.depth, 10) + 1)]
-    if tree.depth > 10:
-        arrays.append(_trees._random_nodes(tree, rng, deep_samples))
-    return np.vstack(arrays)
+    nodes = _trees._heap_nodes(tree, 11)
+    if tree.depth <= 10:
+        return nodes
+    return np.vstack([nodes, _trees._random_nodes(tree, rng, deep_samples)])
 
 
 def run_adversary(cfg):

@@ -4,10 +4,14 @@ walk that certifies approximation-error lower bounds for convex pairs.
 
 Sign trees are stored implicitly (node coordinates are a function of the
 sign index), so walks on very deep trees never materialize the node set.
+Explicit trees (loaded from a file, or copied with one node replaced) hold
+every node in one read-only array in heap order: level k fills rows
+2^k - 1 .. 2^(k+1) - 2, listed by ``_level_signs``; ``_heap_index`` finds
+a node's row.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +39,23 @@ _EXHAUSTIVE_PAIRS = 1 << 22  # node pairs always checked exhaustively
 _SIGNS = np.array((-1.0, 1.0))
 
 
+def _level_signs(k):
+    """(2^k, k) array of the sign tuples of level k in heap order: bit 0 ->
+    +1, bit 1 -> -1, most significant first."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def _heap_index(alpha):
+    """Heap row of integer sign prefix ``alpha``: the root is row 0, row i
+    has children 2i + 1 (sign +1) and 2i + 2 (sign -1).  A (k, m) array gives
+    the rows of m prefixes stored by column, padded with zeros (no move)."""
+    row = 0
+    for s in alpha:
+        row = row + abs(s) * (row + 1 + (s < 0))
+    return row
+
+
 @dataclass(frozen=True)
 class _SignStructure:
     """Implicit node map: coordinates block_start..block_start+width-1 hold
@@ -50,96 +71,73 @@ class _SignStructure:
     def width(self):
         return self.depth + (1 if self.lead else 0)
 
-    def node(self, alpha):
-        x = np.zeros(self.ambient_dim)
-        off = self.block_start
-        if self.lead:
-            x[off] = self.scale
-            off += 1
-        for j, s in enumerate(alpha):
-            x[off + j] = s * self.scale
-        return x
-
-    def level_signs(self, k):
-        """(2^k, k) array of sign tuples; row order: bit 0 -> +1, MSB first,
-        so children of row i are rows 2i (+1 child) and 2i+1 (-1 child)."""
-        if k == 0:
-            return np.zeros((1, 0))
-        bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-        return 1.0 - 2.0 * bits
-
-    def level_array(self, k):
-        signs = self.level_signs(k)
-        x = np.zeros((1 << k, self.ambient_dim))
+    def place(self, signs):
+        """The nodes whose sign prefixes are the rows of ``signs``."""
+        x = np.zeros((len(signs), self.ambient_dim))
         off = self.block_start
         if self.lead:
             x[:, off] = self.scale
             off += 1
-        x[:, off:off + k] = signs * self.scale
+        x[:, off:off + signs.shape[1]] = signs * self.scale
         return x
 
 
 @dataclass(frozen=True)
 class DyadicTree:
     """A dyadic (depth, theta)-tree: indices are sign tuples of length
-    0..depth, each parent the exact midpoint of its children."""
+    0..depth, each parent the exact midpoint of its children.  Nodes come
+    from a sign ``structure`` or a read-only heap-ordered ``nodes`` array."""
     depth: int
     theta: float
     ambient_dim: int
     structure: _SignStructure = None
-    explicit_nodes: dict = None
+    nodes: np.ndarray = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.structure is None and self.explicit_nodes is None:
-            raise ValueError("tree needs either a structure or explicit nodes")
+        if (self.structure is None) == (self.nodes is None):
+            raise ValueError("tree needs either a structure or a node array")
+        if self.nodes is not None:
+            self.nodes.flags.writeable = False
 
     @property
     def node_count(self):
         return (1 << (self.depth + 1)) - 1
 
-    def node(self, alpha):
+    def _sign_index(self, alpha):
         alpha = tuple(int(s) for s in alpha)
         if any(s not in (-1, 1) for s in alpha) or len(alpha) > self.depth:
             raise KeyError(f"bad sign index {alpha}")
-        if self.explicit_nodes is not None:
-            return self.explicit_nodes[alpha]
-        return self.structure.node(alpha)
+        return alpha
+
+    def node(self, alpha):
+        alpha = self._sign_index(alpha)
+        if self.structure is None:
+            return self.nodes[_heap_index(alpha)]
+        return self.structure.place(np.array([alpha], dtype=float))[0]
 
     def level_array(self, k):
         if k > self.depth:
             raise ValueError(f"level {k} exceeds depth {self.depth}")
-        if self.explicit_nodes is not None:
-            sig = _SignStructure(self.depth, self.ambient_dim, 0, False, 1.0)
-            signs = sig.level_signs(k).astype(int)
-            return np.array([self.explicit_nodes[tuple(row)] for row in signs])
-        return self.structure.level_array(k)
+        if self.structure is None:
+            return _heap_nodes(self, k + 1)[_heap_index((1,) * k):]
+        return self.structure.place(_level_signs(k))
 
     def indices(self):
         for k in range(self.depth + 1):
-            if k == 0:
-                yield ()
-                continue
-            for i in range(1 << k):
-                yield tuple(
-                    1 - 2 * ((i >> (k - 1 - j)) & 1) for j in range(k))
+            yield from map(tuple, _level_signs(k).astype(int).tolist())
 
     def to_explicit(self):
         if self.node_count > _ENUM_CAP:
             raise ValueError("tree too deep to materialize")
-        nodes = {alpha: self.node(alpha) for alpha in self.indices()}
-        return DyadicTree(depth=self.depth, theta=self.theta,
-                          ambient_dim=self.ambient_dim,
-                          explicit_nodes=nodes)
+        return replace(self, structure=None, nodes=_heap_nodes(self))
 
     def with_node(self, alpha, vec):
         """Copy with one node replaced (fault injection in tests)."""
-        t = self.to_explicit()
-        nodes = dict(t.explicit_nodes)
-        nodes[tuple(alpha)] = np.asarray(vec, dtype=float)
-        return DyadicTree(depth=self.depth, theta=self.theta,
-                          ambient_dim=self.ambient_dim, explicit_nodes=nodes)
+        nodes = self.to_explicit().nodes.copy()
+        nodes[_heap_index(self._sign_index(alpha))] = vec
+        return replace(self, structure=None, nodes=nodes)
 
 
 def build_sign_tree(depth, block_start=0, ambient_dim=None, scale=1.0,
@@ -201,16 +199,12 @@ def build_tree_family(depths, ambient_dim=None, scale=1.0):
     return fam
 
 
-def _check_family_distance(fam, cap=512):
-    """Pairwise cross check of the mutual-distance invariant; exhaustive for
-    small members, level-truncated above the cap."""
+def _check_family_distance(fam, levels=10):
+    """Pairwise cross check of the mutual-distance invariant on the first
+    ``levels`` levels of each member (all of a shallower one)."""
     from .spaces import NormedSpace
     space = NormedSpace(dim=fam.ambient_dim, p_exponent=math.inf)
-    arrays = []
-    for t in fam.trees:
-        lvls = [t.level_array(k) for k in range(t.depth + 1)
-                if (1 << k) <= cap]
-        arrays.append(np.vstack(lvls))
+    arrays = [_heap_nodes(t, levels) for t in fam.trees]
     for i in range(len(arrays)):
         for j in range(i + 1, len(arrays)):
             dmin, _, _ = _min_pair_distance(space, arrays[i], arrays[j])
@@ -317,9 +311,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
             bad = int(np.argmax(gaps))
             if gaps[bad] > worst_gap:
                 worst_gap = float(gaps[bad])
-                signs = _SignStructure(tree.depth, tree.ambient_dim, 0,
-                                       False, 1.0).level_signs(k)[bad]
-                violation = tuple(int(s) for s in signs)
+                violation = tuple(int(s) for s in _level_signs(k)[bad])
     midpoint_exact = violation is None
 
     n = tree.node_count
@@ -353,18 +345,17 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                     sep_pair = (k, i)
                 pairs_checked += dist.size
         remaining = max(sample_pairs - pairs_checked, 0)
-        nodes = None
         if tree.structure is None:
             remaining = min(remaining, 50_000)
-            # one node table for every batch, checked once: they use _norm
-            nodes = space._check(_heap_nodes(tree))
+            # checked once here: the batches below use the unchecked _norm
+            space._check(tree.nodes)
         # one set of batch buffers, filled in place by every batch
         pa, pb, diff = (np.zeros((min(remaining, 65536), tree.ambient_dim))
                         for _ in range(3))
         for lo in range(0, remaining, 65536):
             m = min(remaining - lo, 65536)
-            a = _random_nodes(tree, rng, m, out=pa[:m], nodes=nodes)
-            b = _random_nodes(tree, rng, m, out=pb[:m], nodes=nodes)
+            a = _random_nodes(tree, rng, m, out=pa[:m])
+            b = _random_nodes(tree, rng, m, out=pb[:m])
             same = (a == b).all(axis=1)
             dist = space._norm(np.subtract(a, b, out=diff[:m]))[~same]
             if dist.size:
@@ -388,10 +379,9 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     )
 
 
-def _random_nodes(tree, rng, m, out=None, nodes=None):
+def _random_nodes(tree, rng, m, out=None):
     """m uniformly random (level, sign-prefix) nodes: computed from the
-    signs for sign trees, looked up by heap index for explicit ones, in
-    ``nodes`` (``_heap_nodes(tree)``, built here when not given).  With
+    signs for sign trees, looked up by heap index for explicit ones.  With
     ``out`` (m rows, zero outside a sign tree's block) the nodes are written
     there instead of into a new array."""
     ks = rng.integers(0, tree.depth + 1, size=m)
@@ -410,20 +400,18 @@ def _random_nodes(tree, rng, m, out=None, nodes=None):
         if st.lead:
             out[:, st.block_start] = st.scale
         return out
-    # level k starts at heap row 2^k - 1 and lists its nodes in level_signs
-    # order, where a -1 sign (draw 0) is a 1 bit, most significant first
-    bits = (draw == 0) & mask
-    weights = np.left_shift(1, np.maximum(ks[:, None] - 1
-                                          - np.arange(tree.depth), 0))
-    rows = (1 << ks) - 1 + (bits * weights).sum(axis=1)
-    if nodes is None:
-        nodes = _heap_nodes(tree)
-    return np.take(nodes, rows, axis=0, out=out)
+    # draw 1 is sign +1 and draw 0 sign -1; zero past the node's level
+    signs = np.where(mask, 2 * draw.astype(np.int64) - 1, 0)
+    return np.take(tree.nodes, _heap_index(signs.T), axis=0, out=out)
 
 
-def _heap_nodes(tree):
-    """Every node of the tree, level by level: heap order."""
-    return np.vstack([tree.level_array(k) for k in range(tree.depth + 1)])
+def _heap_nodes(tree, levels=None):
+    """Levels 0 .. levels - 1 (all by default) in heap order, a view of an
+    explicit tree's array; they end where level ``levels`` starts."""
+    levels = tree.depth + 1 if levels is None else min(levels, tree.depth + 1)
+    if tree.structure is None:
+        return tree.nodes[:_heap_index((1,) * levels)]
+    return np.vstack([tree.level_array(k) for k in range(levels)])
 
 
 def counterexample_function(family, space):
@@ -584,44 +572,54 @@ def error_lower_bound(M, theta, depth):
 # followed by D coordinates
 # ---------------------------------------------------------------------------
 
-_SIGN = {1: "+", -1: "-"}
-
 
 def save_tree(tree, path):
-    if tree.node_count > _ENUM_CAP:
-        raise ValueError("tree too deep to serialize")
+    nodes = tree.to_explicit().nodes  # rejects trees past _ENUM_CAP nodes
     with open(path, "w") as fh:
         fh.write(f"{tree.depth} {tree.ambient_dim} {tree.theta:.17g}\n")
-        for alpha in tree.indices():
-            coords = " ".join(f"{v:.17g}" for v in tree.node(alpha))
-            prefix = "".join(_SIGN[s] for s in alpha)
+        for alpha, x in zip(tree.indices(), nodes):
+            coords = " ".join(f"{v:.17g}" for v in x)
+            prefix = "".join("+" if s > 0 else "-" for s in alpha)
             fh.write((prefix + " " + coords).lstrip() + "\n")
 
 
 def load_tree(path):
+    """Read a tree file; a malformed one raises ValueError naming the file
+    and, where one is at fault, the line."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: bad header")
         depth, D, theta = int(header[0]), int(header[1]), float(header[2])
-        nodes = {}
+        if depth < 1 or (1 << (depth + 1)) - 1 > _ENUM_CAP:
+            raise ValueError(f"{path}:1: depth {depth} is below 1 or has "
+                             f"more than {_ENUM_CAP} nodes")
+        if not (math.isfinite(theta) and theta > 0):
+            raise ValueError(f"{path}:1: theta {theta} is not positive")
+        rows = [None] * ((1 << (depth + 1)) - 1)  # one per heap row
         for lineno, line in enumerate(fh, 2):
             toks = line.split()
             if not toks:
                 continue
-            if set(toks[0]) <= {"+", "-"} and not any(
-                    ch.isdigit() for ch in toks[0]):
+            if set(toks[0]) <= {"+", "-"}:
                 alpha = tuple(1 if ch == "+" else -1 for ch in toks[0])
                 coords = toks[1:]
             else:
                 alpha = ()
                 coords = toks
+            if len(alpha) > depth:
+                raise ValueError(f"{path}:{lineno}: sign string {toks[0]} "
+                                 f"deeper than depth {depth}")
             if len(coords) != D:
                 raise ValueError(f"{path}:{lineno}: expected {D} coordinates")
-            nodes[alpha] = np.array([float(t) for t in coords])
-    expect = (1 << (depth + 1)) - 1
-    if len(nodes) != expect:
-        raise ValueError(
-            f"{path}: tree has {len(nodes)} nodes, expected {expect}")
+            row = _heap_index(alpha)
+            if rows[row] is not None:
+                raise ValueError(f"{path}:{lineno}: node "
+                                 f"{toks[0] if alpha else 'root'} given twice")
+            rows[row] = [float(t) for t in coords]
+    missing = rows.count(None)
+    if missing:
+        raise ValueError(f"{path}: tree has {len(rows) - missing} nodes, "
+                         f"expected {len(rows)}")
     return DyadicTree(depth=depth, theta=theta, ambient_dim=D,
-                      explicit_nodes=nodes)
+                      nodes=np.array(rows))

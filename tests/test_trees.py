@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from deltaconvex import (NormedSpace, adversarial_branch_walk,
                          counterexample_function, error_lower_bound,
                          load_tree, save_tree, validate_tree)
 from deltaconvex import trees as trees_mod
+from deltaconvex.cli import main
 from deltaconvex.trees import TreeFamily
 
 LINF2 = NormedSpace(2, math.inf)
@@ -141,7 +143,7 @@ class TestPairKernel:
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("tree", _reference_trees(),
                              ids=lambda t: f"d{t.depth}-D{t.ambient_dim}-"
-                             f"{'fault' if t.explicit_nodes else 'clean'}")
+                             f"{'fault' if t.structure is None else 'clean'}")
     def test_exhaustive_matches_broadcast(self, monkeypatch, tree, p, block):
         # a small block puts tied minima in different row blocks, where only
         # the first in row-major order may win
@@ -316,6 +318,22 @@ class TestErrorLowerBound:
             error_lower_bound(1.0, 1.0, 7)
 
 
+# malformed depth-1 tree files: (text, line at fault, message)
+_DEPTH1_BODY = "0 0\n+ 1 0\n- -1 0\n"
+MALFORMED = {
+    "over-deep": ("1 2 1\n0 0\n+ 1 0\n++ 1 1\n", 4, "deeper than depth"),
+    "repeated": ("1 2 1\n0 0\n+ 1 0\n- -1 0\n- 5 0\n", 5, "given twice"),
+    "repeated-root": ("1 2 1\n0 0\n0 0\n+ 1 0\n- -1 0\n", 3,
+                      "root given twice"),
+    "nan-theta": ("1 2 nan\n" + _DEPTH1_BODY, 1, "theta"),
+    "inf-theta": ("1 2 inf\n" + _DEPTH1_BODY, 1, "theta"),
+    "zero-theta": ("1 2 0\n" + _DEPTH1_BODY, 1, "theta"),
+    "negative-theta": ("1 2 -1\n" + _DEPTH1_BODY, 1, "theta"),
+    "depth-past-cap": ("40 2 1\n" + _DEPTH1_BODY, 1, "depth 40"),
+    "depth-zero": ("0 2 1\n0 0\n", 1, "depth 0"),
+}
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         t = build_sign_tree(4, scale=0.5)
@@ -346,6 +364,78 @@ class TestSerialization:
         path.write_text("1 2 1\n0 0\n+ 1\n- -1 0\n")
         with pytest.raises(ValueError, match="coordinates"):
             load_tree(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_load_rejects(self, tmp_path, case):
+        text, lineno, msg = MALFORMED[case]
+        path = tmp_path / "tree.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:{lineno}: ") + ".*" + msg):
+            load_tree(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_validate_tree_cli_exits_two(self, tmp_path, capsys, case):
+        text, lineno, _ = MALFORMED[case]
+        path = tmp_path / "tree.txt"
+        path.write_text(text)
+        assert main(["validate-tree", str(path)]) == 2
+        assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+
+class TestHeapLayout:
+    @pytest.mark.parametrize("tree", [
+        build_sign_tree(5), build_tree_family([3, 5], scale=0.5).trees[1]],
+        ids=["sign", "family-member"])
+    def test_explicit_matches_sign_tree(self, tree):
+        explicit = tree.to_explicit()
+        levels = [tree.level_array(k) for k in range(tree.depth + 1)]
+        assert np.array_equal(explicit.nodes, np.vstack(levels))
+        for k, level in enumerate(levels):
+            assert np.array_equal(explicit.level_array(k), level)
+        for levels_cap in range(1, tree.depth + 3):
+            assert np.array_equal(trees_mod._heap_nodes(explicit, levels_cap),
+                                  trees_mod._heap_nodes(tree, levels_cap))
+        for row, alpha in enumerate(tree.indices()):
+            assert trees_mod._heap_index(alpha) == row
+            assert np.array_equal(explicit.node(alpha), tree.node(alpha))
+
+    def test_heap_index_of_level_signs(self):
+        for k in range(1, 7):
+            signs = trees_mod._level_signs(k).astype(int)
+            rows = trees_mod._heap_index(signs.T)
+            assert np.array_equal(rows, np.arange((1 << k) - 1,
+                                                  (1 << (k + 1)) - 1))
+        # zero-padded prefixes of different lengths in one array
+        padded = np.array([[1, -1, 0], [-1, 0, 0], [0, 0, 0], [-1, -1, -1]])
+        assert list(trees_mod._heap_index(padded.T)) == [4, 2, 0, 14]
+
+    def test_with_node_writes_one_row(self):
+        tree = build_sign_tree(5)
+        source = tree.to_explicit()
+        before = source.nodes.copy()
+        for row, alpha in ((0, ()), (4, (1, -1)), (62, (-1,) * 5)):
+            changed = source.with_node(alpha, np.full(5, 7.0))
+            differs = (changed.nodes != source.nodes).any(axis=1)
+            assert np.flatnonzero(differs).tolist() == [row]
+            assert np.array_equal(changed.node(alpha), np.full(5, 7.0))
+            assert np.array_equal(source.nodes, before)
+            assert tree.structure is not None
+            assert np.array_equal(tree.with_node(alpha, np.full(5, 7.0)).nodes,
+                                  changed.nodes)
+        with pytest.raises(KeyError):
+            tree.with_node((1, 0), np.zeros(5))
+
+    def test_node_array_read_only(self, tmp_path):
+        path = tmp_path / "tree.txt"
+        save_tree(build_sign_tree(3), path)
+        for tree in (build_sign_tree(3).to_explicit(), load_tree(path),
+                     build_sign_tree(3).with_node((1,), np.ones(3))):
+            assert not tree.nodes.flags.writeable
+            with pytest.raises(ValueError):
+                tree.nodes[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                tree.node((1, 1))[0] = 1.0
 
 
 class TestRandomNodes:
