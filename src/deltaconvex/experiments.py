@@ -105,13 +105,18 @@ class ExperimentConfig:
         return sorted(set(self.values) - set(self.resolved))
 
     def solver(self, coarse=512, starts=3):
-        return SolverConfig(
+        kw = dict(
             coarse_samples=self.get_int("coarse_samples", coarse),
             refine_iterations=self.get_int("refine_iterations", 80),
             tolerance=self.get_float("tolerance", 1e-6),
             seed=self.get_int("seed", 0),
             starts=self.get_int("starts", starts),
         )
+        try:
+            return SolverConfig(**kw)
+        except ValueError as exc:
+            # SolverConfig's messages open with the offending field's name
+            raise ConfigError(str(exc).split()[0], str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -89,17 +89,9 @@ def distance_function(space, point_set):
         raise ValueError(
             f"point set dim {point_set.dim} != space dim {space.dim}")
     pts = point_set.points
-    euclidean = space.p_exponent == 2.0
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        if euclidean and x.ndim == 2:
-            # |x-q|^2 = |x|^2 - 2 x.q + |q|^2, one GEMM instead of a
-            # broadcasted difference tensor
-            sq = (np.einsum("ij,ij->i", x, x)[:, None]
-                  - 2.0 * (x @ pts.T) + pts_sq)
-            return np.sqrt(np.maximum(sq.min(axis=1), 0.0))
         return space._norm(x[..., None, :] - pts).min(axis=-1)
 
     return LipschitzFunction(evaluator=ev, lipschitz_constant=1.0,

@@ -5,15 +5,14 @@ ball of radius (L/(lambda*C))^(1/(p-1)) around x where a Clarkson constant C
 is proven, and over |y| <= 2(1 + |x|) otherwise; the inf-convolution
 baseline minimizes f(y) + w * |x - y|^power over a ball centered at x.  All
 searches share one derivative-free solver: a coarse stage on an in-package
-scrambled Sobol' pool (bit-identical to scipy's), compass search from the
-best separated candidates (three by default), run as one batch over every
-start of every row, and a golden-section axis polish.
+scrambled Sobol' pool (bit-identical to scipy's), then compass search from
+the best separated candidates (three by default), run as one batch over
+every start of every row until each step is below tolerance/8.
 Returned values are objective values at points the solver found, so they
 are upper bounds on the true infimum up to the rounding of lambda*Q, which
 the minimizer can exploit at about the 1e-12 level.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -41,9 +40,6 @@ __all__ = [
     "ball_grid",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class ParameterError(ValueError):
     pass
 
@@ -65,6 +61,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.coarse_samples < 1:
             raise ValueError("coarse_samples must be >= 1")
+        if self.refine_iterations < 0:
+            raise ValueError("refine_iterations must be >= 0")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.starts < 1:
@@ -150,7 +148,7 @@ def _lex_best(cands, vals):
 
 def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
     """Evaluate the shared pool around each row; return the n_keep best
-    candidates (points and values) per row, value-sorted."""
+    candidates per row, value-sorted, as an (N, n_keep, d) array."""
     N, d = X.shape
     m = cfg.coarse_samples
     pool = _unit_ball_pool(space, m, cfg.seed)
@@ -184,10 +182,10 @@ def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
             j = _lex_best(cand[t], vals[t])
             keep_vals[lo + t, 0] = vals[t, j]
             keep_pts[lo + t, 0] = cand[t, j]
-    return keep_pts, keep_vals
+    return keep_pts
 
 
-def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
+def _select_starts(space, keep_pts, sep, k_starts=3):
     """Greedy value-ordered start selection, forcing mutual separation so the
     multistart explores distinct basins."""
     N, n_keep, d = keep_pts.shape
@@ -210,11 +208,14 @@ def _select_starts(space, keep_pts, keep_vals, sep, k_starts=3):
 
 
 def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
+    """Compass search of every row, in place.  A row finishes once its step
+    falls below tolerance/8; the search counts as converged when every
+    row's step ended below the tolerance itself."""
     N, d = Y.shape
     dirs = np.vstack([np.eye(d), -np.eye(d)])  # (2d, d)
     tol = cfg.tolerance
     for _ in range(cfg.refine_iterations + 40 * d):
-        active = step >= tol
+        active = step >= tol / 8.0
         if not active.any():
             break
         rows = np.flatnonzero(active)
@@ -233,53 +234,6 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
     return (step < tol).all()
 
 
-def _axis_polish(obj, Y, vals, space, cfg, centers, radii, counter,
-                 sweeps=2, iters=30):
-    """Golden-section descent along each axis inside a small bracket around
-    the compass endpoint; keeps the result only when it improves."""
-    N, d = Y.shape
-    b0 = max(64.0 * cfg.tolerance, 1e-5)
-    idx = np.arange(N)
-    for _ in range(sweeps):
-        for k in range(d):
-            a = np.full(N, -b0)
-            b = np.full(N, b0)
-            x1 = b - _INVPHI * (b - a)
-            x2 = a + _INVPHI * (b - a)
-
-            def val_at(t):
-                P = Y.copy()
-                P[:, k] = Y[:, k] + t
-                P = _project_rows(space, P, centers, radii)
-                return _checked(obj, P, idx, counter)
-
-            f1 = val_at(x1)
-            f2 = val_at(x2)
-            for _ in range(iters):
-                shrink1 = f1 < f2  # keep [a, x2], reuse x1 as new interior
-                b = np.where(shrink1, x2, b)
-                a = np.where(shrink1, a, x1)
-                x_keep = np.where(shrink1, x1, x2)
-                f_keep = np.where(shrink1, f1, f2)
-                x_new = np.where(shrink1, b - _INVPHI * (b - a),
-                                 a + _INVPHI * (b - a))
-                f_new = val_at(x_new)
-                x1 = np.where(shrink1, x_new, x_keep)
-                f1 = np.where(shrink1, f_new, f_keep)
-                x2 = np.where(shrink1, x_keep, x_new)
-                f2 = np.where(shrink1, f_keep, f_new)
-            t_best = np.where(f1 < f2, x1, x2)
-            f_best = np.minimum(f1, f2)
-            improved = f_best < vals
-            if improved.any():
-                P = Y.copy()
-                P[:, k] = Y[:, k] + t_best
-                P = _project_rows(space, P, centers, radii)
-                Y[improved] = P[improved]
-                vals[improved] = f_best[improved]
-    return Y, vals
-
-
 def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
                    extra_pts=None):
     """Shared batch minimizer.  Row i minimizes obj(., i) over
@@ -289,12 +243,11 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
     The compass search runs once over all starts of all rows, stacked so
     that row s*N + i is start s of row i; every stacked row moves only on
     its own values, so the result equals one search per start."""
-    N, d = X.shape
+    N = X.shape[0]
     counter = _Counter()
-    keep_pts, keep_vals = _coarse_stage(
-        obj, X, space, cfg, centers, radii, counter)
-    starts = _select_starts(space, keep_pts, keep_vals,
-                            sep=radii * 0.25, k_starts=cfg.starts)
+    keep_pts = _coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    starts = _select_starts(space, keep_pts, sep=radii * 0.25,
+                            k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
 
     def stacked(Y, idx):
@@ -308,9 +261,6 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals[best]
     best_pts = Y[best]
-    # a single axis polish of the best compass endpoint per row
-    best_pts, best_vals = _axis_polish(obj, best_pts, best_vals, space, cfg,
-                                       centers, radii, counter)
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]

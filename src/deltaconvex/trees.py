@@ -590,7 +590,10 @@ def load_tree(path):
         header = fh.readline().split()
         if len(header) != 3:
             raise ValueError(f"{path}: bad header")
-        depth, D, theta = int(header[0]), int(header[1]), float(header[2])
+        try:
+            depth, D, theta = int(header[0]), int(header[1]), float(header[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: bad header ({exc})") from None
         if depth < 1 or (1 << (depth + 1)) - 1 > _ENUM_CAP:
             raise ValueError(f"{path}:1: depth {depth} is below 1 or has "
                              f"more than {_ENUM_CAP} nodes")
@@ -616,7 +619,11 @@ def load_tree(path):
             if rows[row] is not None:
                 raise ValueError(f"{path}:{lineno}: node "
                                  f"{toks[0] if alpha else 'root'} given twice")
-            rows[row] = [float(t) for t in coords]
+            try:
+                rows[row] = [float(t) for t in coords]
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad coordinate ({exc})") from None
     missing = rows.count(None)
     if missing:
         raise ValueError(f"{path}: tree has {len(rows) - missing} nodes, "

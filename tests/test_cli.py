@@ -90,6 +90,17 @@ class TestExitCodes:
         code, _ = run(tmp_path, ["converge", "--set", "lambdas=64,16"])
         assert code == 2
 
+    @pytest.mark.parametrize("setting", ["coarse_samples=0", "starts=0",
+                                         "tolerance=0",
+                                         "refine_iterations=-1"])
+    def test_bad_solver_setting(self, tmp_path, capsys, setting):
+        code, data = run(tmp_path, ["hilbert-equiv", "--set", "dim=1",
+                                    "--set", "grid=5", "--set", setting])
+        assert code == 2
+        assert data == b""
+        key = setting.split("=")[0]
+        assert f"config field {key!r}" in capsys.readouterr().err
+
     def test_malformed_config_file(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("dim: 2\n")

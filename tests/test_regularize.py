@@ -107,6 +107,15 @@ class TestRegularizeQuadratic:
             r = regularize_quadratic(f, 1.0, np.array([x]), L2_1)
             assert abs(r.value - huber(x)) <= 1e-6
 
+    def test_huber_closed_form_within_finish_step(self):
+        # the compass finishes at tolerance/8, which bounds the error here
+        f = abs_fn()
+        X = np.linspace(-2.0, 2.0, 41)[:, None]
+        for lam in (1.0, 4.0, 16.0):
+            vals, _, _, _, _ = regularize_power_grid(f, 2.0, lam, X, L2_1)
+            want = np.array([huber(x, lam) for x in X[:, 0]])
+            assert np.abs(vals - want).max() <= SolverConfig().tolerance / 8
+
     def test_constant_function(self):
         f = const_fn(L2_2, 5.0)
         for lam in (1.0, 4.0, 100.0):
@@ -359,6 +368,8 @@ class TestSolverConfig:
             SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
+        with pytest.raises(ValueError):
+            SolverConfig(refine_iterations=-1)
 
     def test_determinism(self):
         f = corpus_function(L2_2, "distance")
@@ -368,16 +379,47 @@ class TestSolverConfig:
         assert np.array_equal(a, b)
 
 
+class TestCompassFinish:
+    """A row finishes at tolerance/8, but the search counts as converged
+    when every row's step ended below the tolerance itself."""
+
+    # the cap refine_iterations + 40*d is 40 iterations in 1-D
+    CFG = SolverConfig(refine_iterations=0, tolerance=1e-12)
+
+    def compass(self, y0):
+        def obj(Y, idx):
+            return np.abs(Y[:, 0])
+
+        Y = np.array([[y0]])
+        step = np.array([0.25])
+        conv = reg._compass(obj, Y, obj(Y, None), step, L2_1, self.CFG,
+                            np.zeros((1, 1)), np.array([10.0]),
+                            reg._Counter())
+        return bool(conv), step[0]
+
+    def test_capped_below_tolerance_converged(self):
+        # no move improves on y = 0: 40 halvings leave 0.25 * 2^-40
+        conv, step = self.compass(0.0)
+        assert step == 0.25 * 2.0 ** -40
+        assert self.CFG.tolerance / 8 <= step < self.CFG.tolerance
+        assert conv
+
+    def test_capped_at_tolerance_not_converged(self):
+        # four moves to y = 0 leave 36 halvings: 0.25 * 2^-36 >= tolerance
+        conv, step = self.compass(1.0)
+        assert step == 0.25 * 2.0 ** -36
+        assert not conv
+
+
 def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None,
                          extra_pts=None):
     """Reference: one compass search per start, reduced in start order with
     a strict <, as the minimizer ran before the starts were stacked."""
     N, d = X.shape
     counter = reg._Counter()
-    keep_pts, keep_vals = reg._coarse_stage(
-        obj, X, space, cfg, centers, radii, counter)
-    starts = reg._select_starts(space, keep_pts, keep_vals,
-                                sep=radii * 0.25, k_starts=cfg.starts)
+    keep_pts = reg._coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    starts = reg._select_starts(space, keep_pts, sep=radii * 0.25,
+                                k_starts=cfg.starts)
     best_vals = np.full(N, np.inf)
     best_pts = np.empty((N, d))
     converged = True
@@ -390,8 +432,6 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None,
         upd = vals < best_vals
         best_vals[upd] = vals[upd]
         best_pts[upd] = Y[upd]
-    best_pts, best_vals = reg._axis_polish(obj, best_pts, best_vals, space,
-                                           cfg, centers, radii, counter)
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -472,10 +512,10 @@ class TestStackedMultistart:
         X = np.zeros((1, 1))
         radii = np.array([1.5])
         cfg = replace(STACK_CFG, starts=starts)
-        keep_pts, keep_vals = reg._coarse_stage(
-            obj, X, L2_1, cfg, X, radii, reg._Counter())
-        first = reg._select_starts(L2_1, keep_pts, keep_vals,
-                                   sep=radii * 0.25, k_starts=starts)
+        keep_pts = reg._coarse_stage(obj, X, L2_1, cfg, X, radii,
+                                     reg._Counter())
+        first = reg._select_starts(L2_1, keep_pts, sep=radii * 0.25,
+                                   k_starts=starts)
         assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
         assert not np.array_equal(first[0], first[1])
         vals, pts, _, _ = reg._minimize_rows(obj, X, L2_1, cfg, X, radii)
@@ -490,10 +530,8 @@ class TestBatchIndependence:
     grid call: the kernels behind the solver take a different summation path
     below 64 rows, with identical rounding."""
 
-    # not distance: on l_2 it evaluates through a matrix product, whose
-    # rounding depends on the batch shape
     @pytest.mark.parametrize("label", ["norm", "linear", "max-affine",
-                                       "sawtooth"])
+                                       "sawtooth", "distance"])
     @pytest.mark.parametrize("q", [2.0, 4.0])
     def test_grid_rows_equal_single_rows(self, q, label):
         space = NormedSpace(2, q)

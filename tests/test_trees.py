@@ -331,6 +331,9 @@ MALFORMED = {
     "negative-theta": ("1 2 -1\n" + _DEPTH1_BODY, 1, "theta"),
     "depth-past-cap": ("40 2 1\n" + _DEPTH1_BODY, 1, "depth 40"),
     "depth-zero": ("0 2 1\n0 0\n", 1, "depth 0"),
+    "unparsed-depth": ("a 2 1\n0 0\n", 1, "bad header"),
+    "unparsed-coordinate": ("1 2 1\n0 0\n+ 1 x\n- -1 0\n", 3,
+                            "bad coordinate"),
 }
 
 
