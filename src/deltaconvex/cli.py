@@ -14,6 +14,7 @@ import time
 
 from . import experiments as _exp
 from . import trees as _trees
+from .regularize import ParameterError
 from .spaces import NormedSpace
 
 CSV_HEADER = ("experiment,space,function,lambda,measured,bound,slack,"
@@ -63,7 +64,7 @@ def _run_experiment(name, args):
         unknown = cfg.unknown_keys()
         if unknown:
             raise _exp.ConfigError(unknown[0], "unknown key")
-    except _exp.ConfigError as exc:
+    except (_exp.ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     rows = result.rows

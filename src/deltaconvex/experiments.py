@@ -109,7 +109,7 @@ class ExperimentConfig:
             coarse_samples=self.get_int("coarse_samples", coarse),
             refine_iterations=self.get_int("refine_iterations", 80),
             tolerance=self.get_float("tolerance", 1e-6),
-            seed=self.get_int("seed", 0),
+            seed=_seed(self),
             starts=self.get_int("starts", starts),
         )
         try:
@@ -147,6 +147,13 @@ class ExperimentResult:
     @property
     def exit_code(self):
         return 1 if self.violations else 0
+
+
+def _seed(cfg):
+    seed = cfg.get_int("seed", 0)
+    if seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {seed}")
+    return seed
 
 
 def _space(cfg, default_dim=2, default_p=2.0):
@@ -373,7 +380,7 @@ def run_adversary(cfg):
     scale = cfg.get_float("theta", 1.0)
     if not 0.0 < scale <= 1.0:
         raise ConfigError("theta", "must lie in (0, 1]")
-    seed = cfg.get_int("seed", 0)
+    seed = _seed(cfg)
     deep_samples = cfg.get_int("deep_samples", 2048)
 
     family = _trees.build_tree_family(depths, scale=scale)
@@ -424,7 +431,7 @@ def run_modulus(cfg):
             raise ConfigError("epsilons", f"epsilon {e:g} outside (0, 2]")
     budget = SampleBudget(samples=cfg.get_int("samples", 4096),
                           refine_iterations=cfg.get_int("refine", 200),
-                          seed=cfg.get_int("seed", 0))
+                          seed=_seed(cfg))
     rows, violations = [], []
     for eps in epsilons:
         est = modulus_of_convexity(space, eps, budget)

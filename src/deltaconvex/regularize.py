@@ -1,10 +1,13 @@
 """Delta-convex regularization operators and the shared inner minimizer.
 
-The quadratic/power operators minimize f(y) + lambda * Q_p(x, y) over the
-ball of radius (L/(lambda*C))^(1/(p-1)) around x where a Clarkson constant C
-is proven, and over |y| <= 2(1 + |x|) otherwise; the inf-convolution
-baseline minimizes f(y) + w * |x - y|^power over a ball centered at x.  All
-searches share one derivative-free solver: a coarse stage on an in-package
+The quadratic/power operators minimize f(y) + lambda * Q_p(x, y), and the
+inf-convolution baseline minimizes f(y) + lambda * |x - y|^power.  Both take
+their search ball from one rule: radius (L/(lambda*C))^(1/(p-1)) around x
+where a Clarkson constant C is proven (C = 1 for the inf-convolution at
+power > 1, which searches a fixed diameter at power 1), and |y| <= 2(1 + |x|)
+otherwise, which needs lambda >= 3L.  The pair of ``decompose`` has
+d = c - f_lambda, solved on the regularizer's own objective.  All searches
+share one derivative-free solver: a coarse stage on an in-package
 scrambled Sobol' pool (bit-identical to scipy's), then compass search from
 the best separated candidates (three by default), run as one batch over
 every start of every row until each step is below tolerance/8.
@@ -147,14 +150,16 @@ def _lex_best(cands, vals):
 
 
 def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
-    """Evaluate the shared pool around each row; return the n_keep best
-    candidates per row, value-sorted, as an (N, n_keep, d) array."""
+    """Evaluate the shared pool around each row; return the min(n_keep, m)
+    best candidates per row, value-sorted, as an (N, min(n_keep, m), d)
+    array.  A chunk holds at most 2^18 candidate rows, which bounds the
+    memory of one objective call."""
     N, d = X.shape
     m = cfg.coarse_samples
+    k = min(n_keep, m)
     pool = _unit_ball_pool(space, m, cfg.seed)
-    keep_pts = np.empty((N, n_keep, d))
-    keep_vals = np.empty((N, n_keep))
-    chunk = max(1, int(4_000_000 // max(m, 1)))
+    keep_pts = np.empty((N, k, d))
+    chunk = max(1, (1 << 18) // m)
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         rows = np.arange(lo, hi)
@@ -164,24 +169,15 @@ def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
                              ctr, rad)
         flat = cand.reshape(-1, d)
         vals = _checked(obj, flat, np.repeat(rows, m), counter).reshape(-1, m)
-        k = min(n_keep, m)
         part = np.argpartition(vals, k - 1, axis=1)[:, :k]
         r = np.arange(hi - lo)[:, None]
-        pv = vals[r, part]
-        order = np.argsort(pv, axis=1, kind="stable")
+        order = np.argsort(vals[r, part], axis=1, kind="stable")
         sel = part[r, order]
-        keep_vals[lo:hi, :k] = vals[r, sel]
-        keep_pts[lo:hi, :k] = cand[r, sel]
-        if k < n_keep:
-            keep_vals[lo:hi, k:] = keep_vals[lo:hi, k - 1][:, None]
-            keep_pts[lo:hi, k:] = keep_pts[lo:hi, k - 1][:, None, :]
+        keep_pts[lo:hi] = cand[r, sel]
         # exact lexicographic tie-break for the leading candidate
-        tied = np.flatnonzero(
-            (vals == keep_vals[lo:hi, 0][:, None]).sum(axis=1) > 1)
+        tied = np.flatnonzero((vals == vals[r, sel[:, :1]]).sum(axis=1) > 1)
         for t in tied:
-            j = _lex_best(cand[t], vals[t])
-            keep_vals[lo + t, 0] = vals[t, j]
-            keep_pts[lo + t, 0] = cand[t, j]
+            keep_pts[lo + t, 0] = cand[t, _lex_best(cand[t], vals[t])]
     return keep_pts
 
 
@@ -234,11 +230,11 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
     return (step < tol).all()
 
 
-def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
-                   extra_pts=None):
+def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     """Shared batch minimizer.  Row i minimizes obj(., i) over
-    ball(centers[i], radii[i]).  Returns (values, minimizers, evaluations,
-    converged).
+    ball(centers[i], radii[i]); ``extra_vals``, when given, holds
+    obj(X[i], i), and y = X[i] wins where it beats the search.  Returns
+    (values, minimizers, evaluations, converged).
 
     The compass search runs once over all starts of all rows, stacked so
     that row s*N + i is start s of row i; every stacked row moves only on
@@ -264,7 +260,7 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
-        best_pts[upd] = extra_pts[upd]
+        best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
 
 
@@ -274,39 +270,50 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None,
 
 def search_radius(x, L, lam, space):
     """Radius of the ball on which the regularizer's infimum is attained:
-    R = 2(1 + |x|), valid once the 1-Lipschitz-normalized parameter
-    lambda / L is at least 3."""
+    R = 2(1 + |x|), valid once lambda >= 3L."""
     if not L > 0 or not lam > 0:
         raise ParameterError("L and lambda must be positive")
-    if lam / L < 3.0 - 1e-12:
+    return float(_search_ball(x, space.norm(x), L, lam, None, None)[1])
+
+
+def _check_threshold(L, lam):
+    """The restricted-infimum reduction |y| <= 2(1 + |x|) is proven only
+    for lambda >= 3L; the one place that rule is checked."""
+    if lam < 3.0 * L - 1e-12:
         raise ParameterError(
-            f"normalized parameter lambda/L = {lam / L:.6g} < 3; the "
-            "restricted-infimum reduction is only proven there. Raise lambda "
-            f"to at least {3.0 * L:.6g}.")
-    return 2.0 * (1.0 + float(space.norm(x)))
+            f"lambda = {lam:.6g} below the proven threshold 3L = "
+            f"{3.0 * L:.6g} of the restricted-infimum reduction; raise "
+            "lambda.")
 
 
 def _search_ball(X, nx, L, lam, p, C):
     """Centres and radii of the ball holding the infimum of
-    f(y) + lam*Q_p(x, y) for each row x of X (nx = |x|).
+    f(y) + lam*Q_p(x, y) for each row x of X (nx = |x|), and of
+    f(y) + lam*|x-y|^p with C = 1.
 
     With a proven Clarkson constant C, any y beating y = x satisfies
     lam*C*|x-y|^p <= L*|x-y|, so the infimum lies in ball(x, r_loc) for
     every lambda > 0.  Without one, only the restricted-infimum reduction
-    |y| <= 2(1 + |x|) is available; it needs lambda/L >= 3, which each
-    caller checks with its own message.
+    |y| <= 2(1 + |x|) is available, and it needs lambda >= 3L.
     """
     if C is not None:
         return X, np.full(X.shape[0], (L / (lam * C)) ** (1.0 / (p - 1.0)))
+    _check_threshold(L, lam)
     return np.zeros_like(X), 2.0 * (1.0 + nx)
 
 
-def _defect_objective(f, lam, p, X, space):
+def _power_rows(f, p, lam, X, nx, space, cfg, C):
+    """The power-p regularizer at the checked rows of X (nx = |x|, C the
+    Clarkson constant or None): (values, minimizers, evaluations,
+    converged, radii)."""
+    centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
     ax = space._defect_term(p, X)  # fixed per row; hoisted out of the loop
 
     def obj(Y, idx):
         return f(Y) + lam * space._defect(p, ax[idx], Y, X[idx] + Y)
-    return obj
+
+    return _minimize_rows(obj, X, space, cfg, centers, radii,
+                          extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
 
 
 def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
@@ -314,17 +321,10 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
     if not p >= 2.0:
         raise ParameterError(f"power exponent must be >= 2, got {p}")
     X = space._check(np.atleast_2d(points))
-    L = f.lipschitz_constant
     C = analytic_power_constant(space, p)
-    if C is None and lam < 3.0 * L - 1e-12:
-        raise ParameterError(
-            f"lambda = {lam:.6g} below the proven threshold {3.0 * L:.6g} "
-            f"for p = {p} on {space.describe()}; raise lambda.")
     nx = space._norm(X)
-    centers, radii = _search_ball(X, nx, L, lam, p, C)
-    vals, pts, evals, conv = _minimize_rows(
-        _defect_objective(f, lam, p, X, space), X, space, cfg, centers,
-        radii, extra_vals=np.asarray(f(X), dtype=float), extra_pts=X)
+    vals, pts, evals, conv, radii = _power_rows(f, p, lam, X, nx, space, cfg,
+                                                C)
     R = nx + radii if C is not None else radii
     return vals, pts, evals, conv, R
 
@@ -351,19 +351,18 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
     if not lam > 0:
         raise ParameterError("lambda must be positive")
     X = space._check(np.atleast_2d(points))
-    L = f.lipschitz_constant
     if power > 1.0:
-        r = (L / lam) ** (1.0 / (power - 1.0))
+        _, radii = _search_ball(X, None, f.lipschitz_constant, lam, power,
+                                1.0)
     else:
-        r = diameter
-    radii = np.full(X.shape[0], r)
+        radii = np.full(X.shape[0], diameter)
 
     def obj(Y, idx):
         return f(Y) + lam * space._powered(X[idx] - Y, power)
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
-        extra_vals=np.asarray(f(X), dtype=float), extra_pts=X)
+        extra_vals=np.asarray(f(X), dtype=float))
     return vals, pts, evals, conv, radii
 
 
@@ -407,25 +406,22 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
 
     X = center[None]
     radii = np.array([float(radius)])
-    vals, pts, evals, conv = _minimize_rows(
-        obj, X, space, cfg, X, radii,
-        extra_vals=cval, extra_pts=X)
+    vals, pts, evals, conv = _minimize_rows(obj, X, space, cfg, X, radii,
+                                            extra_vals=cval)
     diagnostics = {"evaluations": evals, "converged": bool(conv)}
     return pts[0], float(vals[0]), diagnostics
 
 
 def decompose(f, lam, space, cfg=SolverConfig()):
     """Convex pair (c, d) with c - d equal to the quadratic regularizer:
-    c(x) = 2*lam*|x|^2 and d(x) a bounded-ball supremum search.
+    c(x) = 2*lam*|x|^2 and d = c - f_lam.
 
-    d uses its own solver seed, so comparing c - d against
+    d solves f_lam with its own solver seed, so comparing c - d against
     regularize_quadratic is a genuine two-route consistency check.
     """
-    L = f.lipschitz_constant
     C = analytic_power_constant(space, 2.0)
-    if C is None and lam / L < 3.0 - 1e-12:
-        raise ParameterError(
-            f"normalized parameter lambda/L = {lam / L:.6g} < 3")
+    if C is None:
+        _check_threshold(f.lipschitz_constant, lam)  # fail before any solve
     d_cfg = replace(cfg, seed=cfg.seed + 1)
 
     def c(x):
@@ -436,20 +432,9 @@ def decompose(f, lam, space, cfg=SolverConfig()):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = space._check(np.atleast_2d(x))
-        # sup_y lam|x+y|^2 - 2lam|y|^2 - f(y)  ==  c(x) - inf_y (f + lam*Q2)
-        # searched directly as a minimization of the negated objective
         nx = space._norm(X)
-
-        def obj(Y, idx):
-            return f(Y) + lam * (2.0 * space._powered(Y, 2.0)
-                                 - space._powered(X[idx] + Y, 2.0))
-
-        centers, radii = _search_ball(X, nx, L, lam, 2.0, C)
-        extra = np.asarray(f(X), dtype=float) - 2.0 * lam * nx ** 2
-        vals, _, _, _ = _minimize_rows(
-            obj, X, space, d_cfg, centers, radii,
-            extra_vals=extra, extra_pts=X)
-        out = -vals
+        out = (2.0 * lam * nx ** 2
+               - _power_rows(f, 2.0, lam, X, nx, space, d_cfg, C)[0])
         return float(out[0]) if single else out
 
     return ConvexPair(c=c, d=d, lam=lam)

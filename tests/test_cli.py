@@ -140,6 +140,28 @@ class TestExitCodes:
         assert code == 1
         assert data  # rows are still emitted
 
+    @pytest.mark.parametrize("space", ["p=1", "p=inf"])
+    def test_sub_threshold_lambda(self, tmp_path, capsys, space):
+        # no Clarkson constant on l_1 or l_inf, so lambda must reach 3L
+        code, data = run(tmp_path, ["sandwich", "--set", space, "--set",
+                                    "lambdas=1,2", "--set", "grid=5"])
+        assert code == 2
+        assert data == b""
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["converge"] + FAST_CONVERGE,
+        ["hilbert-equiv", "--set", "dim=1", "--set", "grid=5"],
+        ["sandwich", "--set", "dim=1", "--set", "grid=5"],
+        ["adversary", "--set", "depths=4"],
+        ["modulus", "--set", "epsilons=1", "--set", "samples=512"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        code, data = run(tmp_path, argv + ["--seed", "-1"])
+        assert code == 2
+        assert data == b""
+        assert "config field 'seed'" in capsys.readouterr().err
+
 
 class TestValidateTree:
     def test_valid_tree(self, tmp_path, capsys):

@@ -246,11 +246,58 @@ class TestDecompose:
         assert seen == [SolverConfig(coarse_samples=64, refine_iterations=20,
                                      tolerance=1e-5, seed=8, starts=1)]
 
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    @pytest.mark.parametrize("label", ["sawtooth", "max-affine"])
+    def test_d_is_c_minus_regularizer(self, q, label):
+        # d = c - f_lam, solved by the regularizer with d's own seed
+        space = NormedSpace(2, q)
+        f = corpus_function(space, label)
+        cfg = SolverConfig(coarse_samples=64, seed=5)
+        X = ball_grid(space, np.zeros(2), 1.0, 5)
+        d = decompose(f, 9.0, space, cfg).d(X)
+        f_lam = regularize_power_grid(f, 2.0, 9.0, X, space,
+                                      replace(cfg, seed=cfg.seed + 1))[0]
+        assert np.array_equal(d, 2.0 * 9.0 * space.norm(X) ** 2 - f_lam)
+
     def test_pair_fields(self):
         pair = decompose(const_fn(L2_1, 0.0), 4.0, L2_1)
         assert isinstance(pair, ConvexPair)
         assert pair.lam == 4.0
         assert pair.c(np.array([0.0])) == 0.0
+
+
+class TestThresholdRule:
+    """One lambda >= 3L rule, with one message, behind every operator that
+    searches the restricted ball |y| <= 2(1 + |x|)."""
+
+    CFG = SolverConfig(coarse_samples=16, refine_iterations=5)
+
+    def calls(self, lam):
+        l1, linf = NormedSpace(2, 1.0), NormedSpace(2, math.inf)
+        X = np.zeros((1, 2))
+        return [
+            lambda: search_radius(np.array([1.0]), 1.0, lam, L2_1),
+            lambda: regularize_power_grid(corpus_function(l1, "norm"), 2.0,
+                                          lam, X, l1, self.CFG),
+            lambda: regularize_power_grid(corpus_function(linf, "norm"), 2.0,
+                                          lam, X, linf, self.CFG),
+            lambda: decompose(corpus_function(l1, "norm"), lam, l1,
+                              self.CFG),
+        ]
+
+    def test_below_threshold_one_message(self):
+        messages = set()
+        for call in self.calls(2.9):
+            with pytest.raises(ParameterError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        msg = messages.pop()
+        assert "threshold" in msg and "raise lambda" in msg
+
+    def test_at_threshold_accepted(self):
+        for call in self.calls(3.0):
+            call()
 
 
 class TestGridHelpers:
@@ -411,8 +458,7 @@ class TestCompassFinish:
         assert not conv
 
 
-def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None,
-                         extra_pts=None):
+def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
     """Reference: one compass search per start, reduced in start order with
     a strict <, as the minimizer ran before the starts were stacked."""
     N, d = X.shape
@@ -435,7 +481,7 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None,
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
-        best_pts[upd] = extra_pts[upd]
+        best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
 
 
@@ -499,6 +545,32 @@ class TestStackedMultistart:
         inner_minimize(lambda y: float(np.abs(y - 0.3).sum()),
                        np.array([0.1, -0.2]), 1.0, cfg)
         self.assert_identical(solves, 2)
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_pool_smaller_than_keep(self, solves, m):
+        cfg = replace(STACK_CFG, coarse_samples=m, starts=3)
+        X = L2_2.ball_sample(np.random.default_rng(m), 6)
+        for label in ("norm", "max-affine"):
+            f = corpus_function(L2_2, label)
+            regularize_power_grid(f, 2.0, 9.0, X, L2_2, cfg)
+            inf_convolve_grid(f, 2.0, 9.0, X, L2_2, cfg)
+        self.assert_identical(solves, 4)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_short_keep_equals_padded_keep(self, k):
+        # a pool of m < 8 points keeps k = m candidates; padding them to 8
+        # with copies of column k-1 selects the same starts
+        keep = np.random.default_rng(k).uniform(-1.0, 1.0, (60, k, 2))
+        keep[::3] *= 0.05  # rows whose candidates sit within the separation
+        padded = np.concatenate(
+            [keep, np.repeat(keep[:, -1:], 8 - k, axis=1)], axis=1)
+        sep = np.full(60, 0.25)
+        for starts in (1, 2, 3, 5, 9):
+            got = reg._select_starts(L2_2, keep, sep, starts)
+            want = reg._select_starts(L2_2, padded, sep, starts)
+            assert len(got) == len(want) == starts
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("starts", [2, 3])
     def test_tie_goes_to_the_earlier_start(self, starts):
