@@ -1,10 +1,9 @@
 """Delta-convex regularization of Lipschitz functions on finite-dimensional
 l_p spaces, with dyadic-tree adversaries certifying approximation limits."""
 
-from .spaces import (NormedSpace, SampleBudget, ModulusEstimate,
-                     PowerTypeConstant, DimensionMismatchError,
+from .spaces import (NormedSpace, ModulusEstimate, DimensionMismatchError,
                      analytic_modulus_lower, analytic_power_constant,
-                     modulus_of_convexity, power_type_constant)
+                     modulus_of_convexity)
 from .functions import (LipschitzFunction, PointSet, LipschitzReport,
                         CORPUS_LABELS, distance_function, make_corpus,
                         corpus_function, verify_lipschitz)

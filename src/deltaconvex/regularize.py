@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import NormedSpace, PowerTypeConstant, analytic_power_constant
+from .spaces import NormedSpace, analytic_power_constant
 
 __all__ = [
     "SolverConfig",
@@ -464,15 +464,9 @@ def sup_distance(f, g, space, center, radius, grid):
     return float(np.abs(fv - gv).max())
 
 
-def rate_bound(p, C, lam, L=1.0, allow_empirical=False):
+def rate_bound(p, C, lam, L=1.0):
     """Theorem-3 sup-error guarantee L * (L / (lam C))^(1/(p-1)), transported
     from the 1-Lipschitz case through the scaling identity."""
-    if isinstance(C, PowerTypeConstant):
-        if C.empirical and not allow_empirical:
-            raise ParameterError(
-                "refusing an empirical power-type constant in a rate "
-                "guarantee; pass allow_empirical=True to override")
-        C = C.value
     if not 0.0 < C <= 1.0:
         raise ParameterError(f"constant must lie in (0, 1], got {C}")
     if not p >= 2.0:

@@ -1,4 +1,5 @@
-"""Finite-dimensional l_p spaces and their convexity-defect arithmetic."""
+"""Finite-dimensional l_p spaces, their convexity-defect arithmetic and
+their exact moduli of convexity."""
 
 import math
 from dataclasses import dataclass
@@ -8,11 +9,8 @@ import numpy as np
 __all__ = [
     "NormedSpace",
     "ModulusEstimate",
-    "PowerTypeConstant",
-    "SampleBudget",
     "DimensionMismatchError",
     "modulus_of_convexity",
-    "power_type_constant",
 ]
 
 
@@ -188,11 +186,9 @@ class NormedSpace:
         return f"l{ptxt}^{self.dim}"
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    samples: int = 4096
-    refine_iterations: int = 200
-    seed: int = 0
+# 8 units in the last place of 1: how far the bracket of
+# ``modulus_of_convexity`` moves each rounded end outward
+_ROUND_OUT = 8.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -200,149 +196,94 @@ class ModulusEstimate:
     epsilon: float
     lower: float
     upper: float
-    samples_used: int
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0 + 1e-12):
+        if not (0.0 <= self.lower <= self.upper <= 1.0):
             raise ValueError(f"inconsistent bracket [{self.lower}, {self.upper}]")
 
 
-@dataclass(frozen=True)
-class PowerTypeConstant:
-    value: float
-    empirical: bool
+def _hanner_bracket(q, epsilon):
+    """(lo, hi) around the root delta of Hanner's equation
+    (1 - delta + eps/2)^q + |1 - delta - eps/2|^q = 2 for 1 < q < 2, by
+    float bisection on [0, 1]: the left side is >= 2 at lo and < 2 at hi."""
+    h = epsilon / 2.0
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (1.0 - mid + h) ** q + abs(1.0 - mid - h) ** q >= 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def analytic_modulus_lower(space, epsilon):
-    """Clarkson lower bound for delta(eps) on l_q, q >= 2; zero otherwise."""
+    """The exact modulus of convexity delta(eps) of the space: eps/2 in
+    dimension 1; 0 on l_1 and l_inf; Clarkson's (1936)
+    1 - (1 - (eps/2)^q)^(1/q) for 2 <= q < inf; for 1 < q < 2 the root of
+    Hanner's (1956) equation, as the low end of its bisection bracket; and
+    exactly 1 at eps = 2, where Hanner's equation has a flat double root."""
     q = space.p_exponent
-    if q == 2.0:
-        return 1.0 - math.sqrt(max(0.0, 1.0 - epsilon**2 / 4.0))
-    if 2.0 < q < math.inf:
-        return 1.0 - (max(0.0, 1.0 - (epsilon / 2.0) ** q)) ** (1.0 / q)
-    return 0.0
+    if space.dim == 1:
+        return epsilon / 2.0
+    if q in (1.0, math.inf):
+        return 0.0
+    if epsilon == 2.0:
+        return 1.0
+    if q >= 2.0:
+        return 1.0 - (1.0 - (epsilon / 2.0) ** q) ** (1.0 / q)
+    return _hanner_bracket(q, epsilon)[0]
 
 
-def _structured_pairs(space, epsilon):
-    """Deterministic extreme-point pairs; exact witnesses for l_1/l_inf."""
-    d = space.dim
-    eye = np.eye(d)
-    pairs = []
-    for i in range(d):
-        pairs.append((eye[i], -eye[i]))
-        for j in range(i + 1, d):
-            pairs.append((eye[i], eye[j]))
-            pairs.append((eye[i], -eye[j]))
-    out = [(x, y) for x, y in pairs if space.norm(x - y) >= epsilon - 1e-15]
-    return out
+def _modulus_witness(space, epsilon):
+    """Rows x, y of the unit ball, |x - y| = eps up to rounding, at which
+    1 - |(x + y)/2| attains delta(eps); rows whose computed norm exceeds 1
+    are divided by it."""
+    q = space.p_exponent
+    W = np.zeros((2, space.dim))
+    if space.dim == 1:
+        W[:, 0] = 1.0, 1.0 - epsilon
+    elif q == math.inf:
+        W[:, :2] = (1.0, 1.0), (1.0, -1.0)
+    elif q == 1.0:
+        W[:, :2] = (1.0, 0.0), (0.0, 1.0)
+    elif epsilon == 2.0:
+        W[:, 0] = 1.0, -1.0
+    elif q >= 2.0:
+        v = epsilon / 2.0
+        u = (1.0 - v ** q) ** (1.0 / q)
+        W[:, :2] = (u, v), (u, -v)
+    else:
+        delta = _hanner_bracket(q, epsilon)[1]
+        s = 2.0 ** (-1.0 / q)
+        a = s * (1.0 - delta + epsilon / 2.0)
+        b = s * (1.0 - delta - epsilon / 2.0)
+        W[:, :2] = (a, b), (b, a)
+    W /= np.maximum(space.norm(W), 1.0)[:, None]
+    return W[0], W[1]
 
 
-def _separated_sphere_pair(space, rng, epsilon):
-    """A pair on the unit sphere with separation == epsilon (bisection)."""
-    x = space.unit_sphere_sample(rng, 1)[0]
-    w = -x  # separation 2, always feasible
-    lo, hi = 0.0, 1.0
+def modulus_of_convexity(space, epsilon):
+    """Two-sided bracket on delta(eps) = inf {1 - |(x+y)/2| : |x|, |y| <= 1,
+    |x - y| >= eps}.
 
-    def sep(t):
-        y = (1.0 - t) * x + t * w
-        ny = space.norm(y)
-        if ny < 1e-14:
-            return -epsilon, y
-        y = y / ny
-        return space.norm(x - y) - epsilon, y
-
-    y = w
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        s, y_mid = sep(mid)
-        if s >= 0.0:
-            hi, y = mid, y_mid
-        else:
-            lo = mid
-    return x, y
-
-
-def modulus_of_convexity(space, epsilon, budget=SampleBudget()):
-    """Bracket the modulus of convexity delta(eps).
-
-    upper: smallest 1 - |(x+y)/2| found over sampled pairs in the unit ball
-    with |x - y| >= eps, then a derivative-free local refinement of the best
-    candidate (search only certifies upper bounds, delta being an infimum
-    over a nonconvex set).
-    lower: analytic Clarkson bound where known, else 0.
+    lower: the theorem value ``analytic_modulus_lower``.  upper:
+    1 - |(x+y)/2| at the explicit witness pair of ``_modulus_witness``.
+    On l_1 and l_inf and at eps = 2 in dimension >= 2 the witnesses have
+    coordinates 0 and +-1 and both ends are exact; elsewhere each end
+    carries rounding and moves outward by 8 ulps of 1, so the bracket
+    holds as printed.
     """
     if not (0.0 < epsilon <= 2.0):
         raise ValueError(f"epsilon must lie in (0, 2], got {epsilon}")
-    rng = np.random.default_rng(budget.seed)
-    d = space.dim
-
-    def value(x, y):
-        return 1.0 - space.norm(0.5 * (x + y))
-
-    best_val = math.inf
-    best_pair = None
-    used = 0
-
-    for x, y in _structured_pairs(space, epsilon):
-        used += 1
-        v = value(x, y)
-        if v < best_val:
-            best_val, best_pair = v, (x.copy(), y.copy())
-
-    n_pairs = max(8, budget.samples // 8)
-    for _ in range(n_pairs):
-        used += 1
-        x, y = _separated_sphere_pair(space, rng, epsilon)
-        v = value(x, y)
-        if v < best_val:
-            best_val, best_pair = v, (x.copy(), y.copy())
-
-    # random interior pairs, filtered by the separation constraint
-    n_rand = budget.samples
-    xs = space.ball_sample(rng, n_rand)
-    ys = space.ball_sample(rng, n_rand)
-    seps = space.norm(xs - ys)
-    ok = seps >= epsilon
-    used += int(ok.sum())
-    if ok.any():
-        vals = 1.0 - space.norm(0.5 * (xs[ok] + ys[ok]))
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pair = float(vals[i]), (xs[ok][i], ys[ok][i])
-
-    # compass refinement of the concatenated pair, with feasibility projection
-    x, y = best_pair
-    step = 0.25
-    it = 0
-    while step > 1e-9 and it < budget.refine_iterations:
-        it += 1
-        improved = False
-        for k in range(2 * d):
-            for sgn in (1.0, -1.0):
-                xt, yt = x.copy(), y.copy()
-                if k < d:
-                    xt[k] += sgn * step
-                else:
-                    yt[k - d] += sgn * step
-                nx, ny = space.norm(xt), space.norm(yt)
-                if nx > 1.0:
-                    xt /= nx
-                if ny > 1.0:
-                    yt /= ny
-                if space.norm(xt - yt) < epsilon:
-                    continue
-                used += 1
-                v = value(xt, yt)
-                if v < best_val - 1e-15:
-                    best_val, x, y = v, xt, yt
-                    improved = True
-        if not improved:
-            step *= 0.5
-
-    upper = max(0.0, best_val)
-    lower = min(analytic_modulus_lower(space, epsilon), upper)
-    return ModulusEstimate(epsilon=epsilon, lower=lower, upper=upper,
-                           samples_used=used)
+    x, y = _modulus_witness(space, epsilon)
+    lower = analytic_modulus_lower(space, epsilon)
+    upper = 1.0 - float(space.norm(0.5 * (x + y)))
+    exact = space.dim > 1 and (space.p_exponent in (1.0, math.inf)
+                               or epsilon == 2.0)
+    pad = 0.0 if exact else _ROUND_OUT
+    return ModulusEstimate(epsilon=epsilon, lower=max(0.0, lower - pad),
+                           upper=min(1.0, upper + pad))
 
 
 def analytic_power_constant(space, p):
@@ -352,37 +293,3 @@ def analytic_power_constant(space, p):
     if 2.0 <= q <= p and q != math.inf:
         return 1.0
     return None
-
-
-def power_type_constant(space, p, samples=100_000, seed=0):
-    """Largest known C with C|x-y|^p <= defect_p(x, y) for all pairs.
-
-    Analytic (Clarkson) C = 1 for l_q, 2 <= q <= p.  Otherwise an empirical
-    sampled infimum, clamped to [0, 1] and flagged; empirical values are
-    rejected by rate_bound unless explicitly overridden.
-    """
-    if not p >= 2.0:
-        raise ValueError(f"power exponent must be >= 2, got {p}")
-    if analytic_power_constant(space, p) is not None:
-        return PowerTypeConstant(value=1.0, empirical=False)
-
-    rng = np.random.default_rng(seed)
-    best = 1.0
-    # exact extreme-point witnesses first (l_1 and l_inf collapse here)
-    for x, y in _structured_pairs(space, 0.0):
-        den = space.norm(x - y) ** p
-        if den > 1e-12:
-            best = min(best, float(space.defect_p(p, x, y) / den))
-    chunk = 8192
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        xs = space.ball_sample(rng, n, radius=2.0)
-        ys = space.ball_sample(rng, n, radius=2.0)
-        den = space.norm(xs - ys) ** p
-        mask = den > 1e-9
-        if mask.any():
-            r = space.defect_p(p, xs[mask], ys[mask]) / den[mask]
-            best = min(best, float(r.min()))
-        done += n
-    return PowerTypeConstant(value=float(min(1.0, max(0.0, best))), empirical=True)

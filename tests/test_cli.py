@@ -142,12 +142,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("space", ["p=1", "p=inf"])
     def test_sub_threshold_lambda(self, tmp_path, capsys, space):
-        # no Clarkson constant on l_1 or l_inf, so lambda must reach 3L
+        # no Clarkson constant on l_1 or l_inf: the sandwich's lower
+        # inequality is unproven there, so the space is refused before the
+        # lambda >= 3L threshold is reached
         code, data = run(tmp_path, ["sandwich", "--set", space, "--set",
                                     "lambdas=1,2", "--set", "grid=5"])
         assert code == 2
         assert data == b""
-        assert "threshold" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config field 'power': no proven bound on l" in err
+        assert "it needs l_q with 2 <= q <= power, q finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--set", "p=inf"],
+        ["sandwich", "--set", "p=inf", "--set", "function=distance"],
+        ["sandwich", "--set", "p=4"],
+        ["sandwich", "--set", "p=1.5", "--set", "power=4"],
+    ], ids=["converge-linf", "sandwich-linf", "sandwich-l4-power2",
+            "sandwich-l1.5"])
+    def test_unproven_clarkson_refused(self, tmp_path, capsys, argv):
+        code, data = run(tmp_path, argv + ["--set", "dim=2",
+                                           "--set", "grid=9"])
+        assert code == 2
+        assert data == b""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: config field 'power': no "
+                                 "proven bound on l")
 
     @pytest.mark.parametrize("argv", [
         ["converge"] + FAST_CONVERGE,
@@ -161,6 +182,36 @@ class TestExitCodes:
         assert code == 2
         assert data == b""
         assert "config field 'seed'" in capsys.readouterr().err
+
+
+class TestModulusBracket:
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_eps_two_is_full_convexity(self, tmp_path, p):
+        code, data = run(tmp_path, ["modulus", "--set", f"p={p}",
+                                    "--set", "epsilons=2"])
+        assert code == 0
+        row = data.decode().strip().splitlines()[-1].split(",")
+        assert row[4] == row[5] == "1"
+
+    def test_hanner_value(self, tmp_path):
+        code, data = run(tmp_path, ["modulus", "--set", "p=1.5",
+                                    "--set", "epsilons=1"])
+        assert code == 0
+        row = data.decode().strip().splitlines()[-1].split(",")
+        assert abs(float(row[5]) - 0.0671) <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bench_argv_slack_nonnegative(self, tmp_path, seed):
+        code, data = run(tmp_path, [
+            "modulus", "--set", "dim=3", "--set", "p=3",
+            "--set", "samples=1024", "--seed", str(seed)])
+        assert code == 0
+        rows = [ln.split(",") for ln in data.decode().splitlines()
+                if ln.startswith("modulus,")]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[6]) >= 0.0
+            assert float(row[4]) >= float(row[5])
 
 
 class TestValidateTree:

@@ -6,7 +6,7 @@ import pytest
 
 import deltaconvex.regularize as reg
 from deltaconvex import (ConvexPair, DimensionMismatchError,
-                         LipschitzFunction, NormedSpace, ParameterError, PowerTypeConstant, SolverConfig,
+                         LipschitzFunction, NormedSpace, ParameterError, SolverConfig,
                          SolverError, ball_grid, corpus_function, decompose,
                          inf_convolve, inf_convolve_grid, inner_minimize,
                          rate_bound, regularize_power, regularize_power_grid,
@@ -396,15 +396,6 @@ class TestRateBound:
             rate_bound(2.0, 0.0, 100.0)
         with pytest.raises(ParameterError):
             rate_bound(2.0, 1.5, 100.0)
-
-    def test_empirical_constant_policy(self):
-        c = PowerTypeConstant(value=0.5, empirical=True)
-        with pytest.raises(ParameterError):
-            rate_bound(2.0, c, 100.0)
-        assert np.isclose(rate_bound(2.0, c, 100.0, allow_empirical=True),
-                          0.02)
-        exact = PowerTypeConstant(value=1.0, empirical=False)
-        assert np.isclose(rate_bound(2.0, exact, 100.0), 0.01)
 
 
 class TestSolverConfig:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltaconvex import (DimensionMismatchError, NormedSpace, SampleBudget,
+from deltaconvex import (DimensionMismatchError, NormedSpace,
                          analytic_modulus_lower, analytic_power_constant,
-                         modulus_of_convexity, power_type_constant)
-from deltaconvex.spaces import _err_sum3, _rowsum
+                         modulus_of_convexity)
+from deltaconvex.spaces import _err_sum3, _modulus_witness, _rowsum
 
 
 def vec(*xs):
@@ -263,24 +263,67 @@ class TestModulus:
         with pytest.raises(ValueError):
             modulus_of_convexity(space, 2.5)
 
-    def test_budget_respected(self):
-        budget = SampleBudget(samples=256, refine_iterations=50, seed=3)
-        est = modulus_of_convexity(NormedSpace(2, 2.0), 1.0, budget)
-        assert est.lower <= est.upper
+
+ULPS8 = 8.0 * 2.0 ** -53
+
+
+def exact_modulus(mp, q, eps):
+    """delta(eps) of l_q^d, d >= 2, 1 < q < inf, to 50 digits: Clarkson's
+    formula for q >= 2, the root of Hanner's equation for q < 2."""
+    q, h = mp.mpf(q), mp.mpf(eps) / 2
+    if q >= 2:
+        return 1 - (1 - h ** q) ** (1 / q)
+    return mp.findroot(lambda t: (1 - t + h) ** q + abs(1 - t - h) ** q - 2,
+                       (mp.mpf(0), mp.mpf(1)), solver="anderson")
+
+
+class TestModulusReference:
+    """The bracket against 50-digit references, and its witness pairs."""
+
+    @pytest.mark.parametrize("q", [1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bracket_holds_exact_value(self, q, d):
+        mpmath = pytest.importorskip("mpmath")
+        space = NormedSpace(d, q)
+        with mpmath.workdps(50):
+            for eps in (0.25, 0.5, 1.0, 1.5, 1.9):
+                exact = exact_modulus(mpmath, q, eps)
+                est = modulus_of_convexity(space, eps)
+                assert est.lower <= exact <= est.upper
+                assert exact - est.lower <= 1e-12
+                assert est.upper - exact <= 1e-12
+                x, y = _modulus_witness(space, eps)
+                assert space.norm(np.stack([x, y])).max() <= 1.0 + ULPS8
+                assert space.norm(x - y) >= eps - ULPS8
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_closed_cases(self, q):
+        for eps in (0.25, 1.0, 1.9, 2.0):
+            assert analytic_modulus_lower(NormedSpace(1, q), eps) == eps / 2
+            est = modulus_of_convexity(NormedSpace(1, q), eps)
+            assert est.lower <= eps / 2 <= est.upper
+            if q in (1.0, math.inf):
+                est = modulus_of_convexity(NormedSpace(3, q), eps)
+                assert est.lower == est.upper == 0.0
+        if q not in (1.0, math.inf):
+            for d in (2, 3):
+                assert analytic_modulus_lower(NormedSpace(d, q), 2.0) == 1.0
+                est = modulus_of_convexity(NormedSpace(d, q), 2.0)
+                assert est.lower == est.upper == 1.0
+
+    def test_witnesses_feasible(self):
+        for q in (1.0, 1.1, 1.5, 2.0, 2.5, 17.0, math.inf):
+            for d in (1, 2, 5):
+                space = NormedSpace(d, q)
+                for eps in (1e-6, 0.3, 1.0, 1.99, 2.0):
+                    x, y = _modulus_witness(space, eps)
+                    assert space.norm(np.stack([x, y])).max() <= 1.0 + ULPS8
+                    assert space.norm(x - y) >= eps - ULPS8
+                    est = modulus_of_convexity(space, eps)
+                    assert est.lower <= est.upper
 
 
 class TestPowerType:
-    def test_analytic_one(self):
-        c = power_type_constant(NormedSpace(2, 2.0), 2.0)
-        assert c.value == 1.0 and not c.empirical
-        c = power_type_constant(NormedSpace(3, 3.0), 4.0)
-        assert c.value == 1.0 and not c.empirical
-
-    def test_l1_degenerate(self):
-        c = power_type_constant(NormedSpace(2, 1.0), 2.0, samples=2000)
-        assert c.empirical
-        assert c.value == 0.0  # witness pair e_1, e_2 collapses the defect
-
     def test_clarkson_rule(self):
         for q, p, want in [(2.0, 2.0, 1.0), (3.0, 4.0, 1.0), (4.0, 4.0, 1.0),
                            (4.0, 3.0, None), (1.0, 2.0, None),
@@ -288,10 +331,3 @@ class TestPowerType:
                            (math.inf, math.inf, None)]:
             space = NormedSpace(2, q)
             assert analytic_power_constant(space, p) == want
-            if want is not None:
-                assert power_type_constant(space, p).value == want
-
-    def test_empirical_flag(self):
-        c = power_type_constant(NormedSpace(2, math.inf), 2.0, samples=2000)
-        assert c.empirical
-        assert 0.0 <= c.value <= 1.0
