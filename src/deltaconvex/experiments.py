@@ -197,12 +197,14 @@ def _warn_nonconverged(warnings, experiment, lam, flags):
 def _clarkson_constant(space, power):
     """Clarkson's C = 1 at ``power``, behind both the rate bound and the
     lower sandwich inequality; it is proven only on l_q with
-    2 <= q <= power, q finite, and other spaces are refused."""
+    2 <= q <= power, q finite, and on every l_q in dimension 1, and other
+    spaces are refused."""
     C = analytic_power_constant(space, power)
     if C is None:
         raise ConfigError(
             "power", f"no proven bound on {space.describe()} at power "
-            f"{power:g}; it needs l_q with 2 <= q <= power, q finite")
+            f"{power:g}; it needs l_q with 2 <= q <= power, q finite, "
+            "or dimension 1")
     return C
 
 
@@ -218,7 +220,8 @@ def _lambdas(cfg, default):
 def run_converge(cfg):
     """Rate sweep: sup grid |f - f_lambda^p| against the analytic guarantee
     (L/(lambda C))^(1/(p-1)) with Clarkson C = 1, which is proven only on
-    l_q with 2 <= q <= power; other spaces are refused."""
+    l_q with 2 <= q <= power and in dimension 1; other spaces are
+    refused."""
     space = _space(cfg)
     f = _function(cfg, space)
     power = cfg.get_float("power", max(2.0, min(space.p_exponent, 8.0)
@@ -398,15 +401,19 @@ def run_adversary(cfg):
     f = _trees.counterexample_function(family, space)
     catalog = convex_pair_catalog(family.ambient_dim, space)
 
+    # every catalog pair is measured on the same nodes of a tree
+    error_nodes = []
+    for tree in family.trees:
+        rng = np.random.default_rng(seed + tree.depth)
+        nodes = _tree_error_nodes(tree, rng, deep_samples)
+        error_nodes.append((nodes, np.asarray(f(nodes), dtype=float)))
+
     rows, violations = [], []
     for name, c, d, M in catalog:
-        for tree in family.trees:
+        for tree, (nodes, f_nodes) in zip(family.trees, error_nodes):
             n = tree.depth
-            rng = np.random.default_rng(seed + n)
-            nodes = _tree_error_nodes(tree, rng, deep_samples)
-            gaps = np.abs(np.asarray(f(nodes), dtype=float)
-                          - (np.asarray(c(nodes), dtype=float)
-                             - np.asarray(d(nodes), dtype=float)))
+            gaps = np.abs(f_nodes - (np.asarray(c(nodes), dtype=float)
+                                     - np.asarray(d(nodes), dtype=float)))
             report = _trees.adversarial_branch_walk(c, d, tree, f, delta=0.0)
             measured = float(max(gaps.max(), report.max_gap))
             bound = _trees.error_lower_bound(M, tree.theta, n)

@@ -202,15 +202,27 @@ class ModulusEstimate:
             raise ValueError(f"inconsistent bracket [{self.lower}, {self.upper}]")
 
 
-def _hanner_bracket(q, epsilon):
-    """(lo, hi) around the root delta of Hanner's equation
-    (1 - delta + eps/2)^q + |1 - delta - eps/2|^q = 2 for 1 < q < 2, by
-    float bisection on [0, 1]: the left side is >= 2 at lo and < 2 at hi."""
+# a bound on the rounding error of the float value of the left side of
+# Hanner's equation at t in [0, 1] for 1 < q < 2 (the left side is below
+# 5): 3u and 2u in its two bases, 12u + 8u and 4u + 2u in the two powers
+# (u = 2^-53, pow within one ulp), 4u in the sum; 30u < 2^-48
+_HANNER_ERR = 2.0 ** -48
+
+
+def _hanner_bracket(q, epsilon, level=2.0):
+    """(lo, hi) from a float bisection on [0, 1] of Hanner's equation
+    (1 - t + eps/2)^q + |1 - t - eps/2|^q = 2 for 1 < q < 2: the float left
+    side is >= ``level`` at lo (or lo = 0) and < ``level`` at hi.
+
+    At ``level = 2 + _HANNER_ERR`` the exact left side is >= 2 at lo, and
+    as it decreases in t, lo lies at or below the root delta: about
+    _HANNER_ERR / |slope at delta| below it, which grows as eps nears 2 and
+    the slope flattens."""
     h = epsilon / 2.0
     lo, hi = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if (1.0 - mid + h) ** q + abs(1.0 - mid - h) ** q >= 2.0:
+        if (1.0 - mid + h) ** q + abs(1.0 - mid - h) ** q >= level:
             lo = mid
         else:
             hi = mid
@@ -220,9 +232,11 @@ def _hanner_bracket(q, epsilon):
 def analytic_modulus_lower(space, epsilon):
     """The exact modulus of convexity delta(eps) of the space: eps/2 in
     dimension 1; 0 on l_1 and l_inf; Clarkson's (1936)
-    1 - (1 - (eps/2)^q)^(1/q) for 2 <= q < inf; for 1 < q < 2 the root of
-    Hanner's (1956) equation, as the low end of its bisection bracket; and
-    exactly 1 at eps = 2, where Hanner's equation has a flat double root."""
+    1 - (1 - (eps/2)^q)^(1/q) for 2 <= q < inf; for 1 < q < 2 a proven
+    lower bound on the root of Hanner's (1956) equation, the low end of
+    its bisection bracket held above the float evaluation's rounding error
+    (``_hanner_bracket``); and exactly 1 at eps = 2, where Hanner's
+    equation has a flat double root."""
     q = space.p_exponent
     if space.dim == 1:
         return epsilon / 2.0
@@ -232,7 +246,7 @@ def analytic_modulus_lower(space, epsilon):
         return 1.0
     if q >= 2.0:
         return 1.0 - (1.0 - (epsilon / 2.0) ** q) ** (1.0 / q)
-    return _hanner_bracket(q, epsilon)[0]
+    return _hanner_bracket(q, epsilon, 2.0 + _HANNER_ERR)[0]
 
 
 def _modulus_witness(space, epsilon):
@@ -288,8 +302,9 @@ def modulus_of_convexity(space, epsilon):
 
 def analytic_power_constant(space, p):
     """Clarkson constant C = 1 with C|x-y|^p <= defect_p(x, y), proven for
-    l_q with 2 <= q <= p and q finite; None elsewhere."""
+    l_q with 2 <= q <= p and q finite, and for every q in dimension 1, where
+    each l_q norm is |x| (p >= 2 in both cases); None elsewhere."""
     q = space.p_exponent
-    if 2.0 <= q <= p and q != math.inf:
+    if p >= 2.0 and (space.dim == 1 or 2.0 <= q <= p and q != math.inf):
         return 1.0
     return None

@@ -8,6 +8,13 @@ Explicit trees (loaded from a file, or copied with one node replaced) hold
 every node in one read-only array in heap order: level k fills rows
 2^k - 1 .. 2^(k+1) - 2, listed by ``_level_signs``; ``_heap_index`` finds
 a node's row.
+
+Every check over many nodes runs in blocks of about ``_PAIR_BLOCK``
+doubles (512 KB, which fits in L2): a block holds ``_PAIR_BLOCK // D``
+rows of D coordinates, and the pair kernel takes as many rows as fill
+``_PAIR_BLOCK`` distances.  Blocks only split rows, so no result depends
+on the block size.  Random nodes follow one law: a level uniform on
+0..depth, then independent fair signs, drawn as packed random bytes.
 """
 
 import math
@@ -34,15 +41,18 @@ __all__ = [
 ]
 
 _ENUM_CAP = 1 << 21  # max node count for exhaustive materialization
-_PAIR_BLOCK = 1 << 20  # doubles in one block of pair distances
+_PAIR_BLOCK = 1 << 16  # doubles in one block of the node and pair checks
 _EXHAUSTIVE_PAIRS = 1 << 22  # node pairs always checked exhaustively
-_SIGNS = np.array((-1.0, 1.0))
+_DRAW_BATCH = 1 << 16  # node pairs drawn at once by the sampled check
+_STRUCTURED_BUDGET = 4096  # parents per level in the structured pairs
 
 
-def _level_signs(k):
-    """(2^k, k) array of the sign tuples of level k in heap order: bit 0 ->
-    +1, bit 1 -> -1, most significant first."""
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+def _level_signs(k, lo=0, hi=None):
+    """(hi - lo, k) array of the sign tuples of rows lo..hi-1 (all by
+    default) of level k in heap order: bit 0 -> +1, bit 1 -> -1, most
+    significant first."""
+    hi = 1 << k if hi is None else hi
+    bits = (np.arange(lo, hi)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     return 1.0 - 2.0 * bits
 
 
@@ -71,15 +81,19 @@ class _SignStructure:
     def width(self):
         return self.depth + (1 if self.lead else 0)
 
-    def place(self, signs):
-        """The nodes whose sign prefixes are the rows of ``signs``."""
-        x = np.zeros((len(signs), self.ambient_dim))
-        off = self.block_start
+    def place(self, signs, out=None):
+        """The nodes whose sign prefixes are the rows of ``signs``, written
+        to ``out`` (any (rows, D) view, overwritten) if given."""
+        if out is None:
+            out = np.empty((len(signs), self.ambient_dim))
+        off = self.block_start + (1 if self.lead else 0)
+        k = signs.shape[1]
+        out[:, :off] = 0.0
+        out[:, off + k:] = 0.0
         if self.lead:
-            x[:, off] = self.scale
-            off += 1
-        x[:, off:off + signs.shape[1]] = signs * self.scale
-        return x
+            out[:, self.block_start] = self.scale
+        np.multiply(signs, self.scale, out=out[:, off:off + k])
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,9 +134,15 @@ class DyadicTree:
     def level_array(self, k):
         if k > self.depth:
             raise ValueError(f"level {k} exceeds depth {self.depth}")
+        return self._level_rows(k, 0, 1 << k)
+
+    def _level_rows(self, k, lo, hi):
+        """Rows lo..hi-1 of level k: a view of an explicit tree's array,
+        computed from their signs alone for a sign tree."""
         if self.structure is None:
-            return _heap_nodes(self, k + 1)[_heap_index((1,) * k):]
-        return self.structure.place(_level_signs(k))
+            first = (1 << k) - 1
+            return self.nodes[first + lo:first + hi]
+        return self.structure.place(_level_signs(k, lo, hi))
 
     def indices(self):
         for k in range(self.depth + 1):
@@ -298,73 +318,105 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     """Midpoint law checked bit-exactly on every internal node; separation
     >= theta by full pairwise enumeration up to max(sample_pairs, 2^22)
     pairs (a depth-10 tree has 2,094,081), deterministic subsampling of
-    sample_pairs pairs beyond."""
-    worst_gap = 0.0
-    violation = None
-    children = tree.level_array(0)
-    for k in range(tree.depth):
-        parents, children = children, tree.level_array(k + 1)
-        mid = 0.5 * children[0::2] + 0.5 * children[1::2]
-        eq = parents == mid
-        if not eq.all():
-            gaps = np.abs(parents - mid).max(axis=1)
-            bad = int(np.argmax(gaps))
-            if gaps[bad] > worst_gap:
-                worst_gap = float(gaps[bad])
-                violation = tuple(int(s) for s in _level_signs(k)[bad])
-    midpoint_exact = violation is None
+    sample_pairs pairs beyond.
 
+    Every stage runs in blocks of ``_PAIR_BLOCK // D`` rows, so memory stays
+    bounded at any depth: the midpoint pass walks each level in blocks of
+    parent rows (children 2lo..2hi), and on the sampled path takes the
+    structured pairs (parent/child and siblings among the first 4096
+    parents of each level) from the same blocks.  The sampled pairs are
+    drawn 2^16 at a time, each node a level uniform on 0..depth and fair
+    signs, so the sample depends on the seed alone.  A sampled pair counts
+    unless both draws are the same node (equal level and signs), tested
+    only where the distance is 0: two distinct nodes that coincide, or
+    whose l_p distance underflows to 0, count at distance 0.
+    ``separation_pair`` is the first minimum: (level, row) for a
+    structured pair, ("sampled", index among the distinct pairs from the
+    batch start) for a sampled one.
+    """
     n = tree.node_count
     total_pairs = n * (n - 1) // 2
-    rng = np.random.default_rng(seed)
+    exhaustive = total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS)
+    rows = max(1, _PAIR_BLOCK // tree.ambient_dim)
+    worst_gap = 0.0
+    violation = None
     min_sep = math.inf
     sep_pair = None
     max_norm = 0.0
+    pairs_checked = 0
+    for k in range(tree.depth):
+        width = 1 << k
+        budget = 0 if exhaustive else min(width, _STRUCTURED_BUDGET)
+        # first minimum of the parent/child and of the sibling distances
+        best = [(math.inf, None), (math.inf, None)]
+        for lo in range(0, width, rows):
+            hi = min(width, lo + rows)
+            parents = tree._level_rows(k, lo, hi)
+            children = tree._level_rows(k + 1, 2 * lo, 2 * hi)
+            mid = 0.5 * children[0::2] + 0.5 * children[1::2]
+            if not (parents == mid).all():
+                gaps = np.abs(parents - mid).max(axis=1)
+                bad = int(np.argmax(gaps))
+                if gaps[bad] > worst_gap:
+                    worst_gap = float(gaps[bad])
+                    row = lo + bad
+                    violation = tuple(int(s) for s in
+                                      _level_signs(k, row, row + 1)[0])
+            if lo >= budget:
+                continue
+            top = min(hi, budget) - lo
+            parents, children = parents[:top], children[:2 * top]
+            max_norm = max(max_norm, float(space.norm(children).max()))
+            dpc = space.norm(np.repeat(parents, 2, axis=0) - children)
+            dss = space.norm(children[0::2] - children[1::2])
+            for s, (dist, first) in enumerate(((dpc, 2 * lo), (dss, lo))):
+                i = int(np.argmin(dist))
+                if dist[i] < best[s][0]:
+                    best[s] = (float(dist[i]), first + i)
+                pairs_checked += dist.size
+        for dist, i in best:
+            if dist < min_sep:
+                min_sep, sep_pair = dist, (k, i)
+    midpoint_exact = violation is None
 
-    if total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS):
+    if exhaustive:
         all_nodes = _heap_nodes(tree)
         max_norm = float(space.norm(all_nodes).max())
         min_sep, sep_pair, pairs_checked = _min_pair_distance(
             space, all_nodes, all_nodes, upper=True)
-        exhaustive = True
     else:
-        # structured pairs (parent/child and siblings at every level) plus a
-        # deterministic random sample of node pairs
-        pairs_checked = 0
-        for k in range(tree.depth):
-            budget = min(1 << k, 4096)
-            parents = tree.level_array(k)[:budget]
-            children = tree.level_array(k + 1)[:2 * budget]
-            max_norm = max(max_norm, float(space.norm(children).max()))
-            dpc = space.norm(np.repeat(parents, 2, axis=0) - children)
-            dss = space.norm(children[0::2] - children[1::2])
-            for dist in (dpc, dss):
-                i = int(np.argmin(dist))
-                if dist[i] < min_sep:
-                    min_sep = float(dist[i])
-                    sep_pair = (k, i)
-                pairs_checked += dist.size
+        rng = np.random.default_rng(seed)
         remaining = max(sample_pairs - pairs_checked, 0)
         if tree.structure is None:
             remaining = min(remaining, 50_000)
-            # checked once here: the batches below use the unchecked _norm
+            # checked once here: the blocks below use the unchecked _norm
             space._check(tree.nodes)
-        # one set of batch buffers, filled in place by every batch
-        pa, pb, diff = (np.zeros((min(remaining, 65536), tree.ambient_dim))
-                        for _ in range(3))
-        for lo in range(0, remaining, 65536):
-            m = min(remaining - lo, 65536)
-            a = _random_nodes(tree, rng, m, out=pa[:m])
-            b = _random_nodes(tree, rng, m, out=pb[:m])
-            same = (a == b).all(axis=1)
-            dist = space._norm(np.subtract(a, b, out=diff[:m]))[~same]
-            if dist.size:
-                i = int(np.argmin(dist))
-                if dist[i] < min_sep:
-                    min_sep = float(dist[i])
-                    sep_pair = ("sampled", lo + i)
-                pairs_checked += dist.size
-        exhaustive = False
+        # the nodes a and b of a block (a then holds a - b), stored by
+        # coordinate so that the norm reduces over contiguous rows
+        a, b = np.empty((2, tree.ambient_dim, min(rows, remaining)))
+        for lo in range(0, remaining, _DRAW_BATCH):
+            m = min(remaining - lo, _DRAW_BATCH)
+            signs_a = _draw_nodes(tree, rng, m)
+            signs_b = _draw_nodes(tree, rng, m)
+            distinct = 0  # distinct pairs in the blocks before this one
+            for r0 in range(0, m, rows):
+                r1 = min(m, r0 + rows)
+                sa, sb = signs_a[:, r0:r1], signs_b[:, r0:r1]
+                xa, xb = a[:, :r1 - r0], b[:, :r1 - r0]
+                _place_drawn(tree, sa, xa.T)
+                _place_drawn(tree, sb, xb.T)
+                dist = space._norm(np.subtract(xa, xb, out=xa).T)
+                zero = np.flatnonzero(dist == 0.0)
+                if zero.size:
+                    same = (sa[:, zero] == sb[:, zero]).all(axis=0)
+                    dist = np.delete(dist, zero[same])
+                if dist.size:
+                    i = int(np.argmin(dist))
+                    if dist[i] < min_sep:
+                        min_sep = float(dist[i])
+                        sep_pair = ("sampled", lo + distinct + i)
+                    distinct += dist.size
+            pairs_checked += distinct
 
     return TreeValidation(
         midpoint_exact=midpoint_exact,
@@ -379,30 +431,35 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     )
 
 
-def _random_nodes(tree, rng, m, out=None):
-    """m uniformly random (level, sign-prefix) nodes: computed from the
-    signs for sign trees, looked up by heap index for explicit ones.  With
-    ``out`` (m rows, zero outside a sign tree's block) the nodes are written
-    there instead of into a new array."""
+def _draw_nodes(tree, rng, m):
+    """Signs of m random nodes: a level uniform on 0..depth, then ``depth``
+    fair signs from packed random bytes (bit 1 is +1).  Returns a (depth, m)
+    int8 array whose column j holds node j's sign prefix followed by zeros,
+    so two draws are the same node exactly when their columns are equal."""
     ks = rng.integers(0, tree.depth + 1, size=m)
-    # uint32 draws the same values as the default int64, in half the memory
-    draw = rng.integers(0, 2, size=(m, tree.depth), dtype=np.uint32)
-    mask = np.arange(tree.depth)[None, :] < ks[:, None]
+    packed = rng.integers(0, 256, size=(tree.depth, -(-m // 8)),
+                          dtype=np.uint8)
+    signs = np.unpackbits(packed, axis=1, count=m).view(np.int8)
+    signs *= 2
+    signs -= 1
+    signs *= np.arange(tree.depth)[:, None] < ks  # zero past the level
+    return signs
+
+
+def _place_drawn(tree, signs, out):
+    """Write the drawn nodes (columns of ``signs``) as the rows of ``out``,
+    any (m, D) view: computed from the signs for sign trees, looked up by
+    heap index for explicit ones."""
     if tree.structure is not None:
-        st = tree.structure
-        if out is None:
-            out = np.zeros((m, tree.ambient_dim))
-        off = st.block_start + (1 if st.lead else 0)
-        block = out[:, off:off + tree.depth]
-        np.take(_SIGNS, draw, out=block, mode="clip")
-        block *= mask
-        block *= st.scale
-        if st.lead:
-            out[:, st.block_start] = st.scale
-        return out
-    # draw 1 is sign +1 and draw 0 sign -1; zero past the node's level
-    signs = np.where(mask, 2 * draw.astype(np.int64) - 1, 0)
-    return np.take(tree.nodes, _heap_index(signs.T), axis=0, out=out)
+        return tree.structure.place(signs.T, out=out)
+    out[...] = tree.nodes[_heap_index(signs.astype(np.int64))]
+    return out
+
+
+def _random_nodes(tree, rng, m):
+    """m random nodes (the law of ``_draw_nodes``) as an (m, D) array."""
+    return _place_drawn(tree, _draw_nodes(tree, rng, m),
+                        np.empty((m, tree.ambient_dim)))
 
 
 def _heap_nodes(tree, levels=None):

@@ -123,9 +123,21 @@ class TestExitCodes:
         ["--set", "p=3", "--set", "power=2"],
     ])
     def test_converge_refuses_unproven_bound(self, tmp_path, space):
-        code, data = run(tmp_path, ["converge"] + FAST_CONVERGE + space)
+        code, data = run(tmp_path, ["converge"] + FAST_CONVERGE + space
+                         + ["--set", "dim=2"])
         assert code == 2
         assert data == b""
+
+    @pytest.mark.parametrize("space", [
+        ["--set", "p=inf"],
+        ["--set", "p=1"],
+        ["--set", "p=3", "--set", "power=2"],
+    ])
+    def test_converge_dimension_one_runs(self, tmp_path, space):
+        # every l_q norm is |x| in dimension 1, where C = 1 at every power
+        code, data = run(tmp_path, ["converge"] + FAST_CONVERGE + space)
+        assert code == 0
+        assert data.count(b"\nconverge,") == 2
 
     def test_converge_lq_power_runs(self, tmp_path):
         code, data = run(tmp_path, ["converge"] + FAST_CONVERGE

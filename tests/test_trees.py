@@ -443,16 +443,17 @@ class TestHeapLayout:
 
 class TestRandomNodes:
     def test_draw_pinned(self):
-        # rows and generator state as drawn by rng.choice((-1.0, 1.0), ...)
+        # rows and generator state as drawn by _draw_nodes: the levels, then
+        # the signs as packed random bytes
         rng = np.random.default_rng(3)
         X = trees_mod._random_nodes(build_sign_tree(16), rng, 8)
-        want = ["----+---++---000", "-000000000000000", "+--0000000000000",
-                "---+000000000000", "---0000000000000", "+-++-+--+++-+000",
-                "-++-++--++---+00", "+--+-+-++0000000"]
+        want = ["----++-------000", "-000000000000000", "---0000000000000",
+                "--+-000000000000", "++-0000000000000", "+++-----+--+-000",
+                "++++----+-+-+-00", "-+------+0000000"]
         sym = {"+": 1.0, "-": -1.0, "0": 0.0}
         assert np.array_equal(
             X, np.array([[sym[c] for c in row] for row in want]))
-        assert list(rng.integers(0, 1000, 3)) == [886, 964, 968]
+        assert list(rng.integers(0, 1000, 3)) == [621, 479, 264]
 
     def test_sampled_path_unchanged_past_exhaustive_cap(self):
         # depth 12 has 33,542,145 pairs, past the exhaustive cap, so the
@@ -461,7 +462,7 @@ class TestRandomNodes:
         t = build_sign_tree(12)
         rep = validate_tree(t, NormedSpace(12, math.inf), seed=5)
         assert not rep.exhaustive_pairs
-        assert rep.pairs_checked == 1_976_327
+        assert rep.pairs_checked == 1_976_604
         assert rep.min_separation == 1.0
 
     def test_sampled_path_rejects_non_finite_explicit_tree(self):
@@ -470,3 +471,125 @@ class TestRandomNodes:
         t = build_sign_tree(14).with_node((-1,) * 14, np.full(14, math.nan))
         with pytest.raises(ValueError, match="non-finite"):
             validate_tree(t, NormedSpace(14, math.inf), seed=0)
+
+
+# depth 11 is past the exhaustive cap; 3 * (2^11 - 1) structured pairs
+# (parent/child and siblings) come before the sampled ones
+SAMPLED_DEPTH = 11
+STRUCTURED_PAIRS = 3 * ((1 << SAMPLED_DEPTH) - 1)
+
+
+def _offset(tree, alpha, shift):
+    """Node ``alpha`` moved ``shift`` in the last coordinate, which is 0 at
+    every node above the last level."""
+    x = tree.node(alpha).copy()
+    x[-1] += shift
+    return x
+
+
+def _sampled_trees():
+    """Trees on the sampled path: sign trees with a lead coordinate and a
+    scale, and explicit copies whose closest pair (node (1,) near or on
+    node (-1, 1), neither parent and child nor siblings) only the sampled
+    pairs can find."""
+    sign = build_sign_tree(SAMPLED_DEPTH, lead=True, scale=0.5)
+    member = build_tree_family([3, SAMPLED_DEPTH]).trees[1]
+    return [sign, member,
+            sign.with_node((1,), _offset(sign, (-1, 1), 0.125)),
+            member.with_node((1,), member.node((-1, 1)))]
+
+
+def _distinct_draws(tree, seed, m):
+    """Pairs of distinct nodes, by heap row, among the first m sampled
+    pairs of ``validate_tree`` at ``seed`` (m at most one draw batch)."""
+    rng = np.random.default_rng(seed)
+    rows = [trees_mod._heap_index(
+        trees_mod._draw_nodes(tree, rng, m).astype(np.int64))
+        for _ in range(2)]
+    return int((rows[0] != rows[1]).sum())
+
+
+class TestStreamedChecks:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("tree", _sampled_trees(),
+                             ids=["sign-lead-scale", "family-member",
+                                  "explicit-near", "explicit-coincident"])
+    def test_block_invariance(self, monkeypatch, tree, p):
+        # 80,000 pairs span two draw batches of a sign tree; explicit trees
+        # sample at most 50,000
+        space = NormedSpace(tree.ambient_dim, p)
+        for block, pairs in ((48, STRUCTURED_PAIRS + 3000), (1000, 80_000)):
+            want = validate_tree(tree, space, sample_pairs=pairs, seed=1)
+            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+            got = validate_tree(tree, space, sample_pairs=pairs, seed=1)
+            monkeypatch.undo()
+            assert not got.exhaustive_pairs
+            assert got == want
+        if tree.structure is None:
+            assert got.separation_pair[0] == "sampled"
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_coincident_nodes_count(self, p):
+        tree = _sampled_trees()[-1]
+        rep = validate_tree(tree, NormedSpace(tree.ambient_dim, p),
+                            sample_pairs=STRUCTURED_PAIRS + 50_000, seed=2)
+        assert rep.min_separation == 0.0
+        assert not rep.separation_ok
+        assert rep.separation_pair[0] == "sampled"
+        assert rep.pairs_checked == (STRUCTURED_PAIRS
+                                     + _distinct_draws(tree, 2, 50_000))
+
+    @pytest.mark.parametrize("p, want", [(2.0, 0.0), (math.inf, 1e-200)])
+    def test_underflowing_distance_counts(self, p, want):
+        # 1e-200 apart: the l2 distance underflows to 0, yet the nodes are
+        # distinct and the pair counts
+        sign = build_sign_tree(SAMPLED_DEPTH)
+        tree = sign.with_node((1,), _offset(sign, (-1, 1), 1e-200))
+        rep = validate_tree(tree, NormedSpace(tree.ambient_dim, p),
+                            sample_pairs=STRUCTURED_PAIRS + 50_000, seed=2)
+        assert rep.min_separation == want
+        assert rep.separation_pair[0] == "sampled"
+        assert rep.pairs_checked == (STRUCTURED_PAIRS
+                                     + _distinct_draws(tree, 2, 50_000))
+
+    def test_draw_law(self):
+        # member 1 of the family: lead coordinate 4, signs in 5..16
+        tree = build_tree_family([3, 12], scale=0.5).trees[1]
+        m = 20_000
+        signs = trees_mod._draw_nodes(tree, np.random.default_rng(0), m)
+        # the levels are the first draw from the generator
+        ks = np.random.default_rng(0).integers(0, tree.depth + 1, size=m)
+        assert set(ks.tolist()) == set(range(tree.depth + 1))
+        assert signs.shape == (tree.depth, m)
+        # +-1 on the first ks[j] coordinates of column j, 0 past them
+        past = np.arange(tree.depth)[:, None] >= ks
+        assert np.all(signs[past] == 0)
+        assert set(np.unique(signs[~past]).tolist()) == {-1, 1}
+        X = trees_mod._random_nodes(tree, np.random.default_rng(0), m)
+        assert np.array_equal((X[:, 5:] != 0).sum(axis=1), ks)
+        assert np.array_equal(X[:, 5:], 0.5 * signs.T)
+        assert np.all(X[:, 4] == 0.5) and np.all(X[:, :4] == 0.0)
+
+    def test_deep_tree_memory(self):
+        # depth 20 once built every level whole (near 800 MB peak); streamed,
+        # each block holds about _PAIR_BLOCK doubles.  As in
+        # test_deep_family_memory, a fresh interpreter runs the check in a
+        # child and reports the child's peak.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(deltaconvex.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        check = ("import math; import deltaconvex as dc; "
+                 "rep = dc.validate_tree(dc.build_sign_tree(20), "
+                 "dc.NormedSpace(20, math.inf)); "
+                 "print(rep.midpoint_exact, rep.separation_ok)")
+        probe = ("import resource, subprocess, sys; "
+                 f"out = subprocess.run([sys.executable, '-c', {check!r}], "
+                 "capture_output=True, text=True).stdout.strip(); "
+                 "print(out or 'failed', resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=600)
+        *report, peak_kib = proc.stdout.split()
+        assert report == ["True", "True"], proc.stderr
+        assert int(peak_kib) / 1024 < 150
