@@ -82,6 +82,16 @@ def _run_experiment(name, args):
     return result.exit_code
 
 
+def _pair_text(pair):
+    """The kind and place of a ``validate_tree`` separation pair."""
+    kind = pair[0]
+    if kind == "sampled":
+        return f"sampled pair {pair[1]}"
+    if kind in ("parent-child", "siblings"):
+        return f"{kind} pair (level {pair[1]}, index {pair[2]})"
+    return f"node pair {pair} (rows in level order)"
+
+
 def _run_validate_tree(args):
     try:
         tree = _trees.load_tree(args.tree)
@@ -105,7 +115,7 @@ def _run_validate_tree(args):
                   file=sys.stderr)
         if not report.separation_ok:
             print(f"separation {report.min_separation:.6g} below theta "
-                  f"{tree.theta:g} at pair {report.separation_pair}",
+                  f"{tree.theta:g} at {_pair_text(report.separation_pair)}",
                   file=sys.stderr)
     return 0 if ok else 1
 

@@ -1,8 +1,10 @@
 """Lipschitz test functions: distance functions, a standard corpus, and a
 sampling-based Lipschitz-constant verifier.
 
-Evaluators are black boxes: callables taking an array of shape (d,) or
-(n, d) and returning a scalar / shape-(n,) array.  They must be pure and
+Evaluators are black boxes: callables taking a float array of shape (d,)
+or (n, d) and returning a scalar / shape-(n,) array.  The solver passes
+(n, d) views of blocks it stores by coordinate, which are not contiguous,
+so an evaluator must not assume a memory layout.  They must be pure and
 reentrant.  The norm and distance evaluators call the unchecked norm kernel:
 the solver feeds them validated rows and rejects any non-finite value
 they return.
@@ -91,8 +93,12 @@ def distance_function(space, point_set):
     pts = point_set.points
 
     def ev(x):
+        # a running minimum over the anchors: no (rows, anchors, d) block
         x = np.asarray(x, dtype=float)
-        return space._norm(x[..., None, :] - pts).min(axis=-1)
+        out = space._norm(x - pts[0])
+        for a in pts[1:]:
+            out = np.minimum(out, space._norm(x - a))
+        return out
 
     return LipschitzFunction(evaluator=ev, lipschitz_constant=1.0,
                              label="distance")

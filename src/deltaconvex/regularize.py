@@ -10,7 +10,10 @@ d = c - f_lambda, solved on the regularizer's own objective.  All searches
 share one derivative-free solver: a coarse stage on an in-package
 scrambled Sobol' pool (bit-identical to scipy's), then compass search from
 the best separated candidates (three by default), run as one batch over
-every start of every row until each step is below tolerance/8.
+every start of every row until each step is below tolerance/8.  The solver
+stores its points by coordinate, as (d, ...) blocks whose coordinates are
+contiguous runs, and gathers rows with ``take``; objectives receive the
+(n, d) view of a block, which may be non-contiguous.
 Returned values are objective values at points the solver found, so they
 are upper bounds on the true infimum up to the rounding of lambda*Q, which
 the minimizer can exploit at about the 1e-12 level.
@@ -104,21 +107,27 @@ def _unit_ball_pool(space, m, seed):
     return pool
 
 
-def _project_rows(space, Y, centers, radii):
-    """Radial projection of each row into ball(centers[i], radii[i]).  Rows
-    inside their ball come back untouched, so a row's result does not depend
-    on the other rows of the batch.  ``centers`` and ``radii`` need only
-    broadcast against ``Y`` and its rows: one centre per row of a candidate
-    block serves all of the block."""
-    diff = Y - centers
-    nd = space._norm(diff)
+def _rows(B):
+    """The (points, d) view of a block B stored by coordinate, shape
+    (d, ...): row r holds point r's coordinates, each column a contiguous
+    run of B.  Objectives and norms receive blocks through it."""
+    return B.reshape(B.shape[0], -1).T
+
+
+def _project(space, B, centers, radii):
+    """Radial projection, in place, of every point of the coordinate-major
+    block B, shape (d, ...), into ball(centers, radii).  ``centers`` (d,
+    ...) and ``radii`` need only broadcast against B and its point axes:
+    one centre per row of a candidate block serves all of the block.  A
+    point inside its ball is untouched, so a row's result does not depend
+    on the other rows of the batch."""
+    diff = B - centers
+    nd = space._norm(_rows(diff)).reshape(diff.shape[1:])
     over = nd > radii
-    if over.any():
-        Y = Y.copy()
+    if np.count_nonzero(over):
         scale = np.broadcast_to(radii, nd.shape)[over] / nd[over]
-        Y[over] = (np.broadcast_to(centers, Y.shape)[over]
-                   + diff[over] * scale[:, None])
-    return Y
+        B[:, over] = (np.broadcast_to(centers, B.shape)[:, over]
+                      + diff[:, over] * scale)
 
 
 class _Counter:
@@ -131,53 +140,61 @@ class _Counter:
 def _checked(obj, Y, idx, counter):
     v = np.asarray(obj(Y, idx), dtype=float)
     counter.evals += Y.shape[0]
-    if not np.isfinite(v).all():
-        bad = int(np.argmax(~np.isfinite(v)))
+    finite = np.isfinite(v)
+    if np.count_nonzero(finite) < finite.size:
+        bad = int(np.argmin(finite))
         raise SolverError("objective returned a non-finite value",
                           point=Y[bad].copy())
     return v
 
 
 def _lex_best(cands, vals):
-    """Index of the minimal value; ties broken by lexicographic order of
-    candidate coordinates."""
+    """Index of the minimal value among the columns of ``cands`` (d, m);
+    ties broken by lexicographic order of candidate coordinates."""
     vmin = vals.min()
     tied = np.flatnonzero(vals == vmin)
     if tied.size == 1:
         return int(tied[0])
-    order = np.lexsort(cands[tied].T[::-1])
+    order = np.lexsort(cands.take(tied, axis=1)[::-1])
     return int(tied[order[0]])
 
 
-def _coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
-    """Evaluate the shared pool around each row; return the min(n_keep, m)
-    best candidates per row, value-sorted, as an (N, min(n_keep, m), d)
-    array.  A chunk holds at most 2^18 candidate rows, which bounds the
-    memory of one objective call."""
-    N, d = X.shape
+def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
+    """Evaluate the shared pool around each row (``centers`` (d, N), by
+    coordinate); return the min(n_keep, m) best candidates per row,
+    value-sorted, as an (N, min(n_keep, m), d) array.  A chunk holds at
+    most 2^18 candidate rows, which bounds the memory of one objective
+    call."""
+    d, N = centers.shape
     m = cfg.coarse_samples
     k = min(n_keep, m)
-    pool = _unit_ball_pool(space, m, cfg.seed)
+    pool = np.ascontiguousarray(_unit_ball_pool(space, m, cfg.seed).T)
     keep_pts = np.empty((N, k, d))
     chunk = max(1, (1 << 18) // m)
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
-        rows = np.arange(lo, hi)
-        ctr = centers[lo:hi][:, None, :]
-        rad = radii[lo:hi][:, None]
-        cand = _project_rows(space, ctr + rad[:, :, None] * pool[None, :, :],
-                             ctr, rad)
-        flat = cand.reshape(-1, d)
-        vals = _checked(obj, flat, np.repeat(rows, m), counter).reshape(-1, m)
-        part = np.argpartition(vals, k - 1, axis=1)[:, :k]
-        r = np.arange(hi - lo)[:, None]
-        order = np.argsort(vals[r, part], axis=1, kind="stable")
-        sel = part[r, order]
-        keep_pts[lo:hi] = cand[r, sel]
-        # exact lexicographic tie-break for the leading candidate
-        tied = np.flatnonzero((vals == vals[r, sel[:, :1]]).sum(axis=1) > 1)
-        for t in tied:
-            keep_pts[lo + t, 0] = cand[t, _lex_best(cand[t], vals[t])]
+        n = hi - lo
+        ctr = centers[:, lo:hi, None]
+        rad = radii[lo:hi, None]
+        cand = ctr + rad * pool[:, None, :]  # (d, n, m)
+        _project(space, cand, ctr, rad)
+        vals = _checked(obj, _rows(cand), np.repeat(np.arange(lo, hi), m),
+                        counter).reshape(n, m)
+        # flat indices into vals of each row's k best, value-sorted
+        part = (np.argpartition(vals, k - 1, axis=1)[:, :k]
+                + np.arange(0, n * m, m)[:, None])
+        order = np.argsort(vals.take(part), axis=1, kind="stable")
+        sel = part.take(order + np.arange(0, n * k, k)[:, None])
+        keep_pts[lo:hi] = cand.reshape(d, -1).take(sel, axis=1).transpose(
+            1, 2, 0)
+        if k > 1:
+            # exact lexicographic tie-break for the leading candidate: every
+            # copy of the minimum is among the k best, so a tie shows in
+            # the two best values
+            best = vals.take(sel[:, :2])
+            for t in np.flatnonzero(best[:, 0] == best[:, 1]):
+                keep_pts[lo + t, 0] = cand[:, t, _lex_best(cand[:, t],
+                                                           vals[t])]
     return keep_pts
 
 
@@ -204,29 +221,34 @@ def _select_starts(space, keep_pts, sep, k_starts=3):
 
 
 def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
-    """Compass search of every row, in place.  A row finishes once its step
+    """Compass search of every row, in place.  ``Y`` and ``centers`` hold
+    the rows by coordinate, shape (d, N).  A row finishes once its step
     falls below tolerance/8; the search counts as converged when every
     row's step ended below the tolerance itself."""
-    N, d = Y.shape
-    dirs = np.vstack([np.eye(d), -np.eye(d)])  # (2d, d)
+    d = Y.shape[0]
+    # dirs[k, j] is coordinate k of direction j: +e_0, ..., +e_{d-1}, -e_0, ...
+    dirs = np.hstack([np.eye(d), -np.eye(d)])[:, :, None]
     tol = cfg.tolerance
     for _ in range(cfg.refine_iterations + 40 * d):
-        active = step >= tol / 8.0
-        if not active.any():
+        rows = (step >= tol / 8.0).nonzero()[0]
+        n = rows.size
+        if not n:
             break
-        rows = np.flatnonzero(active)
-        T = Y[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
-        T = _project_rows(space, T, centers[rows][:, None, :],
-                          radii[rows][:, None])
-        flat = T.reshape(-1, d)
-        tv = _checked(obj, flat, np.repeat(rows, 2 * d), counter).reshape(-1, 2 * d)
-        j = tv.argmin(axis=1)
-        tmin = tv[np.arange(rows.size), j]
-        better = tmin < vals[rows]
-        moved = rows[better]
-        Y[moved] = T[better, j[better]]
-        vals[moved] = tmin[better]
-        step[rows[~better]] *= 0.5
+        s = step.take(rows)
+        # trial point j of active row i sits at T[:, j, i]
+        T = Y.take(rows, axis=1)[:, None, :] + s * dirs
+        _project(space, T, centers.take(rows, axis=1)[:, None, :],
+                 radii.take(rows))
+        idx = np.empty((2 * d, n), dtype=rows.dtype)
+        idx[:] = rows
+        tv = _checked(obj, _rows(T), idx.reshape(-1), counter)
+        pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
+        tmin = tv.take(pick)
+        better = tmin < vals.take(rows)
+        moved = rows.compress(better)
+        Y[:, moved] = T.reshape(d, -1).take(pick.compress(better), axis=1)
+        vals[moved] = tmin.compress(better)
+        step[rows] = np.where(better, s, s * 0.5)
     return (step < tol).all()
 
 
@@ -236,27 +258,33 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     obj(X[i], i), and y = X[i] wins where it beats the search.  Returns
     (values, minimizers, evaluations, converged).
 
-    The compass search runs once over all starts of all rows, stacked so
-    that row s*N + i is start s of row i; every stacked row moves only on
-    its own values, so the result equals one search per start."""
+    Coarse candidates, compass points and trial points are stored by
+    coordinate, so that each coordinate of a block is one contiguous run,
+    and per-row gathers are ``take`` calls; the objective receives the
+    (n, d) view ``_rows`` of such a block.  The compass search runs once
+    over all starts of all rows, stacked so that row s*N + i is start s of
+    row i; every stacked row moves only on its own values, so the result
+    equals one search per start."""
     N = X.shape[0]
+    centers = np.ascontiguousarray(centers.T)
     counter = _Counter()
-    keep_pts = _coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    keep_pts = _coarse_stage(obj, space, cfg, centers, radii, counter)
     starts = _select_starts(space, keep_pts, sep=radii * 0.25,
                             k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
 
     def stacked(Y, idx):
-        return obj(Y, owner[idx])
+        return obj(Y, owner.take(idx))
 
-    Y = np.concatenate(starts)
-    vals = _checked(obj, Y, owner, counter)
-    converged = _compass(stacked, Y, vals, radii[owner] * 0.25, space, cfg,
-                         centers[owner], radii[owner], counter)
+    Y = np.concatenate(starts).T.copy()
+    vals = _checked(obj, Y.T, owner, counter)
+    rad = radii.take(owner)
+    converged = _compass(stacked, Y, vals, rad * 0.25, space, cfg,
+                         centers.take(owner, axis=1), rad, counter)
     # argmin keeps the first minimum: a tie goes to the earlier start
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
-    best_vals = vals[best]
-    best_pts = Y[best]
+    best_vals = vals.take(best)
+    best_pts = np.ascontiguousarray(Y.take(best, axis=1).T)
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -308,9 +336,11 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
     converged, radii)."""
     centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
     ax = space._defect_term(p, X)  # fixed per row; hoisted out of the loop
+    XT = np.ascontiguousarray(X.T)
 
     def obj(Y, idx):
-        return f(Y) + lam * space._defect(p, ax[idx], Y, X[idx] + Y)
+        return f(Y) + lam * space._defect(p, ax.take(idx), Y,
+                                          XT.take(idx, axis=1).T + Y)
 
     return _minimize_rows(obj, X, space, cfg, centers, radii,
                           extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
@@ -357,8 +387,10 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
     else:
         radii = np.full(X.shape[0], diameter)
 
+    XT = np.ascontiguousarray(X.T)
+
     def obj(Y, idx):
-        return f(Y) + lam * space._powered(X[idx] - Y, power)
+        return f(Y) + lam * space._powered(XT.take(idx, axis=1).T - Y, power)
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
@@ -379,8 +411,9 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     """Minimize a black-box objective over ball(center, radius).
 
     The objective may be batch-aware ((n, d) -> (n,)) or scalar-only; scalar
-    evaluators are wrapped row by row.  Returns (minimizer, value,
-    diagnostics).
+    evaluators are wrapped row by row.  A batch is an (n, d) float array
+    that may be a non-contiguous view, so an objective must not assume a
+    memory layout.  Returns (minimizer, value, diagnostics).
     """
     if not radius > 0:
         raise ValueError("radius must be positive")

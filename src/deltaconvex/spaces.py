@@ -36,16 +36,20 @@ _ROWSUM_MIN_ROWS = 64
 
 
 def _rowsum(a):
-    """``a.sum(axis=-1)`` bit for bit, faster on a short last axis.
+    """``a.sum(axis=-1)`` of a row-major copy of ``a``, bit for bit, for any
+    memory layout of ``a``; faster on a short last axis.
 
     numpy adds fewer than 8 terms of a row in plain order, so adding the
     columns one at a time into a copy of column 0 rounds the same way and
-    skips the slow reduce over a short axis.  From 8 terms on numpy sums
-    pairwise, and below 64 rows the loop costs more than the reduce; both
-    cases run the reduce itself.
+    skips the slow reduce over a short axis.  From 8 terms on numpy sums a
+    contiguous row pairwise but a strided one in plain order, so those rows
+    are made contiguous first; below 64 rows the loop costs more than the
+    reduce.  Both cases run the reduce itself.
     """
     d = a.shape[-1]
-    if d >= 8 or a.size < _ROWSUM_MIN_ROWS * d:
+    if d >= 8:
+        return np.add.reduce(np.ascontiguousarray(a), axis=-1)
+    if a.size < _ROWSUM_MIN_ROWS * d:
         return np.add.reduce(a, axis=-1)
     s = a[..., 0].copy()
     for k in range(1, d):
@@ -229,6 +233,12 @@ def _hanner_bracket(q, epsilon, level=2.0):
     return lo, hi
 
 
+def _one_minus_power(v, q):
+    """1 - v^q for 0 < v <= 1, to a few ulps of the result: the plain
+    difference cancels as v nears 1 (eps near 2 in Clarkson's formula)."""
+    return -math.expm1(q * math.log1p(v - 1.0))
+
+
 def analytic_modulus_lower(space, epsilon):
     """The exact modulus of convexity delta(eps) of the space: eps/2 in
     dimension 1; 0 on l_1 and l_inf; Clarkson's (1936)
@@ -245,7 +255,7 @@ def analytic_modulus_lower(space, epsilon):
     if epsilon == 2.0:
         return 1.0
     if q >= 2.0:
-        return 1.0 - (1.0 - (epsilon / 2.0) ** q) ** (1.0 / q)
+        return 1.0 - _one_minus_power(epsilon / 2.0, q) ** (1.0 / q)
     return _hanner_bracket(q, epsilon, 2.0 + _HANNER_ERR)[0]
 
 
@@ -265,7 +275,7 @@ def _modulus_witness(space, epsilon):
         W[:, 0] = 1.0, -1.0
     elif q >= 2.0:
         v = epsilon / 2.0
-        u = (1.0 - v ** q) ** (1.0 / q)
+        u = _one_minus_power(v, q) ** (1.0 / q)
         W[:, :2] = (u, v), (u, -v)
     else:
         delta = _hanner_bracket(q, epsilon)[1]

@@ -330,9 +330,12 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     unless both draws are the same node (equal level and signs), tested
     only where the distance is 0: two distinct nodes that coincide, or
     whose l_p distance underflows to 0, count at distance 0.
-    ``separation_pair`` is the first minimum: (level, row) for a
-    structured pair, ("sampled", index among the distinct pairs from the
-    batch start) for a sampled one.
+    ``separation_pair`` is the first minimum.  On the exhaustive path it
+    is (i, j), the two nodes' rows in level order (root first).  On the
+    sampled path it names its kind: ("parent-child", k, i) for child i of
+    level k + 1 and its parent, ("siblings", k, i) for the two children of
+    node i of level k, and ("sampled", index among the distinct pairs from
+    the batch start) for a sampled pair.
     """
     n = tree.node_count
     total_pairs = n * (n - 1) // 2
@@ -374,9 +377,9 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                 if dist[i] < best[s][0]:
                     best[s] = (float(dist[i]), first + i)
                 pairs_checked += dist.size
-        for dist, i in best:
+        for kind, (dist, i) in zip(("parent-child", "siblings"), best):
             if dist < min_sep:
-                min_sep, sep_pair = dist, (k, i)
+                min_sep, sep_pair = dist, (kind, k, i)
     midpoint_exact = violation is None
 
     if exhaustive:

@@ -243,6 +243,23 @@ class TestValidateTree:
     def test_missing_file(self, tmp_path):
         assert main(["validate-tree", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("depth, want", [
+        (4, "node pair"), (11, "siblings pair (level 10, index")])
+    def test_separation_failure_names_pair_kind(self, tmp_path, capsys,
+                                                depth, want):
+        # the last leaf moved next to its sibling; depth 11 is past the
+        # exhaustive cap, so its structured pairs find it
+        t = build_sign_tree(depth)
+        leaf = (1,) * depth
+        near = t.node(leaf[:-1] + (-1,)).copy()
+        near[-1] += 0.25
+        path = tmp_path / "tree.txt"
+        save_tree(t.with_node(leaf, near), path)
+        assert main(["validate-tree", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "separation 0.25 below theta 1" in err
+        assert want in err
+
     def test_depth10_tree_checked_exhaustively(self, tmp_path, capsys):
         path = tmp_path / "tree10.txt"
         save_tree(build_sign_tree(10), path)

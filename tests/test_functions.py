@@ -37,6 +37,21 @@ class TestDistanceFunction:
         with pytest.raises(ValueError):
             distance_function(space, PointSet(np.array([[0.0, 0.0]])))
 
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 10_000])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_streamed_equals_broadcast(self, q, rows):
+        # the running minimum over anchors equals the minimum of one
+        # (rows, anchors, d) broadcast bit for bit, in either memory layout
+        space = NormedSpace(3, q)
+        rng = np.random.default_rng(rows)
+        anchors = rng.uniform(-1.5, 1.5, size=(5, 3))
+        f = distance_function(space, PointSet(anchors))
+        X = rng.uniform(-2.0, 2.0, size=(rows, 3))
+        want = space._norm(X[:, None, :] - anchors).min(axis=-1)
+        assert np.array_equal(f(X), want)
+        assert np.array_equal(f(np.asfortranarray(X)), want)
+        assert f(X[0]) == want[0]
+
 
 class TestPointSetIO:
     def test_round_trip(self, tmp_path):

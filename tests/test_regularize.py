@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import deltaconvex.regularize as reg
-from deltaconvex import (ConvexPair, DimensionMismatchError,
+from deltaconvex import (CORPUS_LABELS, ConvexPair, DimensionMismatchError,
                          LipschitzFunction, NormedSpace, ParameterError, SolverConfig,
                          SolverError, ball_grid, corpus_function, decompose,
                          inf_convolve, inf_convolve_grid, inner_minimize,
@@ -449,12 +449,115 @@ class TestCompassFinish:
         assert not conv
 
 
+# The solver as it stood with points stored row by row, (rows, d): the
+# reference for the coordinate-major layout, which must reproduce it bit for
+# bit (values, minimizers, evaluation counts and converged flags).
+
+def _ref_project_rows(space, Y, centers, radii):
+    diff = Y - centers
+    nd = space._norm(diff)
+    over = nd > radii
+    if over.any():
+        Y = Y.copy()
+        scale = np.broadcast_to(radii, nd.shape)[over] / nd[over]
+        Y[over] = (np.broadcast_to(centers, Y.shape)[over]
+                   + diff[over] * scale[:, None])
+    return Y
+
+
+def _ref_lex_best(cands, vals):
+    tied = np.flatnonzero(vals == vals.min())
+    if tied.size == 1:
+        return int(tied[0])
+    return int(tied[np.lexsort(cands[tied].T[::-1])[0]])
+
+
+def _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
+    N, d = X.shape
+    m = cfg.coarse_samples
+    k = min(n_keep, m)
+    pool = reg._unit_ball_pool(space, m, cfg.seed)
+    keep_pts = np.empty((N, k, d))
+    chunk = max(1, (1 << 18) // m)
+    for lo in range(0, N, chunk):
+        hi = min(N, lo + chunk)
+        rows = np.arange(lo, hi)
+        ctr = centers[lo:hi][:, None, :]
+        rad = radii[lo:hi][:, None]
+        cand = _ref_project_rows(
+            space, ctr + rad[:, :, None] * pool[None, :, :], ctr, rad)
+        flat = cand.reshape(-1, d)
+        vals = reg._checked(obj, flat, np.repeat(rows, m),
+                            counter).reshape(-1, m)
+        part = np.argpartition(vals, k - 1, axis=1)[:, :k]
+        r = np.arange(hi - lo)[:, None]
+        order = np.argsort(vals[r, part], axis=1, kind="stable")
+        sel = part[r, order]
+        keep_pts[lo:hi] = cand[r, sel]
+        tied = np.flatnonzero((vals == vals[r, sel[:, :1]]).sum(axis=1) > 1)
+        for t in tied:
+            keep_pts[lo + t, 0] = cand[t, _ref_lex_best(cand[t], vals[t])]
+    return keep_pts
+
+
+def _ref_compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
+    N, d = Y.shape
+    dirs = np.vstack([np.eye(d), -np.eye(d)])
+    tol = cfg.tolerance
+    for _ in range(cfg.refine_iterations + 40 * d):
+        active = step >= tol / 8.0
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        T = Y[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
+        T = _ref_project_rows(space, T, centers[rows][:, None, :],
+                              radii[rows][:, None])
+        flat = T.reshape(-1, d)
+        tv = reg._checked(obj, flat, np.repeat(rows, 2 * d),
+                          counter).reshape(-1, 2 * d)
+        j = tv.argmin(axis=1)
+        tmin = tv[np.arange(rows.size), j]
+        better = tmin < vals[rows]
+        moved = rows[better]
+        Y[moved] = T[better, j[better]]
+        vals[moved] = tmin[better]
+        step[rows[~better]] *= 0.5
+    return (step < tol).all()
+
+
+def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
+    """The row-major stacked minimizer."""
+    N = X.shape[0]
+    counter = reg._Counter()
+    keep_pts = _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    starts = reg._select_starts(space, keep_pts, sep=radii * 0.25,
+                                k_starts=cfg.starts)
+    owner = np.tile(np.arange(N), len(starts))
+
+    def stacked(Y, idx):
+        return obj(Y, owner[idx])
+
+    Y = np.concatenate(starts)
+    vals = reg._checked(obj, Y, owner, counter)
+    converged = _ref_compass(stacked, Y, vals, radii[owner] * 0.25, space,
+                             cfg, centers[owner], radii[owner], counter)
+    best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
+    best_vals = vals[best]
+    best_pts = Y[best]
+    if extra_vals is not None:
+        upd = extra_vals < best_vals
+        best_vals[upd] = extra_vals[upd]
+        best_pts[upd] = X[upd]
+    return best_vals, best_pts, counter.evals, converged
+
+
 def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
-    """Reference: one compass search per start, reduced in start order with
-    a strict <, as the minimizer ran before the starts were stacked."""
+    """Reference: one row-major compass search per start, reduced in start
+    order with a strict <, as the minimizer ran before the starts were
+    stacked."""
     N, d = X.shape
     counter = reg._Counter()
-    keep_pts = reg._coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    keep_pts = _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter)
     starts = reg._select_starts(space, keep_pts, sep=radii * 0.25,
                                 k_starts=cfg.starts)
     best_vals = np.full(N, np.inf)
@@ -463,7 +566,7 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
     for Y0 in starts:
         Y = Y0.copy()
         vals = reg._checked(obj, Y, np.arange(N), counter)
-        conv = reg._compass(obj, Y, vals, radii * 0.25, space, cfg, centers,
+        conv = _ref_compass(obj, Y, vals, radii * 0.25, space, cfg, centers,
                             radii, counter)
         converged = converged and conv
         upd = vals < best_vals
@@ -474,6 +577,13 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
         best_vals[upd] = extra_vals[upd]
         best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
+
+
+def _assert_same_solve(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert bool(got[3]) == bool(want[3])
 
 
 STACK_CFG = SolverConfig(coarse_samples=64, refine_iterations=40, seed=3)
@@ -501,10 +611,7 @@ class TestStackedMultistart:
     def assert_identical(self, solves, calls):
         assert len(solves) == calls
         for got, want in solves:
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert got[2] == want[2]
-            assert bool(got[3]) == bool(want[3])
+            _assert_same_solve(got, want)
 
     @pytest.mark.parametrize("starts", [1, 2, 3, 5])
     @pytest.mark.parametrize("space,p", STACK_CASES,
@@ -575,7 +682,7 @@ class TestStackedMultistart:
         X = np.zeros((1, 1))
         radii = np.array([1.5])
         cfg = replace(STACK_CFG, starts=starts)
-        keep_pts = reg._coarse_stage(obj, X, L2_1, cfg, X, radii,
+        keep_pts = reg._coarse_stage(obj, L2_1, cfg, X.T, radii,
                                      reg._Counter())
         first = reg._select_starts(L2_1, keep_pts, sep=radii * 0.25,
                                    k_starts=starts)
@@ -586,6 +693,138 @@ class TestStackedMultistart:
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
+
+
+REF_CFG = SolverConfig(coarse_samples=24, refine_iterations=12,
+                       tolerance=1e-5, starts=2, seed=5)
+REF_BATCHES = (1, 63, 64, 65, 700)
+
+
+class TestCoordinateMajorLayout:
+    """Candidate, start and trial points stored by coordinate, gathered by
+    ``take``: the solver returns exactly what the row-major solver
+    returned."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            seen.append((got, _ref_minimize_rows(*args, **kwargs)))
+            return got
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        return seen
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_operators_equal_row_major(self, solves, q, d):
+        # each batch size gets another corpus function; power 4 on l3 and
+        # l4 runs the defect kernel past its quadratic case
+        space = NormedSpace(d, q)
+        p = 4.0 if q in (3.0, 4.0) else 2.0
+        X = space.ball_sample(np.random.default_rng(d), max(REF_BATCHES))
+        for k, n in enumerate(REF_BATCHES):
+            f = corpus_function(space, CORPUS_LABELS[(k + d) % 5])
+            regularize_power_grid(f, p, 9.0, X[:n], space, REF_CFG)
+            inf_convolve_grid(f, 2.0, 9.0, X[:n], space, REF_CFG)
+        assert len(solves) == 2 * len(REF_BATCHES)
+        for got, want in solves:
+            _assert_same_solve(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    def test_boundary_minima_equal_row_major(self, q, d):
+        # a linear objective has its minimum on the ball's boundary, so the
+        # best candidates start there and the compass trials are projected
+        space = NormedSpace(d, q)
+        X = space.ball_sample(np.random.default_rng(7 + d), 65)
+        radii = np.linspace(0.5, 1.5, 65)
+
+        def obj(Y, idx):
+            return -(Y[:, 0] + 0.5 * Y[:, d - 1])
+
+        for n in (1, 65):
+            args = (obj, X[:n], space, REF_CFG, X[:n], radii[:n])
+            got = reg._minimize_rows(*args)
+            _assert_same_solve(got, _ref_minimize_rows(*args))
+            r = space.norm(got[1] - X[:n])
+            assert np.allclose(r, radii[:n], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_wide_rows_equal_row_major(self, solves, q, d):
+        # from 8 coordinates numpy sums a contiguous row pairwise, so the
+        # strided rows of a coordinate-major block are summed as copies
+        space = NormedSpace(d, q)
+        X = space.ball_sample(np.random.default_rng(d), 7)
+        cfg = replace(REF_CFG, coarse_samples=64)
+        for label in ("norm", "distance"):
+            f = corpus_function(space, label)
+            inf_convolve_grid(f, 2.0, 9.0, X, space, cfg)
+            regularize_power_grid(f, 2.0, 9.0, X[:1], space, cfg)
+        assert len(solves) == 4
+        for got, want in solves:
+            _assert_same_solve(got, want)
+
+    def test_grid_across_coarse_chunks(self, solves):
+        # 512 pool points make a chunk of 2^18 // 512 = 512 rows, so 700
+        # rows take two chunks
+        cfg = replace(REF_CFG, coarse_samples=512)
+        X = L2_2.ball_sample(np.random.default_rng(3), 700)
+        regularize_power_grid(corpus_function(L2_2, "distance"), 2.0, 9.0, X,
+                              L2_2, cfg)
+        assert len(solves) == 1
+        _assert_same_solve(*solves[0])
+
+    @pytest.mark.parametrize("m", [2, 8, 160])
+    def test_coarse_ties_equal_row_major(self, m):
+        # a staircase objective ties many candidates of a row, often more
+        # than the 8 that are kept; the leading one goes to the least in
+        # lexicographic order
+        def obj(Y, idx):
+            return np.floor(4.0 * Y[:, 0]) + 0.0 * Y[:, 1]
+
+        cfg = replace(REF_CFG, coarse_samples=m)
+        X = L2_2.ball_sample(np.random.default_rng(m), 70)
+        radii = np.full(70, 0.3)
+        got = reg._coarse_stage(obj, L2_2, cfg, np.ascontiguousarray(X.T),
+                                radii, reg._Counter())
+        want = _ref_coarse_stage(obj, X, L2_2, cfg, X, radii, reg._Counter())
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_objective_reports_point(self, d):
+        space = NormedSpace(d, 2.0)
+        X = space.ball_sample(np.random.default_rng(d), 5)
+        radii = np.full(5, 2.0)
+
+        def obj(Y, idx):
+            out = Y[:, 0].copy()
+            out[out > 0.5] = math.nan
+            return out
+
+        errors = []
+        for solve in (reg._minimize_rows, _ref_minimize_rows):
+            with pytest.raises(SolverError) as err:
+                solve(obj, X, space, REF_CFG, X, radii)
+            errors.append(err.value.point)
+        got, want = errors
+        assert got.shape == (d,) and got[0] > 0.5
+        assert np.array_equal(got, want)
+
+    def test_objective_receives_point_rows(self):
+        # objectives get (n, d) float arrays, which may be strided views
+        seen = []
+
+        def obj(Y):
+            seen.append((Y.ndim, Y.shape[-1], Y.dtype))
+            return (Y ** 2).sum(axis=-1)
+
+        inner_minimize(obj, np.array([0.2, -0.1, 0.4]), 1.0, REF_CFG)
+        assert set(seen) == {(2, 3, np.dtype(float))}
 
 
 class TestBatchIndependence:

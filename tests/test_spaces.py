@@ -205,6 +205,20 @@ class TestRowsum:
             a = rowsum_values(kind, (rows, d))
             assert np.array_equal(_rowsum(a), a.sum(axis=-1))
 
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 12])
+    def test_any_layout(self, d, rows):
+        # the solver sums the (rows, d) view of blocks stored by coordinate;
+        # from 8 terms numpy would add such strided rows in plain order
+        # instead of pairwise
+        for kind in ("random", "tiny", "huge"):
+            a = rowsum_values(kind, (rows, d))
+            want = a.sum(axis=-1)
+            for view in (np.asfortranarray(a),
+                         np.ascontiguousarray(a.T).T,
+                         np.repeat(a, 2, axis=1)[:, ::2]):
+                assert np.array_equal(_rowsum(view), want)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8])
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_select_starts_shape(self, d, n):
@@ -280,16 +294,17 @@ def exact_modulus(mp, q, eps):
 class TestModulusReference:
     """The bracket against 50-digit references, and its witness pairs."""
 
-    @pytest.mark.parametrize("q", [1.05, 1.1, 1.25, 1.5, 1.75, 2.0, 3.0,
-                                   4.0, 8.0])
+    @pytest.mark.parametrize("q", [1.05, 1.1, 1.25, 1.5, 1.75, 2.0, 2.5,
+                                   3.0, 4.0, 6.0, 8.0, 17.0])
     @pytest.mark.parametrize("d", [2, 3])
     def test_bracket_holds_exact_value(self, q, d):
         # near eps = 2 Hanner's equation (q < 2) flattens, and the float
         # bisection's rounding moves its root by up to 1e-14 (q = 1.05,
-        # eps = 1.999)
+        # eps = 1.999); Clarkson's 1 - (eps/2)^q (q >= 2) cancels there
+        # unless computed as -expm1(q*log1p(eps/2 - 1))
         mpmath = pytest.importorskip("mpmath")
         space = NormedSpace(d, q)
-        near_two = (1.959, 1.99, 1.999) if q < 2.0 else ()
+        near_two = (1.959, 1.99, 1.999, 1.9995)
         with mpmath.workdps(50):
             for eps in (0.25, 0.5, 1.0, 1.5, 1.9) + near_two:
                 exact = exact_modulus(mpmath, q, eps)

@@ -552,6 +552,41 @@ class TestStreamedChecks:
         assert rep.pairs_checked == (STRUCTURED_PAIRS
                                      + _distinct_draws(tree, 2, 50_000))
 
+    def test_structured_pair_names_parent_child(self):
+        # leaf (1, ..., 1) moved to 0.25 from its parent; its sibling stays
+        # 1.25 away
+        sign = build_sign_tree(SAMPLED_DEPTH)
+        leaf = (1,) * SAMPLED_DEPTH
+        tree = sign.with_node(leaf, _offset(sign, leaf, -0.75))
+        rep = validate_tree(tree, NormedSpace(SAMPLED_DEPTH, math.inf),
+                            sample_pairs=STRUCTURED_PAIRS + 1000, seed=0)
+        kind, k, i = rep.separation_pair
+        assert (kind, k) == ("parent-child", SAMPLED_DEPTH - 1)
+        assert rep.min_separation == 0.25
+        parent = tree._level_rows(k, i // 2, i // 2 + 1)
+        child = tree._level_rows(k + 1, i, i + 1)
+        assert np.abs(parent - child).max() == 0.25
+
+    def test_structured_pair_names_siblings(self):
+        # leaf (1, ..., 1) moved to 0.25 from its sibling (1, ..., 1, -1),
+        # 0.75 from its parent
+        sign = build_sign_tree(SAMPLED_DEPTH)
+        leaf = (1,) * SAMPLED_DEPTH
+        tree = sign.with_node(leaf, _offset(sign, leaf[:-1] + (-1,), 0.25))
+        rep = validate_tree(tree, NormedSpace(SAMPLED_DEPTH, math.inf),
+                            sample_pairs=STRUCTURED_PAIRS + 1000, seed=0)
+        kind, k, i = rep.separation_pair
+        assert (kind, k) == ("siblings", SAMPLED_DEPTH - 1)
+        assert rep.min_separation == 0.25
+        pair = tree._level_rows(k + 1, 2 * i, 2 * i + 2)
+        assert np.abs(pair[0] - pair[1]).max() == 0.25
+
+    def test_clean_tree_first_pair_is_root_and_child(self):
+        rep = validate_tree(build_sign_tree(SAMPLED_DEPTH),
+                            NormedSpace(SAMPLED_DEPTH, math.inf),
+                            sample_pairs=STRUCTURED_PAIRS + 1000, seed=0)
+        assert rep.separation_pair == ("parent-child", 0, 0)
+
     def test_draw_law(self):
         # member 1 of the family: lead coordinate 4, signs in 5..16
         tree = build_tree_family([3, 12], scale=0.5).trees[1]
