@@ -4,7 +4,7 @@ The quadratic/power operators minimize f(y) + lambda * Q_p(x, y), and the
 inf-convolution baseline minimizes f(y) + lambda * |x - y|^power.  Both take
 their search ball from one rule: radius (L/(lambda*C))^(1/(p-1)) around x
 where a Clarkson constant C is proven (C = 1 for the inf-convolution at
-power > 1, which searches a fixed diameter at power 1), and |y| <= 2(1 + |x|)
+power > 1, which searches radius 8 at power 1), and |y| <= 2(1 + |x|)
 otherwise, which needs lambda >= 3L.  The pair of ``decompose`` has
 d = c - f_lambda, solved on the regularizer's own objective.  All searches
 share one derivative-free solver: a coarse stage on an in-package
@@ -45,6 +45,11 @@ __all__ = [
     "rate_bound",
     "ball_grid",
 ]
+
+_POOL_BATCH = 1 << 16  # Sobol' points drawn at once for a unit-ball pool
+_POOL_DRAWS = 1 << 20  # Sobol' points drawn for one pool at most
+_POWER1_RADIUS = 8.0  # search radius of the inf-convolution at power 1
+
 
 class ParameterError(ValueError):
     pass
@@ -93,16 +98,26 @@ class ConvexPair:
 
 @lru_cache(maxsize=32)
 def _unit_ball_pool(space, m, seed):
-    """m low-discrepancy points in the unit ball of the space norm."""
+    """m low-discrepancy points in the unit ball of the space norm: the
+    first m in-ball points of one scrambled Sobol' sequence in the cube,
+    drawn in batches of 2m, 4m, ... points, at most _POOL_BATCH at once and
+    _POOL_DRAWS in all."""
     sob = ScrambledSobol(space.dim, seed)
-    pts = np.empty((0, space.dim))
+    kept, found, drawn = [], 0, 0
     nbatch = 1
-    while pts.shape[0] < m:
-        nbatch = max(nbatch * 2, 2 * m)
+    while found < m:
+        if drawn >= _POOL_DRAWS:
+            raise ParameterError(
+                f"{drawn} points of the cube put {found} in the unit ball of "
+                f"l_{space.p_exponent:g}^{space.dim}, fewer than the {m} "
+                "coarse samples")
+        nbatch = min(max(nbatch * 2, 2 * m), _POOL_BATCH,
+                     _POOL_DRAWS - drawn)
         draw = 2.0 * sob.random(nbatch) - 1.0
-        keep = draw[space.norm(draw) <= 1.0]
-        pts = np.vstack([pts, keep])
-    pool = pts[:m].copy()
+        kept.append(draw[space.norm(draw) <= 1.0])
+        found += kept[-1].shape[0]
+        drawn += nbatch
+    pool = np.vstack(kept)[:m].copy()
     pool.setflags(write=False)
     return pool
 
@@ -373,8 +388,7 @@ def regularize_quadratic(f, lam, x, space, cfg=SolverConfig()):
     return regularize_power(f, 2.0, lam, x, space, cfg)
 
 
-def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
-                      diameter=8.0):
+def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
     """Values of (f square lam*|.|^power) at every row of ``points``."""
     if not power >= 1.0:
         raise ParameterError(f"power must be >= 1, got {power}")
@@ -385,7 +399,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
         _, radii = _search_ball(X, None, f.lipschitz_constant, lam, power,
                                 1.0)
     else:
-        radii = np.full(X.shape[0], diameter)
+        radii = np.full(X.shape[0], _POWER1_RADIUS)
 
     XT = np.ascontiguousarray(X.T)
 
@@ -398,10 +412,10 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig(),
     return vals, pts, evals, conv, radii
 
 
-def inf_convolve(f, power, lam, x, space, cfg=SolverConfig(), diameter=8.0):
+def inf_convolve(f, power, lam, x, space, cfg=SolverConfig()):
     x = np.asarray(x, dtype=float)
     vals, pts, evals, conv, radii = inf_convolve_grid(
-        f, power, lam, x[None], space, cfg, diameter)
+        f, power, lam, x[None], space, cfg)
     return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
                                 search_radius=float(radii[0]),
                                 evaluations=evals, converged=conv)

@@ -2,12 +2,13 @@
 blocks, the distance counterexample function, and the adversarial branch
 walk that certifies approximation-error lower bounds for convex pairs.
 
-Sign trees are stored implicitly (node coordinates are a function of the
-sign index), so walks on very deep trees never materialize the node set.
-Explicit trees (loaded from a file, or copied with one node replaced) hold
-every node in one read-only array in heap order: level k fills rows
-2^k - 1 .. 2^(k+1) - 2, listed by ``_level_signs``; ``_heap_index`` finds
-a node's row.
+Every node comes from one accessor, ``DyadicTree._place``, which turns a
+block of sign prefixes (one per column, zero-padded) into coordinates.  A
+sign tree computes them from the signs, so walks on very deep trees never
+materialize the node set.  An explicit tree (loaded from a file, or copied
+with one node replaced) gathers them from one read-only array in heap
+order: level k fills rows 2^k - 1 .. 2^(k+1) - 2, listed by
+``_level_signs``; ``_heap_index`` finds a node's row.
 
 Every check over many nodes runs in blocks of about ``_PAIR_BLOCK``
 doubles (512 KB, which fits in L2): a block holds ``_PAIR_BLOCK // D``
@@ -48,12 +49,12 @@ _STRUCTURED_BUDGET = 4096  # parents per level in the structured pairs
 
 
 def _level_signs(k, lo=0, hi=None):
-    """(hi - lo, k) array of the sign tuples of rows lo..hi-1 (all by
-    default) of level k in heap order: bit 0 -> +1, bit 1 -> -1, most
-    significant first."""
+    """(k, hi - lo) int8 array whose column j is the sign prefix of row
+    lo + j (all rows by default) of level k in heap order: bit 0 -> +1,
+    bit 1 -> -1, most significant first."""
     hi = 1 << k if hi is None else hi
-    bits = (np.arange(lo, hi)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return 1.0 - 2.0 * bits
+    bits = (np.arange(lo, hi) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    return (1 - 2 * bits).astype(np.int8)
 
 
 def _heap_index(alpha):
@@ -67,57 +68,53 @@ def _heap_index(alpha):
 
 
 @dataclass(frozen=True)
-class _SignStructure:
-    """Implicit node map: coordinates block_start..block_start+width-1 hold
-    an optional leading 1 followed by the sign prefix, scaled; all other
-    coordinates are 0."""
-    depth: int
-    ambient_dim: int
-    block_start: int
-    lead: bool
-    scale: float
-
-    @property
-    def width(self):
-        return self.depth + (1 if self.lead else 0)
-
-    def place(self, signs, out=None):
-        """The nodes whose sign prefixes are the rows of ``signs``, written
-        to ``out`` (any (rows, D) view, overwritten) if given."""
-        if out is None:
-            out = np.empty((len(signs), self.ambient_dim))
-        off = self.block_start + (1 if self.lead else 0)
-        k = signs.shape[1]
-        out[:, :off] = 0.0
-        out[:, off + k:] = 0.0
-        if self.lead:
-            out[:, self.block_start] = self.scale
-        np.multiply(signs, self.scale, out=out[:, off:off + k])
-        return out
-
-
-@dataclass(frozen=True)
 class DyadicTree:
     """A dyadic (depth, theta)-tree: indices are sign tuples of length
-    0..depth, each parent the exact midpoint of its children.  Nodes come
-    from a sign ``structure`` or a read-only heap-ordered ``nodes`` array."""
+    0..depth, each parent the exact midpoint of its children.
+
+    A sign tree (``nodes`` None) computes its nodes from their signs:
+    coordinates block_start.. hold a leading theta if ``lead``, then the
+    sign prefix scaled by theta; every other coordinate is 0.  An explicit
+    tree holds every node in the read-only heap-ordered array ``nodes``."""
     depth: int
     theta: float
     ambient_dim: int
-    structure: _SignStructure = None
+    block_start: int = 0
+    lead: bool = False
     nodes: np.ndarray = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if (self.structure is None) == (self.nodes is None):
-            raise ValueError("tree needs either a structure or a node array")
+        end = self.block_start + self.lead + self.depth
         if self.nodes is not None:
             self.nodes.flags.writeable = False
+        elif end > self.ambient_dim:
+            raise ValueError(f"block [{self.block_start}, {end}) overflows "
+                             f"ambient dimension {self.ambient_dim}")
 
     @property
     def node_count(self):
         return (1 << (self.depth + 1)) - 1
+
+    def _place(self, signs, out=None):
+        """The nodes whose sign prefixes are the columns of ``signs``, a
+        (k, m) array padded with zeros, as the rows of an (m, D) array,
+        written to ``out`` (any (m, D) view, overwritten) if given."""
+        if self.nodes is not None:
+            # a row index per column, also for k = 0 (every column the root)
+            rows = np.full(signs.shape[1], _heap_index(signs.astype(np.int64)))
+            return self.nodes.take(rows, axis=0, out=out)
+        if out is None:
+            out = np.empty((signs.shape[1], self.ambient_dim))
+        off = self.block_start + self.lead
+        k = signs.shape[0]
+        out[:, :off] = 0.0
+        out[:, off + k:] = 0.0
+        if self.lead:
+            out[:, self.block_start] = self.theta
+        np.multiply(signs.T, self.theta, out=out[:, off:off + k])
+        return out
 
     def _sign_index(self, alpha):
         alpha = tuple(int(s) for s in alpha)
@@ -126,10 +123,11 @@ class DyadicTree:
         return alpha
 
     def node(self, alpha):
-        alpha = self._sign_index(alpha)
-        if self.structure is None:
-            return self.nodes[_heap_index(alpha)]
-        return self.structure.place(np.array([alpha], dtype=float))[0]
+        """Node ``alpha`` as a read-only row."""
+        signs = np.array(self._sign_index(alpha), dtype=np.int8)
+        x = self._place(signs[:, None])[0]
+        x.flags.writeable = False
+        return x
 
     def level_array(self, k):
         if k > self.depth:
@@ -137,48 +135,37 @@ class DyadicTree:
         return self._level_rows(k, 0, 1 << k)
 
     def _level_rows(self, k, lo, hi):
-        """Rows lo..hi-1 of level k: a view of an explicit tree's array,
-        computed from their signs alone for a sign tree."""
-        if self.structure is None:
-            first = (1 << k) - 1
-            return self.nodes[first + lo:first + hi]
-        return self.structure.place(_level_signs(k, lo, hi))
+        """Rows lo..hi-1 of level k."""
+        return self._place(_level_signs(k, lo, hi))
 
     def indices(self):
         for k in range(self.depth + 1):
-            yield from map(tuple, _level_signs(k).astype(int).tolist())
+            yield from map(tuple, _level_signs(k).T.tolist())
 
     def to_explicit(self):
         if self.node_count > _ENUM_CAP:
             raise ValueError("tree too deep to materialize")
-        return replace(self, structure=None, nodes=_heap_nodes(self))
+        return replace(self, nodes=_heap_nodes(self))
 
     def with_node(self, alpha, vec):
         """Copy with one node replaced (fault injection in tests)."""
         nodes = self.to_explicit().nodes.copy()
         nodes[_heap_index(self._sign_index(alpha))] = vec
-        return replace(self, structure=None, nodes=nodes)
+        return replace(self, nodes=nodes)
 
 
 def build_sign_tree(depth, block_start=0, ambient_dim=None, scale=1.0,
                     lead=False):
-    """Explicit l_inf realization: the leaf for signs e has coordinate
+    """Sign tree in l_inf: the leaf for signs e has coordinate
     block_start+i equal to e_i; interior nodes truncate (equivalently,
     average their children).  A (depth, 1)-tree in the unit ball under
     l_inf for scale = 1."""
-    width = depth + (1 if lead else 0)
     if ambient_dim is None:
-        ambient_dim = block_start + width
-    if block_start + width > ambient_dim:
-        raise ValueError(
-            f"block [{block_start}, {block_start + width}) overflows "
-            f"ambient dimension {ambient_dim}")
+        ambient_dim = block_start + depth + lead
     if not 0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
-    struct = _SignStructure(depth=depth, ambient_dim=ambient_dim,
-                            block_start=block_start, lead=lead, scale=scale)
     return DyadicTree(depth=depth, theta=scale, ambient_dim=ambient_dim,
-                      structure=struct)
+                      block_start=block_start, lead=lead)
 
 
 @dataclass(frozen=True)
@@ -363,8 +350,8 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                 if gaps[bad] > worst_gap:
                     worst_gap = float(gaps[bad])
                     row = lo + bad
-                    violation = tuple(int(s) for s in
-                                      _level_signs(k, row, row + 1)[0])
+                    violation = tuple(
+                        _level_signs(k, row, row + 1)[:, 0].tolist())
             if lo >= budget:
                 continue
             top = min(hi, budget) - lo
@@ -390,8 +377,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     else:
         rng = np.random.default_rng(seed)
         remaining = max(sample_pairs - pairs_checked, 0)
-        if tree.structure is None:
-            remaining = min(remaining, 50_000)
+        if tree.nodes is not None:
             # checked once here: the blocks below use the unchecked _norm
             space._check(tree.nodes)
         # the nodes a and b of a block (a then holds a - b), stored by
@@ -406,8 +392,8 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                 r1 = min(m, r0 + rows)
                 sa, sb = signs_a[:, r0:r1], signs_b[:, r0:r1]
                 xa, xb = a[:, :r1 - r0], b[:, :r1 - r0]
-                _place_drawn(tree, sa, xa.T)
-                _place_drawn(tree, sb, xb.T)
+                tree._place(sa, xa.T)
+                tree._place(sb, xb.T)
                 dist = space._norm(np.subtract(xa, xb, out=xa).T)
                 zero = np.flatnonzero(dist == 0.0)
                 if zero.size:
@@ -449,78 +435,50 @@ def _draw_nodes(tree, rng, m):
     return signs
 
 
-def _place_drawn(tree, signs, out):
-    """Write the drawn nodes (columns of ``signs``) as the rows of ``out``,
-    any (m, D) view: computed from the signs for sign trees, looked up by
-    heap index for explicit ones."""
-    if tree.structure is not None:
-        return tree.structure.place(signs.T, out=out)
-    out[...] = tree.nodes[_heap_index(signs.astype(np.int64))]
-    return out
-
-
 def _random_nodes(tree, rng, m):
     """m random nodes (the law of ``_draw_nodes``) as an (m, D) array."""
-    return _place_drawn(tree, _draw_nodes(tree, rng, m),
-                        np.empty((m, tree.ambient_dim)))
+    return tree._place(_draw_nodes(tree, rng, m))
 
 
 def _heap_nodes(tree, levels=None):
-    """Levels 0 .. levels - 1 (all by default) in heap order, a view of an
-    explicit tree's array; they end where level ``levels`` starts."""
+    """Levels 0 .. levels - 1 (all by default) in heap order."""
     levels = tree.depth + 1 if levels is None else min(levels, tree.depth + 1)
-    if tree.structure is None:
-        return tree.nodes[:_heap_index((1,) * levels)]
-    return np.vstack([tree.level_array(k) for k in range(levels)])
+    return np.vstack([tree._level_rows(k, 0, 1 << k) for k in range(levels)])
 
 
 def counterexample_function(family, space):
     """1-Lipschitz distance to the union of even-level nodes of the family
     (level counted within each member subtree, root = even).
 
-    For l_inf sign trees the distance is evaluated in closed form, so the
-    function stays exact at depths where the node set cannot be enumerated.
+    Defined for l_inf sign-tree families, where the distance is evaluated in
+    closed form, so the function stays exact at depths where the node set
+    cannot be enumerated.
     """
     if space.dim != family.ambient_dim:
         raise ValueError("space dimension does not match the family")
-    if space.p_exponent == math.inf and all(
-            t.structure is not None for t in family.trees):
-        return _analytic_counterexample(family, space)
-
-    from .functions import PointSet, distance_function
-    pts = []
-    for t in family.trees:
-        if t.node_count > _ENUM_CAP:
-            raise ValueError("member too deep to enumerate; use l_inf sign "
-                             "trees for the closed-form distance")
-        for k in range(0, t.depth + 1, 2):
-            pts.append(t.level_array(k))
-    f = distance_function(space, PointSet(np.vstack(pts)))
-    return LipschitzFunction(f.evaluator, 1.0, "tree-counterexample")
-
-
-def _analytic_counterexample(family, space):
-    members = [t.structure for t in family.trees]
+    if space.p_exponent != math.inf or any(
+            t.nodes is not None for t in family.trees):
+        raise ValueError("the counterexample needs l_inf and a family of "
+                         "sign trees")
     D = family.ambient_dim
     masks = []
-    for st in members:
+    for t in family.trees:
         m = np.ones(D, dtype=bool)
-        m[st.block_start:st.block_start + st.width] = False
+        m[t.block_start:t.block_start + t.lead + t.depth] = False
         masks.append(m)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         absx = np.abs(x)
         best = None
-        for st, outmask in zip(members, masks):
+        for t, outmask in zip(family.trees, masks):
             out = absx[..., outmask].max(axis=-1) if outmask.any() else 0.0
-            off = st.block_start
-            lead_pen = np.abs(x[..., off] - st.scale) if st.lead else 0.0
-            blk = absx[..., off + (1 if st.lead else 0):
-                       st.block_start + st.width]
-            n = st.depth
+            off = t.block_start + t.lead
+            lead_pen = (np.abs(x[..., t.block_start] - t.theta) if t.lead
+                        else 0.0)
+            blk = absx[..., off:off + t.depth]
             # P[k] = max_{j<=k} ||x_j| - s|, S[k] = max_{j>k} |x_j|
-            pref = np.abs(blk - st.scale)
+            pref = np.abs(blk - t.theta)
             P = np.concatenate(
                 [np.zeros_like(blk[..., :1]),
                  np.maximum.accumulate(pref, axis=-1)], axis=-1)
@@ -657,6 +615,8 @@ def load_tree(path):
         if depth < 1 or (1 << (depth + 1)) - 1 > _ENUM_CAP:
             raise ValueError(f"{path}:1: depth {depth} is below 1 or has "
                              f"more than {_ENUM_CAP} nodes")
+        if D < 1:
+            raise ValueError(f"{path}:1: dimension {D} is below 1")
         if not (math.isfinite(theta) and theta > 0):
             raise ValueError(f"{path}:1: theta {theta} is not positive")
         rows = [None] * ((1 << (depth + 1)) - 1)  # one per heap row
@@ -684,6 +644,8 @@ def load_tree(path):
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad coordinate ({exc})") from None
+            if not all(map(math.isfinite, rows[row])):
+                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
     missing = rows.count(None)
     if missing:
         raise ValueError(f"{path}: tree has {len(rows) - missing} nodes, "

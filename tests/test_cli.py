@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import deltaconvex
 from deltaconvex import build_sign_tree, save_tree
 from deltaconvex.cli import CSV_HEADER, main
 
@@ -242,6 +247,22 @@ class TestValidateTree:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate-tree", str(tmp_path / "nope.txt")]) == 2
+
+    def test_non_finite_coordinate_exits_two(self, tmp_path):
+        # the module entry point, as a user runs it: a NaN root once passed
+        # the loader and ended in a traceback with exit 1
+        path = tmp_path / "tree.txt"
+        path.write_text("1 2 1\nnan 0\n+ 1 0\n- -1 0\n")
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(deltaconvex.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltaconvex.cli", "validate-tree",
+             str(path)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == (
+            f"config error: {path}:2: non-finite coordinate")
 
     @pytest.mark.parametrize("depth, want", [
         (4, "node pair"), (11, "siblings pair (level 10, index")])

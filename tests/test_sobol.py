@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from scipy.stats import qmc
 
 import deltaconvex
 import deltaconvex._sobol as sobol
-from deltaconvex import NormedSpace
+import deltaconvex.regularize as reg
+from deltaconvex import (NormedSpace, SolverConfig, corpus_function,
+                         inf_convolve)
 from deltaconvex._sobol import ScrambledSobol
-from deltaconvex.regularize import _unit_ball_pool
+from deltaconvex.regularize import ParameterError, _unit_ball_pool
 
 # scipy warns on every first draw whose size is not a power of 2
 pytestmark = pytest.mark.filterwarnings("ignore:The balance properties")
@@ -27,6 +30,19 @@ def _old_pool(space, m, seed):
         draw = 2.0 * sob.random(nbatch) - 1.0
         pts = np.vstack([pts, draw[space.norm(draw) <= 1.0]])
     return pts[:m]
+
+
+def _unbounded_pool(space, m, seed):
+    """The pool's draw loop before its batches and total were bounded."""
+    sob = ScrambledSobol(space.dim, seed)
+    pts = np.empty((0, space.dim))
+    nbatch = 1
+    while pts.shape[0] < m:
+        nbatch = max(nbatch * 2, 2 * m)
+        draw = 2.0 * sob.random(nbatch) - 1.0
+        keep = draw[space.norm(draw) <= 1.0]
+        pts = np.vstack([pts, keep])
+    return pts[:m].copy()
 
 
 class TestScrambledSobol:
@@ -81,6 +97,32 @@ class TestUnitBallPool:
         # l1^4 keeps 1/24 of the cube, so its pool chains four draws
         pool = _unit_ball_pool(space, m, seed)
         assert np.array_equal(pool, _old_pool(space, m, seed))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+    @pytest.mark.parametrize("m", [16, 160, 512])
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_bounded_batches_keep_the_pool(self, monkeypatch, d, p, m,
+                                           batch):
+        # the sequence continues across draws, so smaller batches keep the
+        # same first m in-ball points; a 64-point batch caps every draw
+        # past m = 32
+        if batch is not None:
+            monkeypatch.setattr(reg, "_POOL_BATCH", batch)
+        space = NormedSpace(d, p)
+        got = _unit_ball_pool.__wrapped__(space, m, 3)
+        assert np.array_equal(got, _unbounded_pool(space, m, 3))
+
+    def test_sparse_ball_refused(self):
+        # the l1^12 ball is 2e-9 of the cube: 64 points would take about
+        # 3e10 draws, which once grew until the process ran out of memory
+        space = NormedSpace(12, 1.0)
+        f = corpus_function(space, "norm")
+        start = time.perf_counter()
+        with pytest.raises(ParameterError, match=r"l_1\^12.* 64 coarse"):
+            inf_convolve(f, 2.0, 9.0, np.zeros(12), space,
+                         SolverConfig(coarse_samples=64))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_import_leaves_out_scipy_stats():

@@ -34,6 +34,10 @@ class TestConstruction:
     def test_block_overflow(self):
         with pytest.raises(ValueError, match="overflows"):
             build_sign_tree(4, block_start=1, ambient_dim=4)
+        # a tree without a node array is a sign tree, checked the same way
+        with pytest.raises(ValueError, match=r"\[2, 6\) overflows"):
+            trees_mod.DyadicTree(depth=3, theta=1.0, ambient_dim=5,
+                                 block_start=2, lead=True)
 
     def test_bad_index(self):
         t = build_sign_tree(2)
@@ -143,7 +147,7 @@ class TestPairKernel:
     @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("tree", _reference_trees(),
                              ids=lambda t: f"d{t.depth}-D{t.ambient_dim}-"
-                             f"{'fault' if t.structure is None else 'clean'}")
+                             f"{'clean' if t.nodes is None else 'fault'}")
     def test_exhaustive_matches_broadcast(self, monkeypatch, tree, p, block):
         # a small block puts tied minima in different row blocks, where only
         # the first in row-major order may win
@@ -252,6 +256,16 @@ class TestCounterexample:
             want = 0.0 if k % 2 == 0 else 1.0
             assert np.all(vals == want)
 
+    def test_refuses_other_spaces_and_explicit_members(self):
+        fam = build_tree_family([2, 4])
+        with pytest.raises(ValueError, match="l_inf"):
+            counterexample_function(fam, NormedSpace(fam.ambient_dim, 2.0))
+        mixed = TreeFamily(trees=(fam.trees[0].to_explicit(), fam.trees[1]),
+                           rho=fam.rho, mutual_distance=fam.mutual_distance)
+        with pytest.raises(ValueError, match="sign trees"):
+            counterexample_function(
+                mixed, NormedSpace(fam.ambient_dim, math.inf))
+
     def test_lipschitz_one(self):
         fam = build_tree_family([4])
         space = NormedSpace(fam.ambient_dim, math.inf)
@@ -334,6 +348,10 @@ MALFORMED = {
     "unparsed-depth": ("a 2 1\n0 0\n", 1, "bad header"),
     "unparsed-coordinate": ("1 2 1\n0 0\n+ 1 x\n- -1 0\n", 3,
                             "bad coordinate"),
+    "nan-coordinate": ("1 2 1\nnan 0\n+ 1 0\n- -1 0\n", 2, "non-finite"),
+    "inf-coordinate": ("1 2 1\n0 0\n+ 1 -inf\n- -1 0\n", 3, "non-finite"),
+    "dimension-zero": ("1 0 1\n\n+\n-\n", 1, "dimension 0"),
+    "dimension-negative": ("1 -2 1\n" + _DEPTH1_BODY, 1, "dimension -2"),
 }
 
 
@@ -406,7 +424,7 @@ class TestHeapLayout:
     def test_heap_index_of_level_signs(self):
         for k in range(1, 7):
             signs = trees_mod._level_signs(k).astype(int)
-            rows = trees_mod._heap_index(signs.T)
+            rows = trees_mod._heap_index(signs)
             assert np.array_equal(rows, np.arange((1 << k) - 1,
                                                   (1 << (k + 1)) - 1))
         # zero-padded prefixes of different lengths in one array
@@ -423,7 +441,7 @@ class TestHeapLayout:
             assert np.flatnonzero(differs).tolist() == [row]
             assert np.array_equal(changed.node(alpha), np.full(5, 7.0))
             assert np.array_equal(source.nodes, before)
-            assert tree.structure is not None
+            assert tree.nodes is None
             assert np.array_equal(tree.with_node(alpha, np.full(5, 7.0)).nodes,
                                   changed.nodes)
         with pytest.raises(KeyError):
@@ -464,6 +482,15 @@ class TestRandomNodes:
         assert not rep.exhaustive_pairs
         assert rep.pairs_checked == 1_976_604
         assert rep.min_separation == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_explicit_copy_samples_like_sign_tree(self, seed):
+        # both kinds draw sample_pairs pairs: the same nodes, the same report
+        t = build_sign_tree(12)
+        space = NormedSpace(12, math.inf)
+        want = validate_tree(t, space, seed=seed)
+        assert not want.exhaustive_pairs
+        assert validate_tree(t.to_explicit(), space, seed=seed) == want
 
     def test_sampled_path_rejects_non_finite_explicit_tree(self):
         # depth 14 puts the last leaf past the structured-pair budget, so
@@ -515,8 +542,7 @@ class TestStreamedChecks:
                              ids=["sign-lead-scale", "family-member",
                                   "explicit-near", "explicit-coincident"])
     def test_block_invariance(self, monkeypatch, tree, p):
-        # 80,000 pairs span two draw batches of a sign tree; explicit trees
-        # sample at most 50,000
+        # 80,000 pairs span two draw batches
         space = NormedSpace(tree.ambient_dim, p)
         for block, pairs in ((48, STRUCTURED_PAIRS + 3000), (1000, 80_000)):
             want = validate_tree(tree, space, sample_pairs=pairs, seed=1)
@@ -525,7 +551,7 @@ class TestStreamedChecks:
             monkeypatch.undo()
             assert not got.exhaustive_pairs
             assert got == want
-        if tree.structure is None:
+        if tree.nodes is not None:
             assert got.separation_pair[0] == "sampled"
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
