@@ -37,6 +37,15 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _finite_real(raw):
+    """float(raw), refusing nan and +-inf: nan slips past every ordered
+    check, and inf fails deep inside a solve."""
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(raw)
+    return val
+
+
 @dataclass
 class ExperimentConfig:
     """Flat key -> string configuration with typed, defaulted accessors.
@@ -86,15 +95,15 @@ class ExperimentConfig:
         return self._get(key, default, int, "integer")
 
     def get_float(self, key, default):
-        return self._get(key, default, float, "real")
+        return self._get(key, default, _finite_real, "finite real")
 
     def get_str(self, key, default):
         return self._get(key, default, str, "text")
 
     def get_float_list(self, key, default):
         def cast(raw):
-            return [float(t) for t in raw.replace(",", " ").split()]
-        return self._get(key, list(default), cast, "list of reals")
+            return [_finite_real(t) for t in raw.replace(",", " ").split()]
+        return self._get(key, list(default), cast, "list of finite reals")
 
     def get_int_list(self, key, default):
         def cast(raw):

@@ -13,19 +13,21 @@ the best separated candidates (three by default), run as one batch over
 every start of every row until each step is below tolerance/8.  The solver
 stores its points by coordinate, as (d, ...) blocks whose coordinates are
 contiguous runs, and gathers rows with ``take``; objectives receive the
-(n, d) view of a block, which may be non-contiguous.
+(n, d) view of a block, which may be non-contiguous.  Both stages take
+their rows in blocks of about ``spaces._BLOCK`` doubles.
 Returned values are objective values at points the solver found, so they
 are upper bounds on the true infimum up to the rounding of lambda*Q, which
 the minimizer can exploit at about the 1e-12 level.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import NormedSpace, analytic_power_constant
+from .spaces import _BLOCK, NormedSpace, analytic_power_constant
 
 __all__ = [
     "SolverConfig",
@@ -74,8 +76,8 @@ class SolverConfig:
             raise ValueError("coarse_samples must be >= 1")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be >= 0")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
 
@@ -177,15 +179,15 @@ def _lex_best(cands, vals):
 def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
     """Evaluate the shared pool around each row (``centers`` (d, N), by
     coordinate); return the min(n_keep, m) best candidates per row,
-    value-sorted, as an (N, min(n_keep, m), d) array.  A chunk holds at
-    most 2^18 candidate rows, which bounds the memory of one objective
-    call."""
+    value-sorted, as an (N, min(n_keep, m), d) array.  A chunk holds
+    ``_BLOCK // (m*d)`` rows (at least one), so its (d, n, m) candidate
+    block is about ``_BLOCK`` doubles."""
     d, N = centers.shape
     m = cfg.coarse_samples
     k = min(n_keep, m)
     pool = np.ascontiguousarray(_unit_ball_pool(space, m, cfg.seed).T)
     keep_pts = np.empty((N, k, d))
-    chunk = max(1, (1 << 18) // m)
+    chunk = max(1, _BLOCK // (m * d))
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         n = hi - lo
@@ -239,31 +241,37 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
     """Compass search of every row, in place.  ``Y`` and ``centers`` hold
     the rows by coordinate, shape (d, N).  A row finishes once its step
     falls below tolerance/8; the search counts as converged when every
-    row's step ended below the tolerance itself."""
+    row's step ended below the tolerance itself.  Each iteration takes its
+    active rows in slices of ``_BLOCK // (2*d*d)`` rows (at least one), so
+    a (d, 2d, n) trial block is about ``_BLOCK`` doubles; rows move only on
+    their own values, so the slicing changes no result."""
     d = Y.shape[0]
     # dirs[k, j] is coordinate k of direction j: +e_0, ..., +e_{d-1}, -e_0, ...
     dirs = np.hstack([np.eye(d), -np.eye(d)])[:, :, None]
     tol = cfg.tolerance
+    width = max(1, _BLOCK // (2 * d * d))
     for _ in range(cfg.refine_iterations + 40 * d):
-        rows = (step >= tol / 8.0).nonzero()[0]
-        n = rows.size
-        if not n:
+        active = (step >= tol / 8.0).nonzero()[0]
+        if not active.size:
             break
-        s = step.take(rows)
-        # trial point j of active row i sits at T[:, j, i]
-        T = Y.take(rows, axis=1)[:, None, :] + s * dirs
-        _project(space, T, centers.take(rows, axis=1)[:, None, :],
-                 radii.take(rows))
-        idx = np.empty((2 * d, n), dtype=rows.dtype)
-        idx[:] = rows
-        tv = _checked(obj, _rows(T), idx.reshape(-1), counter)
-        pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
-        tmin = tv.take(pick)
-        better = tmin < vals.take(rows)
-        moved = rows.compress(better)
-        Y[:, moved] = T.reshape(d, -1).take(pick.compress(better), axis=1)
-        vals[moved] = tmin.compress(better)
-        step[rows] = np.where(better, s, s * 0.5)
+        for lo in range(0, active.size, width):
+            rows = active[lo:lo + width]
+            n = rows.size
+            s = step.take(rows)
+            # trial point j of active row i sits at T[:, j, i]
+            T = Y.take(rows, axis=1)[:, None, :] + s * dirs
+            _project(space, T, centers.take(rows, axis=1)[:, None, :],
+                     radii.take(rows))
+            idx = np.empty((2 * d, n), dtype=rows.dtype)
+            idx[:] = rows
+            tv = _checked(obj, _rows(T), idx.reshape(-1), counter)
+            pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
+            tmin = tv.take(pick)
+            better = tmin < vals.take(rows)
+            moved = rows.compress(better)
+            Y[:, moved] = T.reshape(d, -1).take(pick.compress(better), axis=1)
+            vals[moved] = tmin.compress(better)
+            step[rows] = np.where(better, s, s * 0.5)
     return (step < tol).all()
 
 
@@ -314,9 +322,26 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
 def search_radius(x, L, lam, space):
     """Radius of the ball on which the regularizer's infimum is attained:
     R = 2(1 + |x|), valid once lambda >= 3L."""
-    if not L > 0 or not lam > 0:
-        raise ParameterError("L and lambda must be positive")
+    if not L > 0:
+        raise ParameterError("L must be positive")
+    _check_lambda(lam)
     return float(_search_ball(x, space.norm(x), L, lam, None, None)[1])
+
+
+def _check_lambda(lam):
+    """Every public operator takes a finite positive lambda: at 0 the ball
+    radius divides by zero, below it the infimum is not a regularization,
+    and at inf no search ball is finite."""
+    if not 0.0 < lam < math.inf:
+        raise ParameterError(
+            f"lambda must be positive and finite, got {lam}")
+
+
+def _check_exponent(p, least):
+    """A power exponent is finite and at least ``least``."""
+    if not least <= p < math.inf:
+        raise ParameterError(
+            f"power must be finite and >= {least:g}, got {p}")
 
 
 def _check_threshold(L, lam):
@@ -363,8 +388,8 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
 
 def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
     """Values of the power-p regularizer at every row of ``points``."""
-    if not p >= 2.0:
-        raise ParameterError(f"power exponent must be >= 2, got {p}")
+    _check_exponent(p, 2.0)
+    _check_lambda(lam)
     X = space._check(np.atleast_2d(points))
     C = analytic_power_constant(space, p)
     nx = space._norm(X)
@@ -390,10 +415,8 @@ def regularize_quadratic(f, lam, x, space, cfg=SolverConfig()):
 
 def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
     """Values of (f square lam*|.|^power) at every row of ``points``."""
-    if not power >= 1.0:
-        raise ParameterError(f"power must be >= 1, got {power}")
-    if not lam > 0:
-        raise ParameterError("lambda must be positive")
+    _check_exponent(power, 1.0)
+    _check_lambda(lam)
     X = space._check(np.atleast_2d(points))
     if power > 1.0:
         _, radii = _search_ball(X, None, f.lipschitz_constant, lam, power,
@@ -429,8 +452,8 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     that may be a non-contiguous view, so an objective must not assume a
     memory layout.  Returns (minimizer, value, diagnostics).
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ParameterError("radius must be positive and finite")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.shape[0]
     if space is None:
@@ -466,9 +489,11 @@ def decompose(f, lam, space, cfg=SolverConfig()):
     d solves f_lam with its own solver seed, so comparing c - d against
     regularize_quadratic is a genuine two-route consistency check.
     """
+    # fail here rather than at the first call of d
+    _check_lambda(lam)
     C = analytic_power_constant(space, 2.0)
     if C is None:
-        _check_threshold(f.lipschitz_constant, lam)  # fail before any solve
+        _check_threshold(f.lipschitz_constant, lam)
     d_cfg = replace(cfg, seed=cfg.seed + 1)
 
     def c(x):
@@ -516,6 +541,6 @@ def rate_bound(p, C, lam, L=1.0):
     from the 1-Lipschitz case through the scaling identity."""
     if not 0.0 < C <= 1.0:
         raise ParameterError(f"constant must lie in (0, 1], got {C}")
-    if not p >= 2.0:
-        raise ParameterError("p must be >= 2")
+    _check_exponent(p, 2.0)
+    _check_lambda(lam)
     return L * (L / (lam * C)) ** (1.0 / (p - 1.0))

@@ -31,6 +31,10 @@ def _err_sum3(a, b, c):
     return s2 + (e1 + e2)
 
 
+# doubles in one working block (512 KB, which fits in L2): the tree checks
+# and both solver stages split their rows into blocks of about this size
+_BLOCK = 1 << 16
+
 # below this many rows one reduce call costs less than the column loop
 _ROWSUM_MIN_ROWS = 64
 

@@ -10,10 +10,10 @@ with one node replaced) gathers them from one read-only array in heap
 order: level k fills rows 2^k - 1 .. 2^(k+1) - 2, listed by
 ``_level_signs``; ``_heap_index`` finds a node's row.
 
-Every check over many nodes runs in blocks of about ``_PAIR_BLOCK``
-doubles (512 KB, which fits in L2): a block holds ``_PAIR_BLOCK // D``
-rows of D coordinates, and the pair kernel takes as many rows as fill
-``_PAIR_BLOCK`` distances.  Blocks only split rows, so no result depends
+Every check over many nodes runs in blocks of about ``spaces._BLOCK``
+doubles, the package's one block size: a block holds ``_BLOCK // D`` rows
+of D coordinates, and the pair kernel takes as many rows as fill
+``_BLOCK`` distances.  Blocks only split rows, so no result depends
 on the block size.  Random nodes follow one law: a level uniform on
 0..depth, then independent fair signs, drawn as packed random bytes.
 """
@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functions import LipschitzFunction
+from .spaces import _BLOCK
 
 __all__ = [
     "DyadicTree",
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 _ENUM_CAP = 1 << 21  # max node count for exhaustive materialization
-_PAIR_BLOCK = 1 << 16  # doubles in one block of the node and pair checks
 _EXHAUSTIVE_PAIRS = 1 << 22  # node pairs always checked exhaustively
 _DRAW_BATCH = 1 << 16  # node pairs drawn at once by the sampled check
 _STRUCTURED_BUDGET = 4096  # parents per level in the structured pairs
@@ -226,7 +226,7 @@ def _min_pair_distance(space, A, B, upper=False):
 
     Returns (min, (i, j), pairs_checked) with (i, j) the first minimizing
     pair in row-major order.  With ``upper`` B must be A and only the pairs
-    i < j count.  Rows go in blocks of about _PAIR_BLOCK distances, and a
+    i < j count.  Rows go in blocks of about _BLOCK distances, and a
     block accumulates one coordinate at a time, so memory stays bounded
     whatever the row counts and dimension.  A coordinate zero in both A and
     B adds nothing to any l_p distance and is skipped; one zero in all of B
@@ -258,7 +258,7 @@ def _min_pair_distance(space, A, B, upper=False):
     Bt = np.ascontiguousarray(B[:, shared].T)
 
     m, n = A.shape[0], B.shape[0]
-    step = max(1, _PAIR_BLOCK // max(n, 1))
+    step = max(1, _BLOCK // max(n, 1))
     best, pair, checked = math.inf, None, 0
     for lo in range(0, m, step):
         hi = min(m, lo + step)
@@ -307,7 +307,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     pairs (a depth-10 tree has 2,094,081), deterministic subsampling of
     sample_pairs pairs beyond.
 
-    Every stage runs in blocks of ``_PAIR_BLOCK // D`` rows, so memory stays
+    Every stage runs in blocks of ``_BLOCK // D`` rows, so memory stays
     bounded at any depth: the midpoint pass walks each level in blocks of
     parent rows (children 2lo..2hi), and on the sampled path takes the
     structured pairs (parent/child and siblings among the first 4096
@@ -327,7 +327,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     n = tree.node_count
     total_pairs = n * (n - 1) // 2
     exhaustive = total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS)
-    rows = max(1, _PAIR_BLOCK // tree.ambient_dim)
+    rows = max(1, _BLOCK // tree.ambient_dim)
     worst_gap = 0.0
     violation = None
     min_sep = math.inf

@@ -106,6 +106,19 @@ class TestExitCodes:
         key = setting.split("=")[0]
         assert f"config field {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "bound_slack=nan", "tolerance=inf", "lambdas=16,inf", "lambdas=nan",
+        "radius=inf", "power=inf"])
+    def test_non_finite_real(self, tmp_path, capsys, setting):
+        # nan passes every ordered check (bound_slack=nan would switch the
+        # rate check off), and inf fails inside a solve
+        code, data = run(tmp_path, ["converge", "--set", "grid=5",
+                                    "--set", setting])
+        assert code == 2
+        assert data == b""
+        key = setting.split("=")[0]
+        assert f"config field {key!r}" in capsys.readouterr().err
+
     def test_malformed_config_file(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("dim: 2\n")

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -402,8 +405,9 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(coarse_samples=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tolerance=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                SolverConfig(tolerance=tol)
         with pytest.raises(ValueError):
             SolverConfig(starts=0)
         with pytest.raises(ValueError):
@@ -770,8 +774,8 @@ class TestCoordinateMajorLayout:
             _assert_same_solve(got, want)
 
     def test_grid_across_coarse_chunks(self, solves):
-        # 512 pool points make a chunk of 2^18 // 512 = 512 rows, so 700
-        # rows take two chunks
+        # 512 pool points on l2^2 make a chunk of 2^16 // 1024 = 64 rows,
+        # so 700 rows take eleven chunks, the last of 60 rows
         cfg = replace(REF_CFG, coarse_samples=512)
         X = L2_2.ball_sample(np.random.default_rng(3), 700)
         regularize_power_grid(corpus_function(L2_2, "distance"), 2.0, 9.0, X,
@@ -847,3 +851,156 @@ class TestBatchIndependence:
                                                   space, cfg)
             assert v[0] == vals[i]
             assert np.array_equal(y[0], pts[i])
+
+
+class TestPublicParameters:
+    """lambda, power and radius are checked once, at the public entry."""
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.inf, math.nan])
+    def test_lambda_must_be_finite_positive(self, lam):
+        f = corpus_function(L2_2, "norm")
+        x = np.zeros(2)
+        calls = [
+            lambda: regularize_quadratic(f, lam, x, L2_2),
+            lambda: regularize_power_grid(f, 4.0, lam, x[None], L2_2),
+            lambda: inf_convolve_grid(f, 2.0, lam, x[None], L2_2),
+            lambda: inf_convolve(f, 1.0, lam, x, L2_2),
+            lambda: rate_bound(2.0, 1.0, lam),
+            lambda: search_radius(x, 1.0, lam, L2_2),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="lambda"):
+                call()
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("q", [2.0, 1.0])
+    def test_decompose_checks_lambda_before_any_solve(self, monkeypatch,
+                                                      lam, q):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the lambda check")
+
+        monkeypatch.setattr(reg, "_minimize_rows", no_solve)
+        space = NormedSpace(2, q)
+        with pytest.raises(ParameterError, match="lambda"):
+            decompose(corpus_function(space, "norm"), lam, space)
+
+    def test_power_must_be_finite(self):
+        f = corpus_function(L2_2, "norm")
+        x = np.zeros(2)
+        for call in (lambda: inf_convolve(f, math.inf, 9.0, x, L2_2),
+                     lambda: regularize_power(f, math.inf, 9.0, x, L2_2),
+                     lambda: rate_bound(math.inf, 1.0, 9.0),
+                     lambda: rate_bound(math.nan, 1.0, 9.0),
+                     lambda: rate_bound(1.0, 1.0, 9.0)):
+            with pytest.raises(ParameterError, match="power"):
+                call()
+
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
+    def test_radius_must_be_finite_positive(self, radius):
+        with pytest.raises(ParameterError, match="radius"):
+            inner_minimize(lambda y: 0.0, np.zeros(2), radius)
+
+
+# one-row chunks and slices, then sizes that split the batches unevenly:
+# on l^2 with 24 pool points, block 97 makes coarse chunks of 2 rows and
+# compass slices of 12 rows, and block 337 chunks of 7; on l^3 they are 1
+# and 5, then 4 and 18
+SOLVER_BLOCKS = (1, 97, 337)
+BLOCK_CASES = [(NormedSpace(2, 2.0), 2.0), (NormedSpace(3, 2.0), 2.0),
+               (NormedSpace(2, 4.0), 4.0), (NormedSpace(3, 1.0), 2.0),
+               (NormedSpace(2, math.inf), 2.0)]
+
+
+class TestSolverBlocks:
+    """The coarse stage and the compass search take their rows in blocks of
+    about ``spaces._BLOCK`` doubles; any block size returns exactly what the
+    default block and the row-major solver return."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            blocked, default = [], reg._BLOCK
+            for block in SOLVER_BLOCKS:
+                monkeypatch.setattr(reg, "_BLOCK", block)
+                blocked.append(real(*args, **kwargs))
+            monkeypatch.setattr(reg, "_BLOCK", default)
+            seen.append((got, blocked, _ref_minimize_rows(*args, **kwargs)))
+            return got
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        return seen
+
+    def assert_identical(self, solves, calls):
+        assert len(solves) == calls
+        for got, blocked, want in solves:
+            _assert_same_solve(got, want)
+            for other in blocked:
+                _assert_same_solve(other, got)
+
+    @pytest.mark.parametrize("space,p", BLOCK_CASES,
+                             ids=lambda c: c.describe() if hasattr(c, "describe")
+                             else f"p{c:g}")
+    def test_operators(self, solves, space, p):
+        X = space.ball_sample(np.random.default_rng(11), 9)
+        for label in ("norm", "max-affine", "distance"):
+            f = corpus_function(space, label)
+            regularize_power_grid(f, p, 9.0, X, space, REF_CFG)
+            inf_convolve_grid(f, p, 9.0, X, space, REF_CFG)
+        self.assert_identical(solves, 6)
+
+    def test_decompose_d_and_scalar_inner_minimize(self, solves):
+        space = NormedSpace(3, 2.0)
+        f = corpus_function(space, "sawtooth")
+        decompose(f, 9.0, space, REF_CFG).d(
+            space.ball_sample(np.random.default_rng(2), 9))
+        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()),
+                       np.array([0.1, -0.2, 0.05]), 1.0, REF_CFG)
+        self.assert_identical(solves, 2)
+
+    def test_objective_calls_follow_the_block(self, monkeypatch):
+        # block 97 on l2^2 with 24 pool points: coarse chunks of 2 rows (48
+        # candidates), the 18 stacked starts in one call, then compass
+        # slices of at most 12 rows (48 trial points)
+        monkeypatch.setattr(reg, "_BLOCK", 97)
+        sizes = []
+
+        def obj(Y, idx):
+            sizes.append(Y.shape[0])
+            return ((Y - 0.1) ** 2).sum(axis=1)
+
+        X = L2_2.ball_sample(np.random.default_rng(4), 9)
+        reg._minimize_rows(obj, X, L2_2, REF_CFG, X, np.full(9, 0.5))
+        assert sizes[:6] == [48, 48, 48, 48, 24, 18]
+        assert max(sizes[6:]) == 48
+        assert all(n % 4 == 0 for n in sizes[6:])
+
+    def test_criterion_one_solve_memory(self):
+        # one criterion-1 grid call (l2^3, 41 per axis, 33,401 rows) peaked
+        # near 115 MB with coarse chunks of 2^18 // 160 rows; in blocks of
+        # about 2^16 doubles it peaks near 63 MB.  A fresh interpreter runs
+        # the call in a child and reports the child's peak.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(reg.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        solve = ("import numpy as np; import deltaconvex as dc; "
+                 "sp = dc.NormedSpace(3, 2.0); "
+                 "X = dc.ball_grid(sp, np.zeros(3), 1.0, 41); "
+                 "cfg = dc.SolverConfig(coarse_samples=160, starts=2); "
+                 "v = dc.regularize_power_grid(dc.corpus_function(sp, "
+                 "'norm'), 2.0, 9.0, X, sp, cfg)[0]; "
+                 "print(X.shape[0], bool(np.isfinite(v).all()))")
+        probe = ("import resource, subprocess, sys; "
+                 f"out = subprocess.run([sys.executable, '-c', {solve!r}], "
+                 "capture_output=True, text=True).stdout.strip(); "
+                 "print(out or 'failed', resource.getrusage("
+                 "resource.RUSAGE_CHILDREN).ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=600)
+        *report, peak_kib = proc.stdout.split()
+        assert report == ["33401", "True"], proc.stderr
+        assert int(peak_kib) / 1024 < 90

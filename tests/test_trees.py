@@ -124,7 +124,7 @@ class TestPairKernel:
     @pytest.mark.parametrize("block", [None, 64])
     def test_kernel_matches_broadcast(self, monkeypatch, p, block):
         if block is not None:
-            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
         rng = np.random.default_rng(5)
         space = NormedSpace(9, p)
         # columns 0-2 only in A, 3-5 in both, 6-7 only in B, 8 in neither
@@ -152,7 +152,7 @@ class TestPairKernel:
         # a small block puts tied minima in different row blocks, where only
         # the first in row-major order may win
         if block is not None:
-            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
         space = NormedSpace(tree.ambient_dim, p)
         rep = validate_tree(tree, space)
         want_min, want_pair, want_pairs = _brute_separation(tree, space)
@@ -163,7 +163,7 @@ class TestPairKernel:
 
     def test_family_fault_in_last_row_block(self, monkeypatch):
         # one row per block, so the faulty last row is the last block
-        monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", 8)
+        monkeypatch.setattr(trees_mod, "_BLOCK", 8)
         fam = build_tree_family([4, 4])
         trees_mod._check_family_distance(fam)
         a, b = fam.trees
@@ -546,7 +546,7 @@ class TestStreamedChecks:
         space = NormedSpace(tree.ambient_dim, p)
         for block, pairs in ((48, STRUCTURED_PAIRS + 3000), (1000, 80_000)):
             want = validate_tree(tree, space, sample_pairs=pairs, seed=1)
-            monkeypatch.setattr(trees_mod, "_PAIR_BLOCK", block)
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
             got = validate_tree(tree, space, sample_pairs=pairs, seed=1)
             monkeypatch.undo()
             assert not got.exhaustive_pairs
@@ -633,7 +633,7 @@ class TestStreamedChecks:
 
     def test_deep_tree_memory(self):
         # depth 20 once built every level whole (near 800 MB peak); streamed,
-        # each block holds about _PAIR_BLOCK doubles.  As in
+        # each block holds about _BLOCK doubles.  As in
         # test_deep_family_memory, a fresh interpreter runs the check in a
         # child and reports the child's peak.
         env = dict(os.environ)
