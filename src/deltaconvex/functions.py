@@ -33,8 +33,8 @@ class LipschitzFunction:
     label: str
 
     def __post_init__(self):
-        if not self.lipschitz_constant > 0:
-            raise ValueError("lipschitz_constant must be positive")
+        if not 0.0 < self.lipschitz_constant < np.inf:
+            raise ValueError("lipschitz_constant must be positive and finite")
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))

@@ -12,9 +12,11 @@ scrambled Sobol' pool (bit-identical to scipy's), then compass search from
 the best separated candidates (three by default), run as one batch over
 every start of every row until each step is below tolerance/8.  The solver
 stores its points by coordinate, as (d, ...) blocks whose coordinates are
-contiguous runs, and gathers rows with ``take``; objectives receive the
-(n, d) view of a block, which may be non-contiguous.  Both stages take
-their rows in blocks of about ``spaces._BLOCK`` doubles.
+contiguous runs.  Its objectives are bound per block: ``obj(idx)`` gathers
+the data of rows ``idx`` once and returns an evaluator of the (n, d) view
+of a block, which may be non-contiguous.  The compass search keeps only its
+active rows, compacted, and rebinds when that set shrinks.  Both stages
+take their rows in blocks of about ``spaces._BLOCK`` doubles.
 Returned values are objective values at points the solver found, so they
 are upper bounds on the true infimum up to the rounding of lambda*Q, which
 the minimizer can exploit at about the 1e-12 level.
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import _BLOCK, NormedSpace, analytic_power_constant
+from .spaces import _BLOCK, NormedSpace, _q_kernel, analytic_power_constant
 
 __all__ = [
     "SolverConfig",
@@ -100,7 +102,8 @@ class ConvexPair:
 
 @lru_cache(maxsize=32)
 def _unit_ball_pool(space, m, seed):
-    """m low-discrepancy points in the unit ball of the space norm: the
+    """m low-discrepancy points in the unit ball of the space norm, as an
+    (m, d) array stored by coordinate (its transpose is contiguous): the
     first m in-ball points of one scrambled Sobol' sequence in the cube,
     drawn in batches of 2m, 4m, ... points, at most _POOL_BATCH at once and
     _POOL_DRAWS in all."""
@@ -119,7 +122,7 @@ def _unit_ball_pool(space, m, seed):
         kept.append(draw[space.norm(draw) <= 1.0])
         found += kept[-1].shape[0]
         drawn += nbatch
-    pool = np.vstack(kept)[:m].copy()
+    pool = np.vstack(kept)[:m].copy(order="F")
     pool.setflags(write=False)
     return pool
 
@@ -154,8 +157,8 @@ class _Counter:
         self.evals = 0
 
 
-def _checked(obj, Y, idx, counter):
-    v = np.asarray(obj(Y, idx), dtype=float)
+def _checked(g, Y, counter):
+    v = np.asarray(g(Y), dtype=float)
     counter.evals += Y.shape[0]
     finite = np.isfinite(v)
     if np.count_nonzero(finite) < finite.size:
@@ -185,7 +188,7 @@ def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
     d, N = centers.shape
     m = cfg.coarse_samples
     k = min(n_keep, m)
-    pool = np.ascontiguousarray(_unit_ball_pool(space, m, cfg.seed).T)
+    pool = _unit_ball_pool(space, m, cfg.seed).T
     keep_pts = np.empty((N, k, d))
     chunk = max(1, _BLOCK // (m * d))
     for lo in range(0, N, chunk):
@@ -195,7 +198,7 @@ def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
         rad = radii[lo:hi, None]
         cand = ctr + rad * pool[:, None, :]  # (d, n, m)
         _project(space, cand, ctr, rad)
-        vals = _checked(obj, _rows(cand), np.repeat(np.arange(lo, hi), m),
+        vals = _checked(obj(np.repeat(np.arange(lo, hi), m)), _rows(cand),
                         counter).reshape(n, m)
         # flat indices into vals of each row's k best, value-sorted
         part = (np.argpartition(vals, k - 1, axis=1)[:, :k]
@@ -241,45 +244,56 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
     """Compass search of every row, in place.  ``Y`` and ``centers`` hold
     the rows by coordinate, shape (d, N).  A row finishes once its step
     falls below tolerance/8; the search counts as converged when every
-    row's step ended below the tolerance itself.  Each iteration takes its
-    active rows in slices of ``_BLOCK // (2*d*d)`` rows (at least one), so
-    a (d, 2d, n) trial block is about ``_BLOCK`` doubles; rows move only on
-    their own values, so the slicing changes no result."""
+    row's step ended below the tolerance itself.  Iterations run on a
+    compacted copy of the active rows, in slices of ``_BLOCK // (2*d*d)``
+    rows (at least one, so a (d, 2d, n) trial block is about ``_BLOCK``
+    doubles), each with its objective bound once.  Steps never grow, so the
+    copy is written back and compacted again only when a step falls below
+    tolerance/8, and at the iteration cap; rows move only on their own
+    values, so neither the slicing nor the compaction changes a result."""
     d = Y.shape[0]
     # dirs[k, j] is coordinate k of direction j: +e_0, ..., +e_{d-1}, -e_0, ...
     dirs = np.hstack([np.eye(d), -np.eye(d)])[:, :, None]
-    tol = cfg.tolerance
+    tol8 = cfg.tolerance / 8.0
     width = max(1, _BLOCK // (2 * d * d))
-    for _ in range(cfg.refine_iterations + 40 * d):
-        active = (step >= tol / 8.0).nonzero()[0]
-        if not active.size:
-            break
-        for lo in range(0, active.size, width):
-            rows = active[lo:lo + width]
-            n = rows.size
-            s = step.take(rows)
-            # trial point j of active row i sits at T[:, j, i]
-            T = Y.take(rows, axis=1)[:, None, :] + s * dirs
-            _project(space, T, centers.take(rows, axis=1)[:, None, :],
-                     radii.take(rows))
-            idx = np.empty((2 * d, n), dtype=rows.dtype)
-            idx[:] = rows
-            tv = _checked(obj, _rows(T), idx.reshape(-1), counter)
+    cap = cfg.refine_iterations + 40 * d
+    rows = None
+    for it in range(cap):
+        if rows is None:
+            rows = (step >= tol8).nonzero()[0]
+            if not rows.size:
+                break
+            Ya, va, sa = Y.take(rows, axis=1), vals.take(rows), step.take(rows)
+            ca, ra = centers.take(rows, axis=1)[:, None, :], radii.take(rows)
+            slices = [(slice(lo, lo + width),
+                       obj(np.concatenate((rows[lo:lo + width],) * (2 * d))))
+                      for lo in range(0, rows.size, width)]
+        for sl, g in slices:
+            s = sa[sl]
+            n = s.size
+            # trial point j of row i of the slice sits at T[:, j, i]
+            T = Ya[:, None, sl] + s * dirs
+            _project(space, T, ca[:, :, sl], ra[sl])
+            tv = _checked(g, _rows(T), counter)
             pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
             tmin = tv.take(pick)
-            better = tmin < vals.take(rows)
-            moved = rows.compress(better)
-            Y[:, moved] = T.reshape(d, -1).take(pick.compress(better), axis=1)
-            vals[moved] = tmin.compress(better)
-            step[rows] = np.where(better, s, s * 0.5)
-    return (step < tol).all()
+            better = tmin < va[sl]
+            np.copyto(Ya[:, sl], T.reshape(d, -1).take(pick, axis=1),
+                      where=better)
+            np.copyto(va[sl], tmin, where=better)
+            sa[sl] = np.where(better, s, s * 0.5)
+        if sa.min() < tol8 or it == cap - 1:
+            Y[:, rows], vals[rows], step[rows] = Ya, va, sa
+            rows = None
+    return (step < cfg.tolerance).all()
 
 
 def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
-    """Shared batch minimizer.  Row i minimizes obj(., i) over
-    ball(centers[i], radii[i]); ``extra_vals``, when given, holds
-    obj(X[i], i), and y = X[i] wins where it beats the search.  Returns
-    (values, minimizers, evaluations, converged).
+    """Shared batch minimizer.  ``obj(idx)`` returns the objective of rows
+    ``idx`` bound to their data, an evaluator of one point per index; row
+    i minimizes it over ball(centers[i], radii[i]).  ``extra_vals``, when
+    given, holds its value at X[i], and y = X[i] wins where it beats the
+    search.  Returns (values, minimizers, evaluations, converged).
 
     Coarse candidates, compass points and trial points are stored by
     coordinate, so that each coordinate of a block is one contiguous run,
@@ -296,11 +310,11 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
                             k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
 
-    def stacked(Y, idx):
-        return obj(Y, owner.take(idx))
+    def stacked(idx):
+        return obj(owner.take(idx))
 
     Y = np.concatenate(starts).T.copy()
-    vals = _checked(obj, Y.T, owner, counter)
+    vals = _checked(obj(owner), Y.T, counter)
     rad = radii.take(owner)
     converged = _compass(stacked, Y, vals, rad * 0.25, space, cfg,
                          centers.take(owner, axis=1), rad, counter)
@@ -322,8 +336,8 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
 def search_radius(x, L, lam, space):
     """Radius of the ball on which the regularizer's infimum is attained:
     R = 2(1 + |x|), valid once lambda >= 3L."""
-    if not L > 0:
-        raise ParameterError("L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ParameterError(f"L must be positive and finite, got {L}")
     _check_lambda(lam)
     return float(_search_ball(x, space.norm(x), L, lam, None, None)[1])
 
@@ -375,12 +389,13 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
     Clarkson constant or None): (values, minimizers, evaluations,
     converged, radii)."""
     centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
-    ax = space._defect_term(p, X)  # fixed per row; hoisted out of the loop
+    _, term, defect = _q_kernel(space, p)
+    ax = term(X)  # fixed per row; hoisted out of the loop
     XT = np.ascontiguousarray(X.T)
 
-    def obj(Y, idx):
-        return f(Y) + lam * space._defect(p, ax.take(idx), Y,
-                                          XT.take(idx, axis=1).T + Y)
+    def obj(idx):
+        axi, Xi = ax.take(idx), XT.take(idx, axis=1).T
+        return lambda Y: f(Y) + lam * defect(axi, Y, Xi + Y)
 
     return _minimize_rows(obj, X, space, cfg, centers, radii,
                           extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
@@ -425,9 +440,11 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
         radii = np.full(X.shape[0], _POWER1_RADIUS)
 
     XT = np.ascontiguousarray(X.T)
+    powered = _q_kernel(space, power)[0]
 
-    def obj(Y, idx):
-        return f(Y) + lam * space._powered(XT.take(idx, axis=1).T - Y, power)
+    def obj(idx):
+        Xi = XT.take(idx, axis=1).T
+        return lambda Y: f(Y) + lam * powered(Xi - Y)
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
@@ -471,13 +488,10 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
             return np.array([float(objective(row)) for row in Y])
         cval = batch(center[None])
 
-    def obj(Y, idx):
-        return batch(Y)
-
     X = center[None]
     radii = np.array([float(radius)])
-    vals, pts, evals, conv = _minimize_rows(obj, X, space, cfg, X, radii,
-                                            extra_vals=cval)
+    vals, pts, evals, conv = _minimize_rows(lambda idx: batch, X, space, cfg,
+                                            X, radii, extra_vals=cval)
     diagnostics = {"evaluations": evals, "converged": bool(conv)}
     return pts[0], float(vals[0]), diagnostics
 
@@ -543,4 +557,6 @@ def rate_bound(p, C, lam, L=1.0):
         raise ParameterError(f"constant must lie in (0, 1], got {C}")
     _check_exponent(p, 2.0)
     _check_lambda(lam)
+    if not 0.0 < L < math.inf:
+        raise ParameterError(f"L must be positive and finite, got {L}")
     return L * (L / (lam * C)) ** (1.0 / (p - 1.0))

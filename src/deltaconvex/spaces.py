@@ -3,6 +3,7 @@ their exact moduli of convexity."""
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,42 +108,8 @@ class NormedSpace:
         return _rowsum(np.abs(x) ** p) ** (1.0 / p)
 
     def _powered(self, x, power):
-        """|x|^power per row, without input checks: the one distance kernel
-        of every Q evaluation.
-
-        When ``power`` is the space's own finite exponent the sum of
-        coordinate powers is returned as is, with no root taken and then
-        undone; otherwise the result is ``_norm(x) ** power``.  The sums
-        run through ``_rowsum``, as in ``_norm``.
-        """
-        if power != self.p_exponent or power in (1.0, math.inf):
-            return self._norm(x) ** power
-        if float(power).is_integer() and power <= 8.0:
-            # at most four roundings from repeated products of x*x, and much
-            # cheaper than a general pow per coordinate
-            n = int(power)
-            sq = x * x
-            acc = sq
-            for _ in range(n // 2 - 1):
-                acc = acc * sq
-            if n % 2:
-                acc = acc * np.abs(x)
-            return _rowsum(acc)
-        return _rowsum(np.abs(x) ** power)
-
-    def _defect_term(self, p, x):
-        """2^(p-1)|x|^p: the term of the power-p defect fixed per x row."""
-        return 2.0 ** (p - 1.0) * self._powered(x, p)
-
-    def _defect(self, p, ax, y, xy):
-        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p from its hoisted
-        x term ``ax = _defect_term(p, x)``, ``y`` and ``xy = x + y``; the one
-        formula for Q_p in the package, unchecked."""
-        b = self._defect_term(p, y)
-        c = -self._powered(xy, p)
-        if p > 8.0:
-            return _err_sum3(ax, b, c)
-        return ax + b + c
+        """|x|^power per row, unchecked, through ``_q_kernel``."""
+        return _q_kernel(self, power)[0](x)
 
     def dual_exponent(self):
         p = self.p_exponent
@@ -154,17 +121,16 @@ class NormedSpace:
 
     def defect2(self, x, y):
         """Quadratic convexity defect 2|x|^2 + 2|y|^2 - |x+y|^2 (>= 0)."""
-        x = self._check(x)
-        y = self._check(y)
-        return self._defect(2.0, self._defect_term(2.0, x), y, x + y)
+        return self.defect_p(2.0, x, y)
 
     def defect_p(self, p, x, y):
         """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, p >= 2."""
         if not p >= 2.0:
             raise ValueError(f"defect exponent must be >= 2, got {p}")
+        _, term, defect = _q_kernel(self, p)
         x = self._check(x)
         y = self._check(y)
-        return self._defect(p, self._defect_term(p, x), y, x + y)
+        return defect(term(x), y, x + y)
 
     def unit_sphere_sample(self, rng, n):
         """n points with l_p norm exactly 1 (up to one final division)."""
@@ -192,6 +158,47 @@ class NormedSpace:
         else:
             ptxt = repr(p)
         return f"l{ptxt}^{self.dim}"
+
+
+@lru_cache(maxsize=64)
+def _q_kernel(space, power):
+    """The one Q kernel, resolved once per (space, power) and unchecked:
+    ``(powered, term, defect)`` with ``powered(x)`` = |x|^power per row,
+    ``term(x)`` = 2^(power-1)|x|^power and ``defect(term(x), y, x + y)``
+    the defect 2^(power-1)(|x|^power + |y|^power) - |x+y|^power, summed
+    with ``_err_sum3`` above power 8 (the one formula for Q_p).
+
+    At the space's own finite exponent ``powered`` takes no root: it sums
+    products of x*x at integer powers up to 8 (at most four roundings, and
+    much cheaper than a general pow), else |x_i|^power; at any other power
+    it is ``_norm(x) ** power``.  Sums run through ``_rowsum``.
+    """
+    if power != space.p_exponent or power in (1.0, math.inf):
+        def powered(x):
+            return space._norm(x) ** power
+    elif float(power).is_integer() and power <= 8.0:
+        squarings, odd = range(int(power) // 2 - 1), int(power) % 2
+
+        def powered(x):
+            acc = sq = x * x
+            for _ in squarings:
+                acc = acc * sq
+            return _rowsum(acc * np.abs(x) if odd else acc)
+    else:
+        def powered(x):
+            return _rowsum(np.abs(x) ** power)
+    scale = 2.0 ** (power - 1.0)
+
+    def term(x):
+        return scale * powered(x)
+
+    if power > 8.0:
+        def defect(ax, y, xy):
+            return _err_sum3(ax, term(y), -powered(xy))
+    else:
+        def defect(ax, y, xy):
+            return ax + term(y) - powered(xy)
+    return powered, term, defect
 
 
 # 8 units in the last place of 1: how far the bracket of

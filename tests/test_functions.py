@@ -8,6 +8,15 @@ from deltaconvex import (CORPUS_LABELS, LipschitzFunction, NormedSpace,
                          make_corpus, verify_lipschitz)
 
 
+class TestLipschitzFunction:
+    # an infinite constant was accepted, and the regularizer then failed
+    # with a non-finite objective value
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -1.0])
+    def test_constant_must_be_finite_positive(self, L):
+        with pytest.raises(ValueError, match="lipschitz_constant"):
+            LipschitzFunction(lambda x: x[..., 0], L, "x")
+
+
 class TestDistanceFunction:
     def test_values(self):
         space = NormedSpace(2, 2.0)

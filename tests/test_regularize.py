@@ -19,6 +19,12 @@ L2_1 = NormedSpace(1, 2.0)
 L2_2 = NormedSpace(2, 2.0)
 
 
+def _bound(obj):
+    """A test objective ``obj(Y, idx)`` in the solver's bound form: ``idx``
+    to an evaluator of the rows ``Y``."""
+    return lambda idx: lambda Y: obj(Y, idx)
+
+
 def abs_fn():
     return corpus_function(L2_1, "norm")  # |x| in 1D
 
@@ -49,6 +55,11 @@ class TestSearchRadius:
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
             search_radius(np.array([1.0]), 0.0, 3.0, L2_1)
+
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.nan, math.inf])
+    def test_lipschitz_constant_must_be_finite_positive(self, L):
+        with pytest.raises(ParameterError, match="L must be"):
+            search_radius(np.array([1.0]), L, 3.0, L2_1)
 
 
 class TestInnerMinimize:
@@ -400,6 +411,12 @@ class TestRateBound:
         with pytest.raises(ParameterError):
             rate_bound(2.0, 1.5, 100.0)
 
+    # L = -1 gave the complex (-2e-17-0.333j), nan gave nan and 0 gave 0.0
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_lipschitz_constant(self, L):
+        with pytest.raises(ParameterError, match="L must be"):
+            rate_bound(3.0, 1.0, 9.0, L=L)
+
 
 class TestSolverConfig:
     def test_validation(self):
@@ -434,7 +451,8 @@ class TestCompassFinish:
 
         Y = np.array([[y0]])
         step = np.array([0.25])
-        conv = reg._compass(obj, Y, obj(Y, None), step, L2_1, self.CFG,
+        conv = reg._compass(_bound(obj), Y, obj(Y, None), step, L2_1,
+                            self.CFG,
                             np.zeros((1, 1)), np.array([10.0]),
                             reg._Counter())
         return bool(conv), step[0]
@@ -491,7 +509,7 @@ def _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
         cand = _ref_project_rows(
             space, ctr + rad[:, :, None] * pool[None, :, :], ctr, rad)
         flat = cand.reshape(-1, d)
-        vals = reg._checked(obj, flat, np.repeat(rows, m),
+        vals = reg._checked(obj(np.repeat(rows, m)), flat,
                             counter).reshape(-1, m)
         part = np.argpartition(vals, k - 1, axis=1)[:, :k]
         r = np.arange(hi - lo)[:, None]
@@ -517,7 +535,7 @@ def _ref_compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
         T = _ref_project_rows(space, T, centers[rows][:, None, :],
                               radii[rows][:, None])
         flat = T.reshape(-1, d)
-        tv = reg._checked(obj, flat, np.repeat(rows, 2 * d),
+        tv = reg._checked(obj(np.repeat(rows, 2 * d)), flat,
                           counter).reshape(-1, 2 * d)
         j = tv.argmin(axis=1)
         tmin = tv[np.arange(rows.size), j]
@@ -538,11 +556,11 @@ def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
                                 k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
 
-    def stacked(Y, idx):
-        return obj(Y, owner[idx])
+    def stacked(idx):
+        return obj(owner[idx])
 
     Y = np.concatenate(starts)
-    vals = reg._checked(obj, Y, owner, counter)
+    vals = reg._checked(obj(owner), Y, counter)
     converged = _ref_compass(stacked, Y, vals, radii[owner] * 0.25, space,
                              cfg, centers[owner], radii[owner], counter)
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
@@ -569,7 +587,7 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
     converged = True
     for Y0 in starts:
         Y = Y0.copy()
-        vals = reg._checked(obj, Y, np.arange(N), counter)
+        vals = reg._checked(obj(np.arange(N)), Y, counter)
         conv = _ref_compass(obj, Y, vals, radii * 0.25, space, cfg, centers,
                             radii, counter)
         converged = converged and conv
@@ -686,14 +704,15 @@ class TestStackedMultistart:
         X = np.zeros((1, 1))
         radii = np.array([1.5])
         cfg = replace(STACK_CFG, starts=starts)
-        keep_pts = reg._coarse_stage(obj, L2_1, cfg, X.T, radii,
+        keep_pts = reg._coarse_stage(_bound(obj), L2_1, cfg, X.T, radii,
                                      reg._Counter())
         first = reg._select_starts(L2_1, keep_pts, sep=radii * 0.25,
                                    k_starts=starts)
         assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
         assert not np.array_equal(first[0], first[1])
-        vals, pts, _, _ = reg._minimize_rows(obj, X, L2_1, cfg, X, radii)
-        want = _sequential_minimize(obj, X, L2_1, cfg, X, radii)
+        vals, pts, _, _ = reg._minimize_rows(_bound(obj), X, L2_1, cfg, X,
+                                             radii)
+        want = _sequential_minimize(_bound(obj), X, L2_1, cfg, X, radii)
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
@@ -751,7 +770,7 @@ class TestCoordinateMajorLayout:
             return -(Y[:, 0] + 0.5 * Y[:, d - 1])
 
         for n in (1, 65):
-            args = (obj, X[:n], space, REF_CFG, X[:n], radii[:n])
+            args = (_bound(obj), X[:n], space, REF_CFG, X[:n], radii[:n])
             got = reg._minimize_rows(*args)
             _assert_same_solve(got, _ref_minimize_rows(*args))
             r = space.norm(got[1] - X[:n])
@@ -794,9 +813,11 @@ class TestCoordinateMajorLayout:
         cfg = replace(REF_CFG, coarse_samples=m)
         X = L2_2.ball_sample(np.random.default_rng(m), 70)
         radii = np.full(70, 0.3)
-        got = reg._coarse_stage(obj, L2_2, cfg, np.ascontiguousarray(X.T),
-                                radii, reg._Counter())
-        want = _ref_coarse_stage(obj, X, L2_2, cfg, X, radii, reg._Counter())
+        got = reg._coarse_stage(_bound(obj), L2_2, cfg,
+                                np.ascontiguousarray(X.T), radii,
+                                reg._Counter())
+        want = _ref_coarse_stage(_bound(obj), X, L2_2, cfg, X, radii,
+                                 reg._Counter())
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -813,7 +834,7 @@ class TestCoordinateMajorLayout:
         errors = []
         for solve in (reg._minimize_rows, _ref_minimize_rows):
             with pytest.raises(SolverError) as err:
-                solve(obj, X, space, REF_CFG, X, radii)
+                solve(_bound(obj), X, space, REF_CFG, X, radii)
             errors.append(err.value.point)
         got, want = errors
         assert got.shape == (d,) and got[0] > 0.5
@@ -973,7 +994,7 @@ class TestSolverBlocks:
             return ((Y - 0.1) ** 2).sum(axis=1)
 
         X = L2_2.ball_sample(np.random.default_rng(4), 9)
-        reg._minimize_rows(obj, X, L2_2, REF_CFG, X, np.full(9, 0.5))
+        reg._minimize_rows(_bound(obj), X, L2_2, REF_CFG, X, np.full(9, 0.5))
         assert sizes[:6] == [48, 48, 48, 48, 24, 18]
         assert max(sizes[6:]) == 48
         assert all(n % 4 == 0 for n in sizes[6:])
@@ -1004,3 +1025,161 @@ class TestSolverBlocks:
         *report, peak_kib = proc.stdout.split()
         assert report == ["33401", "True"], proc.stderr
         assert int(peak_kib) / 1024 < 90
+
+
+# every space and power the compacted compass search was checked on: l2^2,
+# l1^3, l_inf^2, l4^2 at p = 4, l10^2 at power 12 (the compensated defect),
+# 1-D l3 and l2^3 at p = 3
+COMPACT_CASES = [(NormedSpace(2, 2.0), 2.0), (NormedSpace(3, 1.0), 2.0),
+                 (NormedSpace(2, math.inf), 2.0), (NormedSpace(2, 4.0), 4.0),
+                 (NormedSpace(2, 10.0), 12.0), (NormedSpace(1, 3.0), 2.0),
+                 (NormedSpace(3, 2.0), 3.0)]
+COMPACT_IDS = [f"{s.describe()}-p{p:g}" for s, p in COMPACT_CASES]
+
+
+def _pulls(space, n, seed):
+    """A row-dependent objective, (obj, targets, sizes): row i pulls
+    towards targets[i] with its own weight.  ``sizes`` records the number
+    of points of every call."""
+    rng = np.random.default_rng(seed)
+    targets = space.ball_sample(rng, n, radius=0.8)
+    weights = rng.uniform(0.5, 2.0, n)
+    sizes = []
+
+    def obj(Y, idx):
+        sizes.append(Y.shape[0])
+        return weights[idx] * space._norm(Y - targets[idx])
+
+    return obj, targets, sizes
+
+
+def _both_compasses(space, obj, Y, step, cfg):
+    """The compacted search and the row-major reference from the same rows
+    ``Y`` (N, d) with unit balls around 0: (new, reference), each as
+    (minimizers, values, steps, converged, evaluations)."""
+    N = Y.shape[0]
+    radii = np.ones(N)
+    out = []
+    for compacted in (True, False):
+        counter = reg._Counter()
+        Y0, s0 = Y.copy(), step.copy()
+        v0 = reg._checked(_bound(obj)(np.arange(N)), Y0, counter)
+        if compacted:
+            YT = np.ascontiguousarray(Y0.T)
+            conv = reg._compass(_bound(obj), YT, v0, s0, space, cfg,
+                                np.zeros_like(YT), radii, counter)
+            Y0 = YT.T
+        else:
+            conv = _ref_compass(_bound(obj), Y0, v0, s0, space, cfg,
+                                np.zeros_like(Y0), radii, counter)
+        out.append((Y0, v0, s0, bool(conv), counter.evals))
+    return out
+
+
+def _assert_same_compass(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3:] == want[3:]
+
+
+class TestCompactedCompass:
+    """The compass search works on a compacted copy of its active rows and
+    rebinds the objective only when that set shrinks: it returns exactly
+    what the row-major search and one search per start return."""
+
+    @pytest.mark.parametrize("space,p", COMPACT_CASES, ids=COMPACT_IDS)
+    def test_rows_finish_on_different_iterations(self, space, p):
+        # each row starts a few of its own steps from its target, so it
+        # stops moving early and then needs its own number of halvings
+        n = 12
+        obj, targets, sizes = _pulls(space, n, 1)
+        step = 0.25 * 2.0 ** -np.arange(0.0, n)
+        Y = targets + 3.3 * step[:, None] * np.linspace(1.0, 0.5, space.dim)
+        cfg = SolverConfig(refine_iterations=200, tolerance=1e-6)
+        got, want = _both_compasses(space, obj, Y, step, cfg)
+        _assert_same_compass(got, want)
+        assert got[3] and (got[2] < cfg.tolerance / 8).all()
+        # the active set shrank at least four times
+        assert len(set(sizes)) >= 5
+
+    @pytest.mark.parametrize("space,p", COMPACT_CASES, ids=COMPACT_IDS)
+    def test_capped_rows_written_back(self, space, p):
+        # steps from 2^-40 to 2^100 near the targets: the short ones finish
+        # early, the long ones still search at the cap of 40*d iterations
+        n = 15
+        obj, targets, _ = _pulls(space, n, 3)
+        step = 2.0 ** np.linspace(-40.0, 100.0, n)
+        Y = targets + 3.3 * np.minimum(step, 2.0 ** -10)[:, None]
+        cfg = SolverConfig(refine_iterations=0, tolerance=1e-12)
+        got, want = _both_compasses(space, obj, Y, step, cfg)
+        _assert_same_compass(got, want)
+        finished = got[2] < cfg.tolerance / 8
+        assert finished.any() and not finished.all() and not got[3]
+        assert not np.array_equal(got[0], Y)
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    @pytest.mark.parametrize("space,p", COMPACT_CASES, ids=COMPACT_IDS)
+    def test_slices_of_one_or_an_odd_number_of_rows(self, monkeypatch, space,
+                                                    p, width):
+        d = space.dim
+        monkeypatch.setattr(reg, "_BLOCK", 2 * d * d * width)
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            for ref in (_ref_minimize_rows, _sequential_minimize):
+                _assert_same_solve(got, ref(*args, **kwargs))
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        X = space.ball_sample(np.random.default_rng(width), 7)
+        for label in ("norm", "max-affine"):
+            f = corpus_function(space, label)
+            regularize_power_grid(f, p, 9.0, X, space, REF_CFG)
+            inf_convolve_grid(f, p, 9.0, X, space, REF_CFG)
+        decompose(corpus_function(space, "sawtooth"), 9.0, space,
+                  REF_CFG).d(X[:3])
+        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()), X[0], 1.0,
+                       REF_CFG, space)
+        assert len(seen) == 6
+        # every compass call holds at most ``width`` rows of 2d trials
+        obj, _, sizes = _pulls(space, 7, 5)
+        real(_bound(obj), X, space, REF_CFG, X, np.full(7, 0.5))
+        trials = sizes[sizes.index(7 * REF_CFG.starts) + 1:]
+        assert max(trials) == 2 * d * width
+        assert all(t % (2 * d) == 0 for t in trials)
+
+    @pytest.mark.parametrize("space,p", COMPACT_CASES, ids=COMPACT_IDS)
+    def test_non_finite_after_compaction(self, space, p):
+        # the objective of row 0, which has the longest step, turns to nan
+        # once three rows have finished: both searches report its first
+        # trial point
+        n = 12
+        pull, targets, sizes = _pulls(space, n, 6)
+        d = space.dim
+
+        def obj(Y, idx):
+            out = pull(Y, idx)
+            if len(idx) <= 2 * d * (n - 3):
+                out[idx == 0] = math.nan
+            return out
+
+        step = 0.25 * 2.0 ** -np.arange(0.0, n)
+        Y = targets + 3.3 * step[:, None]
+        cfg = SolverConfig(refine_iterations=200, tolerance=1e-6)
+        errors = []
+        for search in (reg._compass, _ref_compass):
+            Y0 = np.ascontiguousarray(Y.T) if search is reg._compass else Y
+            counter = reg._Counter()
+            v0 = reg._checked(_bound(pull)(np.arange(n)), Y, counter)
+            del sizes[:]
+            with pytest.raises(SolverError) as err:
+                search(_bound(obj), Y0.copy(), v0, step.copy(), space, cfg,
+                       np.zeros_like(Y0), np.ones(n), counter)
+            errors.append((err.value.point, counter.evals))
+            assert sizes[-1] <= 2 * d * (n - 3) < sizes[0]
+        (got, got_evals), (want, want_evals) = errors
+        assert got.shape == (d,) and np.isfinite(got).all()
+        assert np.array_equal(got, want) and got_evals == want_evals

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from deltaconvex import (DimensionMismatchError, NormedSpace,
                          analytic_modulus_lower, analytic_power_constant,
                          modulus_of_convexity)
-from deltaconvex.spaces import _err_sum3, _modulus_witness, _rowsum
+from deltaconvex.spaces import (_err_sum3, _modulus_witness, _q_kernel,
+                                _rowsum)
 
 
 def vec(*xs):
@@ -182,6 +183,70 @@ class TestPowerKernel:
                 space.defect2(vec(0.0, 0.0), bad)
         with pytest.raises(DimensionMismatchError):
             space.defect_p(4.0, vec(1.0, 2.0, 3.0), vec(0.0, 0.0))
+
+
+def _dispatched_powered(space, x, power):
+    """|x|^power as ``NormedSpace._powered`` computed it when it chose its
+    branch on every call."""
+    if power != space.p_exponent or power in (1.0, math.inf):
+        return space._norm(x) ** power
+    if float(power).is_integer() and power <= 8.0:
+        n = int(power)
+        sq = x * x
+        acc = sq
+        for _ in range(n // 2 - 1):
+            acc = acc * sq
+        if n % 2:
+            acc = acc * np.abs(x)
+        return _rowsum(acc)
+    return _rowsum(np.abs(x) ** power)
+
+
+def _dispatched_defect(space, p, x, y):
+    """The power-p defect as ``NormedSpace._defect`` computed it from
+    ``_defect_term`` and ``_powered``."""
+    ax = 2.0 ** (p - 1.0) * _dispatched_powered(space, x, p)
+    b = 2.0 ** (p - 1.0) * _dispatched_powered(space, y, p)
+    c = -_dispatched_powered(space, x + y, p)
+    if p > 8.0:
+        return _err_sum3(ax, b, c)
+    return ax + b + c
+
+
+KERNEL_POWERS = (1.0, 2.0, 3.0, 4.0, 4.5, 8.0, 9.0, 12.0)
+
+
+class TestResolvedKernel:
+    """The Q kernel resolved once per (space, power) computes bit for bit
+    what the per-call dispatch computed, on every layout the solver
+    passes."""
+
+    @pytest.mark.parametrize("rows", [5, 64, 200])
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 4.5, 10.0, math.inf])
+    def test_bit_identical_to_dispatch(self, q, d, rows):
+        space = NormedSpace(d, q)
+        rng = np.random.default_rng(rows + d)
+        x = rng.uniform(-2.0, 2.0, (rows, d))
+        y = x + rng.normal(0.0, 0.3, (rows, d))
+        # contiguous rows, then the strided views of blocks stored by
+        # coordinate
+        layouts = [(x, y), (np.ascontiguousarray(x.T).T,
+                            np.ascontiguousarray(y.T).T)]
+        for power in KERNEL_POWERS:
+            powered, term, defect = _q_kernel(space, power)
+            assert _q_kernel(space, power)[0] is powered
+            for a, b in layouts:
+                want = _dispatched_powered(space, a, power)
+                assert np.array_equal(powered(a), want)
+                assert np.array_equal(space._powered(a, power), want)
+                assert np.array_equal(term(a), 2.0 ** (power - 1.0) * want)
+                want = _dispatched_defect(space, power, a, b)
+                assert np.array_equal(defect(term(a), b, a + b), want)
+                if power >= 2.0:
+                    assert np.array_equal(space.defect_p(power, a, b), want)
+            if power == 2.0:
+                assert np.array_equal(space.defect2(x, y), want)
 
 
 def rowsum_values(kind, shape, seed=5):
