@@ -404,6 +404,8 @@ def run_adversary(cfg):
         raise ConfigError("theta", "must lie in (0, 1]")
     seed = _seed(cfg)
     deep_samples = cfg.get_int("deep_samples", 2048)
+    if deep_samples < 0:
+        raise ConfigError("deep_samples", f"must be >= 0, got {deep_samples}")
 
     family = _trees.build_tree_family(depths, scale=scale)
     space = NormedSpace(dim=family.ambient_dim, p_exponent=math.inf)

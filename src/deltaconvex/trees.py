@@ -16,6 +16,13 @@ of D coordinates, and the pair kernel takes as many rows as fill
 ``_BLOCK`` distances.  Blocks only split rows, so no result depends
 on the block size.  Random nodes follow one law: a level uniform on
 0..depth, then independent fair signs, drawn as packed random bytes.
+
+A sampled pair's distance takes one of two routes, chosen by
+``DyadicTree._distances``.  A sign tree on l_inf never places its nodes:
+two nodes differ only in their sign prefixes, where the float difference is
+exactly theta times the int8 sign difference, so the distance is theta times
+the largest |sa_j - sb_j|, the same double bit for bit.  An explicit tree,
+or any finite p, places both nodes and takes the float norm.
 """
 
 import math
@@ -86,6 +93,8 @@ class DyadicTree:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise ValueError(f"theta {self.theta} is not finite and positive")
         end = self.block_start + self.lead + self.depth
         if self.nodes is not None:
             self.nodes.flags.writeable = False
@@ -115,6 +124,31 @@ class DyadicTree:
             out[:, self.block_start] = self.theta
         np.multiply(signs.T, self.theta, out=out[:, off:off + k])
         return out
+
+    def _distances(self, space, sa, sb, scratch):
+        """``space`` distances between the nodes whose sign prefixes are
+        the columns of ``sa`` and ``sb`` (two (k, m) arrays as for
+        ``_place``), as an (m,) array.
+
+        On l_inf a sign tree needs no coordinates.  The lead coordinates
+        cancel to +0, and block coordinate j of the float difference is
+        exactly theta*(sa_j - sb_j), one of 0, +-theta and +-2*theta, so the
+        distance is theta * max_j |sa_j - sb_j|, computed on the int8 signs
+        (theta > 0 commutes with max).  Otherwise both node sets are placed
+        in ``scratch``, two (D, w) arrays, w rows at a time, and normed."""
+        if self.nodes is None and space.p_exponent == math.inf:
+            diff = np.subtract(sa, sb)
+            return self.theta * np.abs(diff, out=diff).max(axis=0)
+        a, b = scratch
+        m, w = sa.shape[1], a.shape[1]
+        dist = np.empty(m)
+        for r0 in range(0, m, w):
+            r1 = min(m, r0 + w)
+            xa, xb = a[:, :r1 - r0], b[:, :r1 - r0]
+            self._place(sa[:, r0:r1], xa.T)
+            self._place(sb[:, r0:r1], xb.T)
+            dist[r0:r1] = space._norm(np.subtract(xa, xb, out=xa).T)
+        return dist
 
     def _sign_index(self, alpha):
         alpha = tuple(int(s) for s in alpha)
@@ -313,10 +347,17 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     structured pairs (parent/child and siblings among the first 4096
     parents of each level) from the same blocks.  The sampled pairs are
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
-    signs, so the sample depends on the seed alone.  A sampled pair counts
-    unless both draws are the same node (equal level and signs), tested
-    only where the distance is 0: two distinct nodes that coincide, or
-    whose l_p distance underflows to 0, count at distance 0.
+    signs, so the sample depends on the seed alone.  On l_inf a sign
+    tree measures a whole batch on the drawn int8 signs, as theta *
+    max_j |sa_j - sb_j|, in one more array the size of a draw: the lead
+    coordinates cancel to +0 and every block coordinate of the float
+    difference is exactly theta*(sa_j - sb_j), so this is the float
+    distance bit for bit (``DyadicTree._distances``).  An explicit tree, or
+    a finite p, places the nodes in blocks of rows and takes the float
+    norm.  A sampled pair counts unless both draws are the same node (equal
+    level and signs), tested only where the distance is 0: two distinct
+    nodes that coincide, or whose l_p distance underflows to 0, count at
+    distance 0.
     ``separation_pair`` is the first minimum.  On the exhaustive path it
     is (i, j), the two nodes' rows in level order (root first).  On the
     sampled path it names its kind: ("parent-child", k, i) for child i of
@@ -380,32 +421,24 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
         if tree.nodes is not None:
             # checked once here: the blocks below use the unchecked _norm
             space._check(tree.nodes)
-        # the nodes a and b of a block (a then holds a - b), stored by
-        # coordinate so that the norm reduces over contiguous rows
-        a, b = np.empty((2, tree.ambient_dim, min(rows, remaining)))
+        # the float route's node blocks, stored by coordinate so that the
+        # norm reduces over contiguous rows
+        scratch = np.empty((2, tree.ambient_dim, min(rows, remaining)))
         for lo in range(0, remaining, _DRAW_BATCH):
             m = min(remaining - lo, _DRAW_BATCH)
-            signs_a = _draw_nodes(tree, rng, m)
-            signs_b = _draw_nodes(tree, rng, m)
-            distinct = 0  # distinct pairs in the blocks before this one
-            for r0 in range(0, m, rows):
-                r1 = min(m, r0 + rows)
-                sa, sb = signs_a[:, r0:r1], signs_b[:, r0:r1]
-                xa, xb = a[:, :r1 - r0], b[:, :r1 - r0]
-                tree._place(sa, xa.T)
-                tree._place(sb, xb.T)
-                dist = space._norm(np.subtract(xa, xb, out=xa).T)
-                zero = np.flatnonzero(dist == 0.0)
-                if zero.size:
-                    same = (sa[:, zero] == sb[:, zero]).all(axis=0)
-                    dist = np.delete(dist, zero[same])
-                if dist.size:
-                    i = int(np.argmin(dist))
-                    if dist[i] < min_sep:
-                        min_sep = float(dist[i])
-                        sep_pair = ("sampled", lo + distinct + i)
-                    distinct += dist.size
-            pairs_checked += distinct
+            sa = _draw_nodes(tree, rng, m)
+            sb = _draw_nodes(tree, rng, m)
+            dist = tree._distances(space, sa, sb, scratch)
+            zero = np.flatnonzero(dist == 0.0)
+            if zero.size:
+                same = (sa[:, zero] == sb[:, zero]).all(axis=0)
+                dist = np.delete(dist, zero[same])
+            if dist.size:
+                i = int(np.argmin(dist))
+                if dist[i] < min_sep:
+                    min_sep = float(dist[i])
+                    sep_pair = ("sampled", lo + i)
+            pairs_checked += dist.size
 
     return TreeValidation(
         midpoint_exact=midpoint_exact,
@@ -431,7 +464,11 @@ def _draw_nodes(tree, rng, m):
     signs = np.unpackbits(packed, axis=1, count=m).view(np.int8)
     signs *= 2
     signs -= 1
-    signs *= np.arange(tree.depth)[:, None] < ks  # zero past the level
+    # zero past the level, row by row; the bool mask viewed as int8 0/1
+    # keeps the multiply in the int8 loop
+    ks = ks.astype(np.min_scalar_type(tree.depth))
+    for j, row in enumerate(signs):
+        row *= (ks > j).view(np.int8)
     return signs
 
 
@@ -461,34 +498,39 @@ def counterexample_function(family, space):
         raise ValueError("the counterexample needs l_inf and a family of "
                          "sign trees")
     D = family.ambient_dim
-    masks = []
+    outside = []  # per member, the coordinates outside its block, if any
     for t in family.trees:
         m = np.ones(D, dtype=bool)
         m[t.block_start:t.block_start + t.lead + t.depth] = False
-        masks.append(m)
+        outside.append(np.flatnonzero(m) if m.any() else None)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
         absx = np.abs(x)
         best = None
-        for t, outmask in zip(family.trees, masks):
-            out = absx[..., outmask].max(axis=-1) if outmask.any() else 0.0
+        for t, out in zip(family.trees, outside):
             off = t.block_start + t.lead
-            lead_pen = (np.abs(x[..., t.block_start] - t.theta) if t.lead
-                        else 0.0)
             blk = absx[..., off:off + t.depth]
-            # P[k] = max_{j<=k} ||x_j| - s|, S[k] = max_{j>k} |x_j|
-            pref = np.abs(blk - t.theta)
-            P = np.concatenate(
-                [np.zeros_like(blk[..., :1]),
-                 np.maximum.accumulate(pref, axis=-1)], axis=-1)
-            S = np.concatenate(
-                [np.flip(np.maximum.accumulate(np.flip(blk, -1), -1), -1),
-                 np.zeros_like(blk[..., :1])], axis=-1)
-            dk = np.maximum(P, S)
-            dk = np.maximum(dk, np.asarray(out)[..., None])
-            dk = np.maximum(dk, np.asarray(lead_pen)[..., None])
-            dist = dk[..., 0::2].min(axis=-1)  # even levels only
+            # distance to level k within the block: max(P[k], S[k]) with
+            # P[k] = max_{j<k} ||x_j| - theta| over the signed coordinates
+            # and S[k] = max_{j>=k} |x_j| over the zero ones
+            P, S = np.empty((2,) + blk.shape[:-1] + (t.depth + 1,))
+            P[..., 0] = 0.0
+            pref = np.abs(np.subtract(blk, t.theta, out=P[..., 1:]),
+                          out=P[..., 1:])
+            np.maximum.accumulate(pref, axis=-1, out=pref)
+            S[..., -1] = 0.0
+            np.maximum.accumulate(blk[..., ::-1], axis=-1,
+                                  out=S[..., -2::-1])
+            dist = np.maximum(P, S, out=P)[..., 0::2].min(axis=-1)  # even k
+            # every term is >= +0 and max is exact, so the outside and lead
+            # terms join once after the min: min_k max(a_k, b) equals
+            # max(min_k a_k, b)
+            if out is not None:
+                dist = np.maximum(dist, absx.take(out, axis=-1).max(axis=-1))
+            if t.lead:
+                dist = np.maximum(dist, np.abs(x[..., t.block_start]
+                                               - t.theta))
             best = dist if best is None else np.minimum(best, dist)
         return best
 

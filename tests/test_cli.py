@@ -213,6 +213,13 @@ class TestExitCodes:
         assert data == b""
         assert "config field 'seed'" in capsys.readouterr().err
 
+    def test_negative_deep_samples(self, tmp_path, capsys):
+        code, data = run(tmp_path, ["adversary", "--set", "depths=12",
+                                    "--set", "deep_samples=-1"])
+        assert code == 2
+        assert data == b""
+        assert "config field 'deep_samples'" in capsys.readouterr().err
+
 
 class TestModulusBracket:
     @pytest.mark.parametrize("p", ["2", "4"])

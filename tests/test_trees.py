@@ -46,6 +46,16 @@ class TestConstruction:
         with pytest.raises(KeyError):
             t.node((1, 1, 1))
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+    def test_theta_must_be_finite_positive(self, theta):
+        # the rule load_tree applies to a file's header, for every tree
+        with pytest.raises(ValueError, match="not finite and positive"):
+            trees_mod.DyadicTree(depth=4, theta=theta, ambient_dim=4)
+        nodes = build_sign_tree(2).to_explicit().nodes
+        with pytest.raises(ValueError, match="not finite and positive"):
+            trees_mod.DyadicTree(depth=2, theta=theta, ambient_dim=2,
+                                 nodes=nodes)
+
     def test_scale(self):
         t = build_sign_tree(2, scale=0.5)
         assert t.theta == 0.5
@@ -266,6 +276,23 @@ class TestCounterexample:
             counterexample_function(
                 mixed, NormedSpace(fam.ambient_dim, math.inf))
 
+    @pytest.mark.parametrize("scale", [0.75, 1 / 3])
+    def test_matches_unfactored_form(self, scale):
+        # members with a lead coordinate, one at block_start 0 and one past
+        # it, and three extra ambient coordinates outside every block
+        fam = build_tree_family([4, 7], ambient_dim=16, scale=scale)
+        f = counterexample_function(fam, NormedSpace(16, math.inf))
+        rng = np.random.default_rng(4)
+        nodes = np.vstack([trees_mod._heap_nodes(t) for t in fam.trees])
+        X = np.vstack([rng.uniform(-1.5, 1.5, size=(500, 16)), nodes,
+                       np.zeros((1, 16))])
+        X[:40, 13:] = 0.0  # points on the span of the blocks
+        for x in (X[0], X[-1], X, X[:60].reshape(3, 20, 16)):
+            got, want = f(x), _counterexample_unfactored(fam, x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_lipschitz_one(self):
         fam = build_tree_family([4])
         space = NormedSpace(fam.ambient_dim, math.inf)
@@ -275,6 +302,34 @@ class TestCounterexample:
         y = rng.uniform(-2, 2, size=(2000, fam.ambient_dim))
         lhs = np.abs(f(x) - f(y))
         assert np.all(lhs <= space.norm(x - y) + 1e-12)
+
+
+def _counterexample_unfactored(family, x):
+    """The counterexample unfactored: every level's distance takes the
+    outside and lead terms before the min over even levels."""
+    x = np.asarray(x, dtype=float)
+    absx = np.abs(x)
+    best = None
+    for t in family.trees:
+        outmask = np.ones(family.ambient_dim, dtype=bool)
+        outmask[t.block_start:t.block_start + t.lead + t.depth] = False
+        out = absx[..., outmask].max(axis=-1) if outmask.any() else 0.0
+        off = t.block_start + t.lead
+        lead_pen = (np.abs(x[..., t.block_start] - t.theta) if t.lead
+                    else 0.0)
+        blk = absx[..., off:off + t.depth]
+        P = np.concatenate(
+            [np.zeros_like(blk[..., :1]),
+             np.maximum.accumulate(np.abs(blk - t.theta), axis=-1)], axis=-1)
+        S = np.concatenate(
+            [np.flip(np.maximum.accumulate(np.flip(blk, -1), -1), -1),
+             np.zeros_like(blk[..., :1])], axis=-1)
+        dk = np.maximum(P, S)
+        dk = np.maximum(dk, np.asarray(out)[..., None])
+        dk = np.maximum(dk, np.asarray(lead_pen)[..., None])
+        dist = dk[..., 0::2].min(axis=-1)
+        best = dist if best is None else np.minimum(best, dist)
+    return best
 
 
 class TestWalk:
@@ -473,6 +528,23 @@ class TestRandomNodes:
             X, np.array([[sym[c] for c in row] for row in want]))
         assert list(rng.integers(0, 1000, 3)) == [621, 479, 264]
 
+    @pytest.mark.parametrize("depth", [1, 7, 16, 64, 300])
+    def test_draw_matches_broadcast_mask(self, depth):
+        # the row-by-row level mask (uint16 levels past depth 255) against
+        # one broadcast int64 mask: the same signs and generator state
+        tree = build_sign_tree(depth)
+        for m in (1, 13, 1001):
+            rng, ref = (np.random.default_rng(depth + m) for _ in range(2))
+            got = trees_mod._draw_nodes(tree, rng, m)
+            ks = ref.integers(0, depth + 1, size=m)
+            packed = ref.integers(0, 256, size=(depth, -(-m // 8)),
+                                  dtype=np.uint8)
+            want = np.unpackbits(packed, axis=1, count=m).view(np.int8) * 2 - 1
+            want *= np.arange(depth)[:, None] < ks
+            assert got.dtype == np.int8 and got.shape == (depth, m)
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_sampled_path_unchanged_past_exhaustive_cap(self):
         # depth 12 has 33,542,145 pairs, past the exhaustive cap, so the
         # default budget of 2M pairs is sampled; the count (distinct pairs
@@ -612,6 +684,52 @@ class TestStreamedChecks:
                             NormedSpace(SAMPLED_DEPTH, math.inf),
                             sample_pairs=STRUCTURED_PAIRS + 1000, seed=0)
         assert rep.separation_pair == ("parent-child", 0, 0)
+
+    @pytest.mark.parametrize("tree", [
+        build_sign_tree(SAMPLED_DEPTH),
+        build_sign_tree(SAMPLED_DEPTH, scale=0.75),
+        build_sign_tree(SAMPLED_DEPTH, scale=1 / 3),
+        build_sign_tree(SAMPLED_DEPTH, scale=0.1),
+        build_tree_family([3, SAMPLED_DEPTH], scale=1 / 3).trees[1],
+    ], ids=["theta-1", "theta-0.75", "theta-1/3", "theta-0.1", "member"])
+    def test_sign_route_matches_float_route(self, tree):
+        # an l_inf sign tree measures sampled pairs on its int8 signs, its
+        # explicit copy on placed coordinates: the same distances bit for
+        # bit, so the same report over two draw batches
+        space = NormedSpace(tree.ambient_dim, math.inf)
+        copy = tree.to_explicit()
+        rng = np.random.default_rng(6)
+        sa, sb = (trees_mod._draw_nodes(tree, rng, 5000) for _ in range(2))
+        scratch = np.empty((2, tree.ambient_dim, 700))
+        got = tree._distances(space, sa, sb, scratch)
+        want = copy._distances(space, sa, sb, scratch)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert set(np.unique(got).tolist()) == {
+            0.0, tree.theta, 2 * tree.theta}
+        pairs = STRUCTURED_PAIRS + 80_000
+        rep = validate_tree(tree, space, sample_pairs=pairs, seed=1)
+        assert not rep.exhaustive_pairs
+        assert validate_tree(copy, space, sample_pairs=pairs, seed=1) == rep
+
+    def test_sign_route_counts_distinct_pairs(self):
+        tree = build_sign_tree(SAMPLED_DEPTH, lead=True, scale=0.5)
+        rep = validate_tree(tree, NormedSpace(tree.ambient_dim, math.inf),
+                            sample_pairs=STRUCTURED_PAIRS + 50_000, seed=2)
+        assert rep.pairs_checked == (STRUCTURED_PAIRS
+                                     + _distinct_draws(tree, 2, 50_000))
+        assert rep.min_separation == 0.5
+
+    def test_benchmark_call_pinned(self):
+        # the sampled depth-16 call of the tree-adversary benchmark
+        rep = validate_tree(build_sign_tree(16), NormedSpace(16, math.inf),
+                            seed=5)
+        assert not rep.exhaustive_pairs
+        assert rep.pairs_checked == 1_986_601
+        assert rep.separation_pair == ("parent-child", 0, 0)
+        assert rep.min_separation == 1.0
+        assert rep.max_norm == 1.0
+        assert rep.midpoint_exact and rep.separation_ok
 
     def test_draw_law(self):
         # member 1 of the family: lead coordinate 4, signs in 5..16
