@@ -17,12 +17,20 @@ of D coordinates, and the pair kernel takes as many rows as fill
 on the block size.  Random nodes follow one law: a level uniform on
 0..depth, then independent fair signs, drawn as packed random bytes.
 
-A sampled pair's distance takes one of two routes, chosen by
-``DyadicTree._distances``.  A sign tree on l_inf never places its nodes:
-two nodes differ only in their sign prefixes, where the float difference is
-exactly theta times the int8 sign difference, so the distance is theta times
-the largest |sa_j - sb_j|, the same double bit for bit.  An explicit tree,
-or any finite p, places both nodes and takes the float norm.
+Pair distances take one of two routes, chosen by
+``DyadicTree._measures_signs``.  A sign tree on l_inf never places its
+nodes to measure them: two nodes differ only in their sign prefixes, where
+the float difference is exactly theta times the int8 sign difference, so
+the distance is theta times the largest |sa_j - sb_j|, the same double bit
+for bit.  The sampled pairs take it on their drawn signs
+(``DyadicTree._distances``), and the exhaustive pairs hand the heap-ordered
+int8 sign prefixes to the one all-pairs kernel, ``_min_pair_distance``, and
+scale its minimum by theta.  An explicit tree, or any finite p, places the
+nodes and takes the float norm.
+
+The branch walk places the two children of each visited node from an int8
+sign array and evaluates only what its choice needs: the evaluator that
+picks the child at both children, the others at the child taken.
 """
 
 import math
@@ -50,6 +58,7 @@ __all__ = [
 ]
 
 _ENUM_CAP = 1 << 21  # max node count for exhaustive materialization
+_ENUM_DEPTH = _ENUM_CAP.bit_length() - 2  # deepest tree within _ENUM_CAP
 _EXHAUSTIVE_PAIRS = 1 << 22  # node pairs always checked exhaustively
 _DRAW_BATCH = 1 << 16  # node pairs drawn at once by the sampled check
 _STRUCTURED_BUDGET = 4096  # parents per level in the structured pairs
@@ -60,8 +69,12 @@ def _level_signs(k, lo=0, hi=None):
     lo + j (all rows by default) of level k in heap order: bit 0 -> +1,
     bit 1 -> -1, most significant first."""
     hi = 1 << k if hi is None else hi
-    bits = (np.arange(lo, hi) >> np.arange(k - 1, -1, -1)[:, None]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    dtype = np.int32 if k < 32 else np.int64  # holds every row of level k
+    shifts = np.arange(k - 1, -1, -1, dtype=dtype)[:, None]
+    signs = ((np.arange(lo, hi, dtype=dtype) >> shifts) & 1).astype(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def _heap_index(alpha):
@@ -125,18 +138,23 @@ class DyadicTree:
         np.multiply(signs.T, self.theta, out=out[:, off:off + k])
         return out
 
+    def _measures_signs(self, space):
+        """Whether the ``space`` distance of two nodes is theta times the
+        l_inf distance of their int8 sign prefixes, so that pair checks
+        need no coordinates: true for a sign tree on l_inf.  The lead
+        coordinates cancel to +0, and block coordinate j of the float
+        difference is exactly theta*(sa_j - sb_j), one of 0, +-theta and
+        +-2*theta, so the distance is theta * max_j |sa_j - sb_j| bit for
+        bit (theta > 0 commutes with max and keeps the order of pairs)."""
+        return self.nodes is None and space.p_exponent == math.inf
+
     def _distances(self, space, sa, sb, scratch):
         """``space`` distances between the nodes whose sign prefixes are
         the columns of ``sa`` and ``sb`` (two (k, m) arrays as for
-        ``_place``), as an (m,) array.
-
-        On l_inf a sign tree needs no coordinates.  The lead coordinates
-        cancel to +0, and block coordinate j of the float difference is
-        exactly theta*(sa_j - sb_j), one of 0, +-theta and +-2*theta, so the
-        distance is theta * max_j |sa_j - sb_j|, computed on the int8 signs
-        (theta > 0 commutes with max).  Otherwise both node sets are placed
-        in ``scratch``, two (D, w) arrays, w rows at a time, and normed."""
-        if self.nodes is None and space.p_exponent == math.inf:
+        ``_place``), as an (m,) array: on the signs where
+        ``_measures_signs``, otherwise with both node sets placed in
+        ``scratch``, two (D, w) arrays, w rows at a time, and normed."""
+        if self._measures_signs(space):
             diff = np.subtract(sa, sb)
             return self.theta * np.abs(diff, out=diff).max(axis=0)
         a, b = scratch
@@ -265,8 +283,15 @@ def _min_pair_distance(space, A, B, upper=False):
     whatever the row counts and dimension.  A coordinate zero in both A and
     B adds nothing to any l_p distance and is skipped; one zero in all of B
     (or all of A) adds a per-row (per-column) term summed once.
+
+    The blocks are in the dtype of A and B.  Integer rows, such as the
+    int8 sign prefixes of a sign tree, need p = inf, where no power is
+    taken and the distances are the largest coordinate differences.
     """
     p = space.p_exponent
+    dtype = np.result_type(A, B)
+    # the lower triangle's mask value, above every distance
+    masked = math.inf if dtype.kind == "f" else np.iinfo(dtype).max
     combine = np.maximum if p == math.inf else np.add
 
     def term(x, out=None):
@@ -278,7 +303,7 @@ def _min_pair_distance(space, A, B, upper=False):
         return out
 
     def edge(X, cols):
-        acc = np.zeros(X.shape[0])
+        acc = np.zeros(X.shape[0], dtype=dtype)
         for c in cols:
             combine(acc, term(X[:, c]), out=acc)
         return acc
@@ -311,7 +336,7 @@ def _min_pair_distance(space, A, B, upper=False):
         if upper:
             # row lo+r, column j0+c: the pair is i < j exactly when c >= r
             below = np.arange(hi - lo)[:, None] > np.arange(n - j0)[None, :]
-            acc[below] = math.inf
+            acc[below] = masked
             checked += acc.size - int(below.sum())
         else:
             checked += acc.size
@@ -347,16 +372,22 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     structured pairs (parent/child and siblings among the first 4096
     parents of each level) from the same blocks.  The sampled pairs are
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
-    signs, so the sample depends on the seed alone.  On l_inf a sign
-    tree measures a whole batch on the drawn int8 signs, as theta *
-    max_j |sa_j - sb_j|, in one more array the size of a draw: the lead
-    coordinates cancel to +0 and every block coordinate of the float
-    difference is exactly theta*(sa_j - sb_j), so this is the float
-    distance bit for bit (``DyadicTree._distances``).  An explicit tree, or
-    a finite p, places the nodes in blocks of rows and takes the float
-    norm.  A sampled pair counts unless both draws are the same node (equal
-    level and signs), tested only where the distance is 0: two distinct
-    nodes that coincide, or whose l_p distance underflows to 0, count at
+    signs, so the sample depends on the seed alone.
+
+    On l_inf a sign tree measures pairs on their int8 sign prefixes, as
+    theta * max_j |sa_j - sb_j|: the lead coordinates cancel to +0 and
+    every block coordinate of the float difference is exactly
+    theta*(sa_j - sb_j), so this is the float distance bit for bit
+    (``DyadicTree._measures_signs``).  The sampled path measures a whole
+    draw batch so, in one more array the size of a draw.  The exhaustive
+    path gives the all-pairs kernel the heap-ordered sign prefixes, padded
+    with zeros, and scales its minimum by theta; the minimum, first pair
+    and count are the float kernel's (depth 10, 2,094,081 pairs: about
+    14 ms on 2 cores, 52 ms on placed nodes).  An explicit tree, or a
+    finite p, places the nodes in blocks of rows and takes the float norm.
+    A sampled pair counts unless both draws are the same node (equal level
+    and signs), tested only where the distance is 0: two distinct nodes
+    that coincide, or whose l_p distance underflows to 0, count at
     distance 0.
     ``separation_pair`` is the first minimum.  On the exhaustive path it
     is (i, j), the two nodes' rows in level order (root first).  On the
@@ -411,10 +442,16 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     midpoint_exact = violation is None
 
     if exhaustive:
-        all_nodes = _heap_nodes(tree)
+        signs = _heap_signs(tree.depth)
+        all_nodes = tree._place(signs)
         max_norm = float(space.norm(all_nodes).max())
-        min_sep, sep_pair, pairs_checked = _min_pair_distance(
-            space, all_nodes, all_nodes, upper=True)
+        if tree._measures_signs(space):
+            rows, scale = signs.T, tree.theta
+        else:
+            rows, scale = all_nodes, 1.0
+        sep, sep_pair, pairs_checked = _min_pair_distance(
+            space, rows, rows, upper=True)
+        min_sep = scale * sep
     else:
         rng = np.random.default_rng(seed)
         remaining = max(sample_pairs - pairs_checked, 0)
@@ -477,10 +514,19 @@ def _random_nodes(tree, rng, m):
     return tree._place(_draw_nodes(tree, rng, m))
 
 
+def _heap_signs(depth, levels=None):
+    """(depth, m) int8 array whose columns are the sign prefixes, padded
+    with zeros, of levels 0 .. levels - 1 (all by default) in heap order."""
+    levels = depth + 1 if levels is None else min(levels, depth + 1)
+    signs = np.zeros((depth, (1 << levels) - 1), dtype=np.int8)
+    for k in range(1, levels):
+        signs[:k, (1 << k) - 1:(2 << k) - 1] = _level_signs(k)
+    return signs
+
+
 def _heap_nodes(tree, levels=None):
     """Levels 0 .. levels - 1 (all by default) in heap order."""
-    levels = tree.depth + 1 if levels is None else min(levels, tree.depth + 1)
-    return np.vstack([tree._level_rows(k, 0, 1 << k) for k in range(levels)])
+    return tree._place(_heap_signs(tree.depth, levels))
 
 
 def counterexample_function(family, space):
@@ -562,46 +608,60 @@ def adversarial_branch_walk(c, d, tree, f, delta):
     """Two-step greedy branch walk: from each even node pick the child
     maximizing d, then its child maximizing c (ties toward the +1 child).
     Under the hypothesis |f - (c - d)| <= delta at every visited node, c
-    must grow by at least theta/2 - 2*delta per double step."""
+    must grow by at least theta/2 - 2*delta per double step.
+
+    Each evaluator gets one node per call, a read-only (D,) row, and only
+    where the walk needs it: c, d and f at the root; d at both children on
+    a step to an odd level, then c and f at the child taken; c at both
+    children on a step to an even level, then d and f at the child taken.
+    So f, the costly counterexample, runs depth + 1 times, on the visited
+    nodes.  A value that is not finite raises ``SolverEvalError`` naming
+    the evaluator and the node; a child the walk does not take never
+    reaches f, nor c on an odd step or d on an even one, so a non-finite
+    value there raises nothing."""
     if tree.depth % 2 != 0:
         raise ValueError("walk needs an even tree depth")
 
-    def visit(alpha):
-        node = tree.node(alpha)
-        cv = float(c(node))
-        dv = float(d(node))
-        fv = float(f(node))
-        for name, v in (("c", cv), ("d", dv), ("f", fv)):
-            if not math.isfinite(v):
-                raise SolverEvalError(name, alpha)
-        return WalkLevel(alpha=alpha, node=node, c_value=cv, d_value=dv,
+    def value(fn, name, x, alpha):
+        v = float(fn(x))
+        if not math.isfinite(v):
+            raise SolverEvalError(name, alpha)
+        return v
+
+    def visited(alpha, x, cv, dv):
+        fv = value(f, "f", x, alpha)
+        return WalkLevel(alpha=alpha, node=x, c_value=cv, d_value=dv,
                          f_value=fv, hypothesis_gap=abs(fv - (cv - dv)))
 
+    root = tree.node(())
+    levels = [visited((), root, value(c, "c", root, ()),
+                      value(d, "d", root, ()))]
+    # column 0 is the +1 child and column 1 the -1 child of the last
+    # visited node; the rows above hold that node's sign prefix
+    signs = np.zeros((tree.depth, 2), dtype=np.int8)
     alpha = ()
-    levels = [visit(alpha)]
-    branch = []
-    increments = []
-    c_prev_even = levels[0].c_value
-    for _ in range(tree.depth // 2):
-        plus = visit(alpha + (1,))
-        minus = visit(alpha + (-1,))
-        odd = plus if plus.d_value >= minus.d_value else minus
-        alpha = odd.alpha
-        branch.append(alpha[-1])
-        plus = visit(alpha + (1,))
-        minus = visit(alpha + (-1,))
-        even = plus if plus.c_value >= minus.c_value else minus
-        alpha = even.alpha
-        branch.append(alpha[-1])
-        levels.extend([odd, even])
-        increments.append(even.c_value - c_prev_even)
-        c_prev_even = even.c_value
+    for k in range(tree.depth):
+        odd = k % 2 == 0  # the children are on level k + 1
+        pick, other = ((d, "d"), (c, "c")) if odd else ((c, "c"), (d, "d"))
+        signs[k] = 1, -1
+        children = tree._place(signs[:k + 1])
+        children.flags.writeable = False
+        v = [value(*pick, x, alpha + (s,)) for x, s in zip(children, (1, -1))]
+        i = 0 if v[0] >= v[1] else 1
+        signs[k] = 1 - 2 * i
+        alpha += (1 - 2 * i,)
+        x = children[i]
+        w = value(*other, x, alpha)
+        cv, dv = (w, v[i]) if odd else (v[i], w)
+        levels.append(visited(alpha, x, cv, dv))
+    even = levels[0::2]
     total = levels[-1].c_value - levels[0].c_value
     max_gap = max(lv.hypothesis_gap for lv in levels)
     return WalkReport(
-        branch=tuple(branch),
+        branch=alpha,
         levels=tuple(levels),
-        c_increments=tuple(increments),
+        c_increments=tuple(b.c_value - a.c_value
+                           for a, b in zip(even, even[1:])),
         total_c_growth=total,
         guaranteed_growth=(tree.theta / 2.0 - 2.0 * delta)
         * (tree.depth / 2.0),
@@ -654,7 +714,8 @@ def load_tree(path):
             depth, D, theta = int(header[0]), int(header[1]), float(header[2])
         except ValueError as exc:
             raise ValueError(f"{path}:1: bad header ({exc})") from None
-        if depth < 1 or (1 << (depth + 1)) - 1 > _ENUM_CAP:
+        # compared before any shift: a huge depth must not build a number
+        if not 1 <= depth <= _ENUM_DEPTH:
             raise ValueError(f"{path}:1: depth {depth} is below 1 or has "
                              f"more than {_ENUM_CAP} nodes")
         if D < 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -10,8 +11,9 @@ import pytest
 import deltaconvex
 from deltaconvex import (NormedSpace, adversarial_branch_walk,
                          build_sign_tree, build_tree_family,
-                         counterexample_function, error_lower_bound,
-                         load_tree, save_tree, validate_tree)
+                         convex_pair_catalog, counterexample_function,
+                         error_lower_bound, load_tree, save_tree,
+                         validate_tree)
 from deltaconvex import trees as trees_mod
 from deltaconvex.cli import main
 from deltaconvex.trees import TreeFamily
@@ -123,6 +125,22 @@ def _reference_trees():
     return out
 
 
+SIGN_THETAS = [1.0, 0.75, 0.1, 2.0 ** -40]
+
+
+def _kernel_dtypes(monkeypatch):
+    """Record the dtype of the rows of each ``_min_pair_distance`` call."""
+    seen = []
+    kernel = trees_mod._min_pair_distance
+
+    def spy(space, A, B, upper=False):
+        seen.append(A.dtype)
+        return kernel(space, A, B, upper)
+
+    monkeypatch.setattr(trees_mod, "_min_pair_distance", spy)
+    return seen
+
+
 def _close(p, got, want):
     if p in (1.0, math.inf):
         return got == want
@@ -183,6 +201,79 @@ class TestPairKernel:
                             mutual_distance=fam.mutual_distance)
         with pytest.raises(AssertionError, match="0.5 apart"):
             trees_mod._check_family_distance(broken)
+
+    @pytest.mark.parametrize("theta", SIGN_THETAS)
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_exhaustive_signs_match_float_kernel(self, monkeypatch, depth,
+                                                 theta):
+        # an l_inf sign tree hands its int8 sign prefixes to the kernel: the
+        # float kernel's minimum, first pair and count on the placed nodes
+        tree = build_sign_tree(depth, scale=theta)
+        space = NormedSpace(depth, math.inf)
+        nodes = trees_mod._heap_nodes(tree)
+        want = trees_mod._min_pair_distance(space, nodes, nodes, upper=True)
+        seen = _kernel_dtypes(monkeypatch)
+        rep = validate_tree(tree, space)
+        assert seen == [np.int8]
+        assert rep.exhaustive_pairs
+        assert (rep.min_separation, rep.separation_pair,
+                rep.pairs_checked) == want
+        assert rep.min_separation == theta  # the root and a child
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("theta", SIGN_THETAS)
+    def test_exhaustive_signs_on_family_members(self, monkeypatch, theta,
+                                                block):
+        # members with a lead coordinate, one past block_start 0, in an
+        # ambient space wider than the family; a small block spreads the
+        # int8 pairs over many row blocks
+        if block is not None:
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
+        fam = build_tree_family([3, 6, 9], ambient_dim=24, scale=theta)
+        space = NormedSpace(24, math.inf)
+        for tree in fam.trees:
+            nodes = trees_mod._heap_nodes(tree)
+            want = trees_mod._min_pair_distance(space, nodes, nodes,
+                                                upper=True)
+            seen = _kernel_dtypes(monkeypatch)
+            rep = validate_tree(tree, space)
+            assert seen == [np.int8]
+            assert (rep.min_separation, rep.separation_pair,
+                    rep.pairs_checked) == want
+            # the explicit copy keeps the float kernel, with the same report
+            seen.clear()
+            assert validate_tree(tree.to_explicit(), space) == rep
+            assert seen == [np.float64]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_finite_p_keeps_float_kernel(self, monkeypatch, p):
+        tree = build_tree_family([3, 6], ambient_dim=14, scale=0.75).trees[1]
+        space = NormedSpace(14, p)
+        seen = _kernel_dtypes(monkeypatch)
+        rep = validate_tree(tree, space)
+        assert seen == [np.float64]
+        seen.clear()
+        assert validate_tree(tree.to_explicit(), space) == rep
+        assert seen == [np.float64]
+
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_kernel_runs_in_integer_dtype(self, monkeypatch, block):
+        # int8 rows in the kernel against the same rows as doubles: the
+        # lower triangle's mask value is the dtype's maximum, above every
+        # distance, so no masked pair wins a block
+        if block is not None:
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
+        rng = np.random.default_rng(9)
+        space = NormedSpace(7, math.inf)
+        A = rng.integers(-1, 2, size=(90, 7)).astype(np.int8)
+        B = rng.integers(-1, 2, size=(50, 7)).astype(np.int8)
+        A[:, 5:] = 0
+        B[:, :2] = 0
+        for X, Y, upper in ((A, B, False), (A, A, True)):
+            got = trees_mod._min_pair_distance(space, X, Y, upper)
+            want = trees_mod._min_pair_distance(
+                space, X.astype(float), Y.astype(float), upper)
+            assert got == want
 
     def test_explicit_sampler_matches_implicit(self):
         tree = build_tree_family([3, 6], scale=0.5).trees[1]
@@ -372,6 +463,137 @@ class TestWalk:
             adversarial_branch_walk(lambda x: 0.0, lambda x: 0.0, t,
                                     lambda x: 0.0, 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.75])
+    def test_matches_reference_walk(self, scale):
+        # the catalog pairs and a pair that turns both ways, on sign trees
+        # of depths 2-64 and an explicit copy
+        fam = build_tree_family([2, 4, 16, 64], scale=scale)
+        space = NormedSpace(fam.ambient_dim, math.inf)
+        f = counterexample_function(fam, space)
+        pairs = [(c, d) for _, c, d, _ in
+                 convex_pair_catalog(fam.ambient_dim, space)]
+        pairs.append(_turning_pair(fam.ambient_dim))
+        for c, d in pairs:
+            for tree in fam.trees + (fam.trees[2].to_explicit(),):
+                for delta in (0.0, 0.1):
+                    got = adversarial_branch_walk(c, d, tree, f, delta)
+                    want = _reference_walk(c, d, tree, f, delta)
+                    assert _fields(got) == _fields(want)
+
+    def test_evaluations_per_walk(self):
+        # f once per visited node; c and d at the root, once per step at
+        # the taken child and at both children on the steps they choose
+        fam = build_tree_family([2, 16, 64])
+        space = NormedSpace(fam.ambient_dim, math.inf)
+        f = counterexample_function(fam, space)
+        c, d = _turning_pair(fam.ambient_dim)
+        for tree in fam.trees:
+            calls = {"c": [], "d": [], "f": []}
+
+            def counted(name, fn):
+                def call(x):
+                    calls[name].append(x)
+                    return fn(x)
+                return call
+
+            rep = adversarial_branch_walk(counted("c", c), counted("d", d),
+                                          tree, counted("f", f), 0.0)
+            n = tree.depth
+            assert len(calls["f"]) == n + 1
+            assert len(calls["c"]) == len(calls["d"]) == 1 + 3 * n // 2
+            for x, lv in zip(calls["f"], rep.levels):
+                assert x is lv.node
+
+    def test_non_finite_values(self):
+        t = build_sign_tree(2)
+
+        def zero(x):  # ties take (1,), then (1, 1)
+            return 0.0
+
+        def nan_at(alpha):
+            node = t.node(alpha)
+            return lambda x: math.nan if np.array_equal(x, node) else 0.0
+
+        # f at a child the walk does not take is never evaluated
+        for alpha in ((-1,), (1, -1)):
+            with pytest.raises(trees_mod.SolverEvalError):
+                _reference_walk(zero, zero, t, nan_at(alpha), 0.0)
+            rep = adversarial_branch_walk(zero, zero, t, nan_at(alpha), 0.0)
+            assert rep.branch == (1, 1)
+        # f on the branch, or the value that picks the child, still raises
+        for fns, name, alpha in (((zero, zero, nan_at((1,))), "f", (1,)),
+                                 ((zero, zero, nan_at((1, 1))), "f", (1, 1)),
+                                 ((zero, nan_at((-1,)), zero), "d", (-1,)),
+                                 ((nan_at((1, -1)), zero, zero), "c",
+                                  (1, -1))):
+            c, d, f = fns
+            with pytest.raises(trees_mod.SolverEvalError,
+                               match=f"'{name}' failed") as err:
+                adversarial_branch_walk(c, d, t, f, 0.0)
+            assert err.value.alpha == alpha
+
+
+def _turning_pair(dim):
+    """A convex pair whose walk takes both signs: c a shifted quadratic,
+    d linear."""
+    rng = np.random.default_rng(11)
+    a, g = rng.uniform(-1, 1, size=(2, dim))
+
+    def c(x):
+        return float(((np.asarray(x) - a) ** 2).sum())
+
+    def d(x):
+        return float(np.asarray(x) @ g)
+
+    return c, d
+
+
+def _reference_walk(c, d, tree, f, delta):
+    """The walk as first written: c, d and f at both children of every
+    step, each node from ``tree.node``."""
+    def visit(alpha):
+        node = tree.node(alpha)
+        cv, dv, fv = float(c(node)), float(d(node)), float(f(node))
+        for name, v in (("c", cv), ("d", dv), ("f", fv)):
+            if not math.isfinite(v):
+                raise trees_mod.SolverEvalError(name, alpha)
+        return trees_mod.WalkLevel(alpha=alpha, node=node, c_value=cv,
+                                   d_value=dv, f_value=fv,
+                                   hypothesis_gap=abs(fv - (cv - dv)))
+
+    alpha = ()
+    levels = [visit(alpha)]
+    increments = []
+    for _ in range(tree.depth // 2):
+        plus, minus = visit(alpha + (1,)), visit(alpha + (-1,))
+        odd = plus if plus.d_value >= minus.d_value else minus
+        plus, minus = visit(odd.alpha + (1,)), visit(odd.alpha + (-1,))
+        even = plus if plus.c_value >= minus.c_value else minus
+        alpha = even.alpha
+        increments.append(even.c_value - levels[-1].c_value)
+        levels.extend([odd, even])
+    max_gap = max(lv.hypothesis_gap for lv in levels)
+    return trees_mod.WalkReport(
+        branch=alpha, levels=tuple(levels), c_increments=tuple(increments),
+        total_c_growth=levels[-1].c_value - levels[0].c_value,
+        guaranteed_growth=(tree.theta / 2.0 - 2.0 * delta)
+        * (tree.depth / 2.0),
+        hypothesis_held=max_gap <= delta, max_gap=max_gap)
+
+
+def _fields(obj):
+    """A dataclass as a tuple of (name, value), an array as its dtype,
+    shape, bytes and write flag, and each walk level in the same way."""
+    out = []
+    for field in dataclasses.fields(obj):
+        v = getattr(obj, field.name)
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.str, v.shape, v.tobytes(), v.flags.writeable)
+        elif field.name == "levels":
+            v = tuple(map(_fields, v))
+        out.append((field.name, v))
+    return tuple(out)
+
 
 class TestErrorLowerBound:
     def test_values(self):
@@ -399,6 +621,9 @@ MALFORMED = {
     "zero-theta": ("1 2 0\n" + _DEPTH1_BODY, 1, "theta"),
     "negative-theta": ("1 2 -1\n" + _DEPTH1_BODY, 1, "theta"),
     "depth-past-cap": ("40 2 1\n" + _DEPTH1_BODY, 1, "depth 40"),
+    # checked before any shift: 1 << (10**30 + 1) cannot be built
+    "depth-huge": (f"{10 ** 30} 2 1\n" + _DEPTH1_BODY, 1,
+                   f"depth {10 ** 30}"),
     "depth-zero": ("0 2 1\n0 0\n", 1, "depth 0"),
     "unparsed-depth": ("a 2 1\n0 0\n", 1, "bad header"),
     "unparsed-coordinate": ("1 2 1\n0 0\n+ 1 x\n- -1 0\n", 3,
@@ -459,6 +684,14 @@ class TestSerialization:
         assert f"{path}:{lineno}: " in capsys.readouterr().err
 
 
+def _level_signs_int64(k, lo=0, hi=None):
+    """``_level_signs`` as first written, from int64 shifts, the
+    reference for the int32 form."""
+    hi = 1 << k if hi is None else hi
+    bits = (np.arange(lo, hi) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+    return (1 - 2 * bits).astype(np.int8)
+
+
 class TestHeapLayout:
     @pytest.mark.parametrize("tree", [
         build_sign_tree(5), build_tree_family([3, 5], scale=0.5).trees[1]],
@@ -475,6 +708,23 @@ class TestHeapLayout:
         for row, alpha in enumerate(tree.indices()):
             assert trees_mod._heap_index(alpha) == row
             assert np.array_equal(explicit.node(alpha), tree.node(alpha))
+
+    @pytest.mark.parametrize("k", [*range(21), 31, 32, 40, 62])
+    def test_level_signs_match_int64_formula(self, k):
+        # full levels up to 20; windows on every level, also past the
+        # levels whose rows int32 holds
+        n = 1 << k
+        lo = n // 3
+        odd = min((n - lo) - (n - lo + 1) % 2, 4097)  # odd, from lo
+        windows = [(lo, lo + odd), (n // 2, n // 2), (n - 1, n), (0, 1)]
+        if k <= 20:
+            windows.append((0, None))
+        for window in windows:
+            got = trees_mod._level_signs(k, *window)
+            want = _level_signs_int64(k, *window)
+            assert got.dtype == np.int8
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_heap_index_of_level_signs(self):
         for k in range(1, 7):
