@@ -194,27 +194,21 @@ def _region(cfg, space):
     return np.zeros(space.dim), radius, grid
 
 
-def _warn_nonconverged(warnings, experiment, lam, flags):
-    """Append a warning naming the operators whose solve did not converge
-    at lam; ``flags`` maps operator name to its converged flag."""
-    failed = [name for name, ok in flags.items() if not ok]
-    if failed:
-        warnings.append(f"{experiment} lambda={lam:g}: {', '.join(failed)} "
-                        "did not converge")
-
-
-def _clarkson_constant(space, power):
-    """Clarkson's C = 1 at ``power``, behind both the rate bound and the
-    lower sandwich inequality; it is proven only on l_q with
-    2 <= q <= power, q finite, and on every l_q in dimension 1, and other
-    spaces are refused."""
+def _power(cfg, space, default):
+    """The ``power`` key, at least 2, and Clarkson's C = 1 there, behind
+    both the rate bound and the lower sandwich inequality; C is proven only
+    on l_q with 2 <= q <= power, q finite, and on every l_q in dimension 1,
+    and other spaces are refused."""
+    power = cfg.get_float("power", default)
+    if power < 2.0:
+        raise ConfigError("power", "must be >= 2")
     C = analytic_power_constant(space, power)
     if C is None:
         raise ConfigError(
             "power", f"no proven bound on {space.describe()} at power "
             f"{power:g}; it needs l_q with 2 <= q <= power, q finite, "
             "or dimension 1")
-    return C
+    return power, C
 
 
 def _lambdas(cfg, default):
@@ -226,6 +220,36 @@ def _lambdas(cfg, default):
     return lams
 
 
+def _sweep(experiment, space, f, lams, region, solver, power, operators,
+           measure):
+    """The lambda loop of the grid runners.  At each lambda every grid
+    operator in ``operators`` runs at ``power`` on the ball grid of
+    ``region``; one warning names, in call order, those that did not
+    converge.  ``measure(lam, fX, values, state)`` gets f on the grid, the
+    operators' values and what it returned as state at the previous lambda
+    (None at the first), and returns (measured, bound, messages, state);
+    each message becomes a violation prefixed with the lambda."""
+    X = ball_grid(space, *region)
+    fX = np.asarray(f(X), dtype=float)
+    rows, violations, warnings = [], [], []
+    state = None
+    for lam in lams:
+        vals, _, evals, conv, _ = zip(*[op(f, power, lam, X, space, solver)
+                                        for op in operators])
+        failed = [op.__name__ for op, ok in zip(operators, conv) if not ok]
+        if failed:
+            warnings.append(f"{experiment} lambda={lam:g}: "
+                            f"{', '.join(failed)} did not converge")
+        measured, bound, messages, state = measure(lam, fX, vals, state)
+        rows.append(ResultRow(
+            experiment=experiment, space=space.describe(), function=f.label,
+            lam=lam, measured=measured, bound=bound, slack=bound - measured,
+            evaluations=int(sum(evals)), runtime_ms=0, seed=solver.seed))
+        violations += [f"lambda={lam:g}: {m}" for m in messages]
+    return ExperimentResult(rows=rows, violations=violations,
+                            warnings=warnings)
+
+
 def run_converge(cfg):
     """Rate sweep: sup grid |f - f_lambda^p| against the analytic guarantee
     (L/(lambda C))^(1/(p-1)) with Clarkson C = 1, which is proven only on
@@ -233,44 +257,28 @@ def run_converge(cfg):
     refused."""
     space = _space(cfg)
     f = _function(cfg, space)
-    power = cfg.get_float("power", max(2.0, min(space.p_exponent, 8.0)
-                                       if space.p_exponent != math.inf
-                                       else 2.0))
-    if power < 2.0:
-        raise ConfigError("power", "must be >= 2")
-    C = _clarkson_constant(space, power)
+    power, C = _power(cfg, space, max(2.0, min(space.p_exponent, 8.0)
+                                      if space.p_exponent != math.inf
+                                      else 2.0))
     lams = _lambdas(cfg, [16.0, 64.0, 256.0])
-    center, radius, grid = _region(cfg, space)
+    region = _region(cfg, space)
     tol = cfg.get_float("bound_slack", 1e-4)
     solver = cfg.solver()
 
-    X = ball_grid(space, center, radius, grid)
-    fX = np.asarray(f(X), dtype=float)
-    rows, violations, warnings = [], [], []
-    prev = None
-    for lam in lams:
-        vals, _, evals, conv, _ = regularize_power_grid(
-            f, power, lam, X, space, solver)
-        _warn_nonconverged(
-            warnings, "converge", lam, {"regularize_power_grid": conv})
-        measured = float(np.abs(fX - vals).max())
+    def measure(lam, fX, vals, prev):
+        measured = float(np.abs(fX - vals[0]).max())
         bound = rate_bound(power, C, lam, f.lipschitz_constant)
-        rows.append(ResultRow(
-            experiment="converge", space=space.describe(), function=f.label,
-            lam=lam, measured=measured, bound=bound,
-            slack=bound - measured, evaluations=int(evals), runtime_ms=0,
-            seed=solver.seed))
+        messages = []
         if measured > bound + tol:
-            violations.append(
-                f"lambda={lam:g}: measured {measured:.6g} exceeds bound "
-                f"{bound:.6g} + {tol:g}")
+            messages.append(f"measured {measured:.6g} exceeds bound "
+                            f"{bound:.6g} + {tol:g}")
         if prev is not None and measured > prev + 2.0 * solver.tolerance:
-            violations.append(
-                f"lambda={lam:g}: error not non-increasing "
-                f"({measured:.6g} > {prev:.6g})")
-        prev = measured
-    return ExperimentResult(rows=rows, violations=violations,
-                            warnings=warnings)
+            messages.append(f"error not non-increasing "
+                            f"({measured:.6g} > {prev:.6g})")
+        return measured, bound, messages, measured
+
+    return _sweep("converge", space, f, lams, region, solver, power,
+                  [regularize_power_grid], measure)
 
 
 def run_hilbert_equiv(cfg):
@@ -282,33 +290,21 @@ def run_hilbert_equiv(cfg):
             "p", f"Hilbert-only experiment; got {space.describe()}")
     f = _function(cfg, space)
     lams = _lambdas(cfg, [9.0, 36.0, 144.0])
-    center, radius, grid = _region(cfg, space)
+    region = _region(cfg, space)
     # the inner problems live in tiny balls (radius ~ L/lambda) where the
     # corpus functions have at most one kink, so a lean profile suffices
     solver = cfg.solver(coarse=160, starts=2)
+    bound = 2.0 * solver.tolerance
 
-    X = ball_grid(space, center, radius, grid)
-    rows, violations, warnings = [], [], []
-    for lam in lams:
-        qvals, _, ev1, conv1, _ = regularize_power_grid(
-            f, 2.0, lam, X, space, solver)
-        mvals, _, ev2, conv2, _ = inf_convolve_grid(
-            f, 2.0, lam, X, space, solver)
-        _warn_nonconverged(warnings, "hilbert-equiv", lam,
-                           {"regularize_power_grid": conv1,
-                            "inf_convolve_grid": conv2})
-        measured = float(np.abs(qvals - mvals).max())
-        bound = 2.0 * solver.tolerance
-        rows.append(ResultRow(
-            experiment="hilbert-equiv", space=space.describe(),
-            function=f.label, lam=lam, measured=measured, bound=bound,
-            slack=bound - measured, evaluations=int(ev1 + ev2), runtime_ms=0,
-            seed=solver.seed))
+    def measure(lam, fX, vals, state):
+        measured = float(np.abs(vals[0] - vals[1]).max())
+        messages = []
         if measured > bound:
-            violations.append(
-                f"lambda={lam:g}: gap {measured:.6g} exceeds {bound:.6g}")
-    return ExperimentResult(rows=rows, violations=violations,
-                            warnings=warnings)
+            messages.append(f"gap {measured:.6g} exceeds {bound:.6g}")
+        return measured, bound, messages, None
+
+    return _sweep("hilbert-equiv", space, f, lams, region, solver, 2.0,
+                  [regularize_power_grid, inf_convolve_grid], measure)
 
 
 def run_sandwich(cfg):
@@ -317,44 +313,27 @@ def run_sandwich(cfg):
     spaces where C is not proven are refused."""
     space = _space(cfg)
     f = _function(cfg, space)
-    power = cfg.get_float("power", 2.0)
-    if power < 2.0:
-        raise ConfigError("power", "must be >= 2")
-    _clarkson_constant(space, power)
+    power, _ = _power(cfg, space, 2.0)
     lams = _lambdas(cfg, [4.0, 16.0, 64.0])
-    center, radius, grid = _region(cfg, space)
+    region = _region(cfg, space)
     solver = cfg.solver()
+    bound = 2.0 * solver.tolerance
 
-    X = ball_grid(space, center, radius, grid)
-    fX = np.asarray(f(X), dtype=float)
-    rows, violations, warnings = [], [], []
-    prev = None
-    for lam in lams:
-        env, _, ev1, conv1, _ = regularize_power_grid(
-            f, power, lam, X, space, solver)
-        infc, _, ev2, conv2, _ = inf_convolve_grid(
-            f, power, lam, X, space, solver)
-        _warn_nonconverged(warnings, "sandwich", lam,
-                           {"regularize_power_grid": conv1,
-                            "inf_convolve_grid": conv2})
+    def measure(lam, fX, vals, prev):
+        env, infc = vals
         low = float(np.max(infc - env, initial=0.0))
         high = float(np.max(env - fX, initial=0.0))
         mono = 0.0
         if prev is not None:
             mono = float(np.max(prev - env, initial=0.0))
         measured = max(low, high, mono, 0.0)
-        bound = 2.0 * solver.tolerance
-        rows.append(ResultRow(
-            experiment="sandwich", space=space.describe(), function=f.label,
-            lam=lam, measured=measured, bound=bound,
-            slack=bound - measured, evaluations=int(ev1 + ev2), runtime_ms=0,
-            seed=solver.seed))
+        messages = []
         if measured > bound:
-            violations.append(
-                f"lambda={lam:g}: sandwich violated by {measured:.6g}")
-        prev = env
-    return ExperimentResult(rows=rows, violations=violations,
-                            warnings=warnings)
+            messages.append(f"sandwich violated by {measured:.6g}")
+        return measured, bound, messages, env
+
+    return _sweep("sandwich", space, f, lams, region, solver, power,
+                  [regularize_power_grid, inf_convolve_grid], measure)
 
 
 def convex_pair_catalog(ambient_dim, space):
@@ -440,7 +419,7 @@ def run_adversary(cfg):
                     f"bound {bound:.6g}")
             # walk soundness at the observed gap level on the visited branch
             delta_hat = report.max_gap
-            need = (tree.theta / 2.0 - 2.0 * delta_hat) * (n / 2.0)
+            need = _trees._walk_guarantee(tree.theta, delta_hat, n)
             if report.total_c_growth < need - 1e-9:
                 violations.append(
                     f"pair {name}, depth {n}: walk growth "

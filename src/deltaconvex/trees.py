@@ -334,10 +334,13 @@ def _min_pair_distance(space, A, B, upper=False):
         elif p not in (1.0, math.inf):
             np.power(acc, 1.0 / p, out=acc)
         if upper:
-            # row lo+r, column j0+c: the pair is i < j exactly when c >= r
-            below = np.arange(hi - lo)[:, None] > np.arange(n - j0)[None, :]
-            acc[below] = masked
-            checked += acc.size - int(below.sum())
+            # row lo+r, column j0+c: the pair is i < j exactly when c >= r.
+            # So only the leading (hi - lo)-column square holds masked
+            # pairs, and as r <= n - j0, row r masks exactly r of them
+            h = hi - lo
+            square = acc[:, :h]
+            square[np.tri(*square.shape, -1, dtype=bool)] = masked
+            checked += acc.size - h * (h - 1) // 2
         else:
             checked += acc.size
         r, c = divmod(int(np.argmin(acc)), acc.shape[1])
@@ -663,11 +666,17 @@ def adversarial_branch_walk(c, d, tree, f, delta):
         c_increments=tuple(b.c_value - a.c_value
                            for a, b in zip(even, even[1:])),
         total_c_growth=total,
-        guaranteed_growth=(tree.theta / 2.0 - 2.0 * delta)
-        * (tree.depth / 2.0),
+        guaranteed_growth=_walk_guarantee(tree.theta, delta, tree.depth),
         hypothesis_held=max_gap <= delta,
         max_gap=max_gap,
     )
+
+
+def _walk_guarantee(theta, delta, depth):
+    """The c growth along a depth-``depth`` branch that the walk guarantees
+    when |f - (c - d)| <= delta at every visited node: theta/2 - 2*delta
+    per double step."""
+    return (theta / 2.0 - 2.0 * delta) * (depth / 2.0)
 
 
 class SolverEvalError(RuntimeError):

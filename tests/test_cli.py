@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import deltaconvex
-from deltaconvex import build_sign_tree, save_tree
+from deltaconvex import (ExperimentConfig, NormedSpace, SolverConfig,
+                         ball_grid, build_sign_tree, corpus_function,
+                         inf_convolve_grid, rate_bound, regularize_power_grid,
+                         run_converge, run_hilbert_equiv, run_sandwich,
+                         save_tree)
+from deltaconvex import experiments
 from deltaconvex.cli import CSV_HEADER, main
 
 FAST_CONVERGE = ["--set", "dim=1", "--set", "grid=9",
@@ -57,9 +62,16 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
-        _, a = run(tmp_path, ["converge"] + FAST_CONVERGE, "a.csv")
-        _, b = run(tmp_path, ["converge"] + FAST_CONVERGE, "b.csv")
+    @pytest.mark.parametrize("argv", [
+        ["converge"] + FAST_CONVERGE,
+        ["hilbert-equiv", "--set", "dim=1", "--set", "grid=9",
+         "--set", "lambdas=9,36", "--set", "coarse_samples=64"],
+        ["sandwich", "--set", "dim=1", "--set", "grid=9",
+         "--set", "lambdas=4,16", "--set", "coarse_samples=64"],
+    ], ids=lambda argv: argv[0])
+    def test_byte_identical_reruns(self, tmp_path, argv):
+        _, a = run(tmp_path, argv, "a.csv")
+        _, b = run(tmp_path, argv, "b.csv")
         assert a == b and a
 
     def test_seed_changes_output_not_schema(self, tmp_path):
@@ -334,3 +346,144 @@ class TestNonConvergedWarnings:
         code, _ = run(tmp_path, ["converge"] + FAST_CONVERGE)
         assert code == 0
         assert "warning:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runner, lams, code", [
+        ("converge", ["16", "64", "256"], 0),
+        ("hilbert-equiv", ["9", "36", "144"], 1),
+        ("sandwich", ["4", "16", "64"], 1),
+    ])
+    def test_every_runner_warns_per_lambda(self, tmp_path, capsys, runner,
+                                           lams, code):
+        # no solve reaches a tolerance of 1e-300, so every lambda warns,
+        # naming the operators in call order; the two runners that check
+        # at solver tolerance then also fail each row
+        got, data = run(tmp_path, [
+            runner, "--set", "dim=1", "--set", "grid=9",
+            "--set", "coarse_samples=64", "--set", "tolerance=1e-300"])
+        assert got == code
+        assert data.count(f"\n{runner},".encode()) == len(lams)
+        ops = ("regularize_power_grid" if runner == "converge"
+               else "regularize_power_grid, inf_convolve_grid")
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:len(lams)] == [
+            f"warning: {runner} lambda={lam}: {ops} did not converge"
+            for lam in lams]
+        violations = lines[len(lams):]
+        assert len(violations) == (len(lams) if code else 0)
+        for line, lam in zip(violations, lams):
+            assert line.startswith(f"bound violation: lambda={lam}: ")
+
+
+class TestSweepRows:
+    """Every row of the grid runners recomputed from the operators."""
+
+    def _setup(self, p, starts):
+        space = NormedSpace(2, p)
+        f = corpus_function(space, "sawtooth")
+        X = ball_grid(space, np.zeros(2), 1.0, 5)
+        solver = SolverConfig(coarse_samples=64, seed=1, starts=starts)
+        return space, f, X, solver
+
+    def _run(self, runner, argv):
+        cfg = ExperimentConfig.from_sources(
+            overrides=["dim=2", "grid=5", "coarse_samples=64",
+                       "function=sawtooth"] + argv, seed=1)
+        result = runner(cfg)
+        assert result.violations == []
+        return result.rows
+
+    def _check(self, row, lam, measured, bound, evals):
+        assert (row.lam, row.measured, row.bound) == (lam, measured, bound)
+        assert row.slack == bound - measured
+        assert row.evaluations == evals
+        assert (row.runtime_ms, row.seed) == (0, 1)
+
+    def test_converge(self):
+        lams = [16.0, 64.0]
+        rows = self._run(run_converge, ["p=4", "power=4", "lambdas=16,64"])
+        space, f, X, solver = self._setup(4.0, 3)
+        assert len(rows) == len(lams)
+        for row, lam in zip(rows, lams):
+            vals, _, evals, _, _ = regularize_power_grid(
+                f, 4.0, lam, X, space, solver)
+            measured = float(np.abs(f(X) - vals).max())
+            bound = rate_bound(4.0, 1.0, lam, f.lipschitz_constant)
+            self._check(row, lam, measured, bound, evals)
+
+    def test_hilbert_equiv(self):
+        lams = [9.0, 36.0]
+        rows = self._run(run_hilbert_equiv, ["lambdas=9,36"])
+        space, f, X, solver = self._setup(2.0, 2)
+        assert len(rows) == len(lams)
+        for row, lam in zip(rows, lams):
+            q, _, ev1, _, _ = regularize_power_grid(
+                f, 2.0, lam, X, space, solver)
+            m, _, ev2, _, _ = inf_convolve_grid(f, 2.0, lam, X, space, solver)
+            measured = float(np.abs(q - m).max())
+            self._check(row, lam, measured, 2e-6, ev1 + ev2)
+
+    def test_sandwich(self):
+        lams = [4.0, 16.0, 64.0]
+        rows = self._run(run_sandwich, ["p=4", "power=4"])
+        space, f, X, solver = self._setup(4.0, 3)
+        assert len(rows) == len(lams)
+        prev = None
+        for row, lam in zip(rows, lams):
+            env, _, ev1, _, _ = regularize_power_grid(
+                f, 4.0, lam, X, space, solver)
+            infc, _, ev2, _, _ = inf_convolve_grid(
+                f, 4.0, lam, X, space, solver)
+            terms = [np.max(infc - env, initial=0.0),
+                     np.max(env - f(X), initial=0.0), 0.0]
+            if prev is not None:
+                # f_lambda rises with lambda
+                terms.append(np.max(prev - env, initial=0.0))
+            self._check(row, lam, float(max(terms)), 2e-6, ev1 + ev2)
+            prev = env
+
+    def _stand_ins(self, monkeypatch, env, infc=None, failing=()):
+        """Replace the grid operators with constants per lambda; the
+        inf-convolution fails to converge at the lambdas in ``failing``."""
+        def regularize_power_grid(f, power, lam, X, space, solver):
+            return env(f, X, lam), None, 3, True, None
+
+        def inf_convolve_grid(f, power, lam, X, space, solver):
+            return (np.full(len(X), infc[lam]), None, 4, lam not in failing,
+                    None)
+
+        monkeypatch.setattr(experiments, "regularize_power_grid",
+                            regularize_power_grid)
+        monkeypatch.setattr(experiments, "inf_convolve_grid",
+                            inf_convolve_grid)
+
+    def test_converge_checks_against_previous_lambda(self, monkeypatch):
+        # an error of lam/1024 rises with lambda past the rate bound 1/lam
+        self._stand_ins(monkeypatch, lambda f, X, lam: f(X) - lam / 1024)
+        result = run_converge(ExperimentConfig.from_sources(
+            overrides=["dim=2", "grid=5"]))
+        assert result.warnings == []
+        assert result.violations == [
+            "lambda=64: measured 0.0625 exceeds bound 0.015625 + 0.0001",
+            "lambda=64: error not non-increasing (0.0625 > 0.015625)",
+            "lambda=256: measured 0.25 exceeds bound 0.00390625 + 0.0001",
+            "lambda=256: error not non-increasing (0.25 > 0.0625)"]
+
+    def test_sandwich_takes_the_worst_term(self, monkeypatch):
+        # f = |x| is 0 at the grid's centre.  Lambda 4 puts the regularizer
+        # above f, lambda 16 drops it below lambda 4's (monotonicity), and
+        # lambda 64 puts the inf-convolution above it
+        env = {4.0: 1 / 1024, 16.0: -11 / 1024, 64.0: -11 / 1024}
+        self._stand_ins(monkeypatch, lambda f, X, lam: np.full(len(X),
+                                                               env[lam]),
+                        {4.0: -1.0, 16.0: -1.0, 64.0: 37 / 1024}, (16.0,))
+        result = run_sandwich(ExperimentConfig.from_sources(
+            overrides=["dim=2", "grid=5"]))
+        assert [r.measured for r in result.rows] == [1 / 1024, 12 / 1024,
+                                                     48 / 1024]
+        assert [r.evaluations for r in result.rows] == [7, 7, 7]
+        assert result.warnings == [
+            "sandwich lambda=16: inf_convolve_grid did not converge"]
+        assert result.violations == [
+            "lambda=4: sandwich violated by 0.000976562",
+            "lambda=16: sandwich violated by 0.0117188",
+            "lambda=64: sandwich violated by 0.046875"]

@@ -275,6 +275,28 @@ class TestPairKernel:
                 space, X.astype(float), Y.astype(float), upper)
             assert got == want
 
+    @pytest.mark.parametrize("block", [16, 100, 256])
+    @pytest.mark.parametrize("m", [1, 2, 7, 13, 31])
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_upper_triangle_against_double_loop(self, monkeypatch, dtype, m,
+                                                block):
+        # blocks of 1-16 rows, some ending on the last row, where the block
+        # has one column fewer than rows; few distinct values make ties,
+        # where only the first pair in row-major order may win
+        monkeypatch.setattr(trees_mod, "_BLOCK", block)
+        rng = np.random.default_rng(m)
+        space = NormedSpace(4, math.inf)
+        X = rng.integers(-2, 3, size=(m, 4))
+        X = X.astype(np.int8) if dtype == np.int8 else 0.375 * X
+        best, pair = math.inf, None
+        for i in range(m):
+            for j in range(i + 1, m):
+                dist = float(np.abs(X[i].astype(float) - X[j]).max())
+                if dist < best:
+                    best, pair = dist, (i, j)
+        got = trees_mod._min_pair_distance(space, X, X, upper=True)
+        assert got == (best, pair, m * (m - 1) // 2)
+
     def test_explicit_sampler_matches_implicit(self):
         tree = build_tree_family([3, 6], scale=0.5).trees[1]
         explicit = tree.to_explicit()
