@@ -23,6 +23,7 @@ the minimizer can exploit at about the 1e-12 level.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -74,12 +75,21 @@ class SolverConfig:
     starts: int = 3
 
     def __post_init__(self):
+        for name in ("coarse_samples", "refine_iterations", "seed", "starts"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # numpy integers pass
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.coarse_samples < 1:
             raise ValueError("coarse_samples must be >= 1")
         if self.refine_iterations < 0:
             raise ValueError("refine_iterations must be >= 0")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
 

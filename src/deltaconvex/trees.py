@@ -110,6 +110,10 @@ class DyadicTree:
             raise ValueError(f"theta {self.theta} is not finite and positive")
         end = self.block_start + self.lead + self.depth
         if self.nodes is not None:
+            shape = (self.node_count, self.ambient_dim)
+            if self.nodes.shape != shape:
+                raise ValueError(f"nodes array of shape {self.nodes.shape} "
+                                 f"is not (node_count, ambient_dim) {shape}")
             self.nodes.flags.writeable = False
         elif end > self.ambient_dim:
             raise ValueError(f"block [{self.block_start}, {end}) overflows "
@@ -235,7 +239,12 @@ def build_tree_family(depths, ambient_dim=None, scale=1.0):
     """One sign tree per requested depth, each in its own disjoint
     coordinate block, realized as the subtree rooted at the first child of a
     depth+1 tree (every node carries the value ``scale`` in its block's
-    first coordinate).  Mutual l_inf distance is exactly ``scale``."""
+    first coordinate).  Mutual l_inf distance is exactly ``scale``, by
+    construction: member i's nodes hold ``scale`` at ``block_start_i``,
+    where every other member holds 0, and every other coordinate of a cross
+    difference is 0 or +-``scale`` (disjoint blocks, exact differences with
+    0).  So every cross pair is exactly ``scale`` apart, at every level and
+    for every accepted (depths, ambient_dim, scale)."""
     depths = list(depths)
     if not depths:
         raise ValueError("family needs at least one member")
@@ -252,46 +261,26 @@ def build_tree_family(depths, ambient_dim=None, scale=1.0):
                                      ambient_dim=ambient_dim, scale=scale,
                                      lead=True))
         off += n + 1
-    fam = TreeFamily(trees=tuple(trees), rho=tuple(scale for _ in depths),
-                     mutual_distance=scale)
-    _check_family_distance(fam)
-    return fam
+    return TreeFamily(trees=tuple(trees), rho=tuple(scale for _ in depths),
+                      mutual_distance=scale)
 
 
-def _check_family_distance(fam, levels=10):
-    """Pairwise cross check of the mutual-distance invariant on the first
-    ``levels`` levels of each member (all of a shallower one)."""
-    from .spaces import NormedSpace
-    space = NormedSpace(dim=fam.ambient_dim, p_exponent=math.inf)
-    arrays = [_heap_nodes(t, levels) for t in fam.trees]
-    for i in range(len(arrays)):
-        for j in range(i + 1, len(arrays)):
-            dmin, _, _ = _min_pair_distance(space, arrays[i], arrays[j])
-            if dmin < fam.mutual_distance - 1e-12:
-                raise AssertionError(
-                    f"family members {i} and {j} are {dmin} apart, "
-                    f"below {fam.mutual_distance}")
-
-
-def _min_pair_distance(space, A, B, upper=False):
-    """Smallest ``space`` distance between a row of A and a row of B.
+def _min_pair_distance(space, X):
+    """Smallest ``space`` distance between two rows i < j of X.
 
     Returns (min, (i, j), pairs_checked) with (i, j) the first minimizing
-    pair in row-major order.  With ``upper`` B must be A and only the pairs
-    i < j count.  Rows go in blocks of about _BLOCK distances, and a
-    block accumulates one coordinate at a time, so memory stays bounded
-    whatever the row counts and dimension.  A coordinate zero in both A and
-    B adds nothing to any l_p distance and is skipped; one zero in all of B
-    (or all of A) adds a per-row (per-column) term summed once.
+    pair in row-major order.  Rows go in blocks of about _BLOCK distances,
+    and a block accumulates one coordinate at a time, so memory stays
+    bounded whatever the row count and dimension.  A coordinate zero in
+    every row adds nothing to any l_p distance and is skipped.
 
-    The blocks are in the dtype of A and B.  Integer rows, such as the
-    int8 sign prefixes of a sign tree, need p = inf, where no power is
-    taken and the distances are the largest coordinate differences.
+    The blocks are in the dtype of X.  Integer rows, such as the int8 sign
+    prefixes of a sign tree, need p = inf, where no power is taken and the
+    distances are the largest coordinate differences.
     """
     p = space.p_exponent
-    dtype = np.result_type(A, B)
     # the lower triangle's mask value, above every distance
-    masked = math.inf if dtype.kind == "f" else np.iinfo(dtype).max
+    masked = math.inf if X.dtype.kind == "f" else np.iinfo(X.dtype).max
     combine = np.maximum if p == math.inf else np.add
 
     def term(x, out=None):
@@ -302,47 +291,30 @@ def _min_pair_distance(space, A, B, upper=False):
             np.power(out, p, out=out)
         return out
 
-    def edge(X, cols):
-        acc = np.zeros(X.shape[0], dtype=dtype)
-        for c in cols:
-            combine(acc, term(X[:, c]), out=acc)
-        return acc
+    Xt = np.ascontiguousarray(X[:, (X != 0).any(axis=0)].T)
 
-    nz_a = (A != 0).any(axis=0)
-    nz_b = (B != 0).any(axis=0)
-    row = edge(A, np.flatnonzero(nz_a & ~nz_b))
-    col = edge(B, np.flatnonzero(nz_b & ~nz_a))
-    shared = np.flatnonzero(nz_a & nz_b)
-    At = np.ascontiguousarray(A[:, shared].T)
-    Bt = np.ascontiguousarray(B[:, shared].T)
-
-    m, n = A.shape[0], B.shape[0]
+    n = X.shape[0]
     step = max(1, _BLOCK // max(n, 1))
     best, pair, checked = math.inf, None, 0
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        j0 = lo + 1 if upper else 0
-        if j0 >= n:
-            break
-        acc = combine.outer(row[lo:hi], col[j0:])
+    for lo in range(0, n - 1, step):
+        hi = min(n, lo + step)
+        j0 = lo + 1
+        acc = np.zeros((hi - lo, n - j0), dtype=X.dtype)
         buf = np.empty_like(acc)
-        for a, b in zip(At, Bt):
-            np.subtract(a[lo:hi, None], b[None, j0:], out=buf)
+        for x in Xt:
+            np.subtract(x[lo:hi, None], x[None, j0:], out=buf)
             combine(acc, term(buf, out=buf), out=acc)
         if p == 2.0:
             np.sqrt(acc, out=acc)
         elif p not in (1.0, math.inf):
             np.power(acc, 1.0 / p, out=acc)
-        if upper:
-            # row lo+r, column j0+c: the pair is i < j exactly when c >= r.
-            # So only the leading (hi - lo)-column square holds masked
-            # pairs, and as r <= n - j0, row r masks exactly r of them
-            h = hi - lo
-            square = acc[:, :h]
-            square[np.tri(*square.shape, -1, dtype=bool)] = masked
-            checked += acc.size - h * (h - 1) // 2
-        else:
-            checked += acc.size
+        # row lo+r, column j0+c: the pair is i < j exactly when c >= r.  So
+        # only the leading (hi - lo)-column square holds masked pairs, and
+        # as r <= n - j0, row r masks exactly r of them
+        h = hi - lo
+        square = acc[:, :h]
+        square[np.tri(*square.shape, -1, dtype=bool)] = masked
+        checked += acc.size - h * (h - 1) // 2
         r, c = divmod(int(np.argmin(acc)), acc.shape[1])
         if acc[r, c] < best:
             best = float(acc[r, c])
@@ -398,6 +370,9 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     level k + 1 and its parent, ("siblings", k, i) for the two children of
     node i of level k, and ("sampled", index among the distinct pairs from
     the batch start) for a sampled pair.
+    ``max_norm`` is the largest node norm over every node on the exhaustive
+    path, and on the sampled path over the children in the structured
+    pairs only, so not the root.
     """
     n = tree.node_count
     total_pairs = n * (n - 1) // 2
@@ -452,8 +427,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
             rows, scale = signs.T, tree.theta
         else:
             rows, scale = all_nodes, 1.0
-        sep, sep_pair, pairs_checked = _min_pair_distance(
-            space, rows, rows, upper=True)
+        sep, sep_pair, pairs_checked = _min_pair_distance(space, rows)
         min_sep = scale * sep
     else:
         rng = np.random.default_rng(seed)
@@ -688,8 +662,10 @@ class SolverEvalError(RuntimeError):
 def error_lower_bound(M, theta, depth):
     """Any convex pair with |c| <= M on the ball and |f - (c-d)| <= delta on
     the tree forces delta >= theta/4 - 2M/depth."""
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    if not (math.isfinite(M) and M >= 0):
+        raise ValueError(f"M {M} is not finite and nonnegative")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta {theta} is not finite and positive")
     if depth < 2 or depth % 2 != 0:
         raise ValueError("depth must be an even integer >= 2")
     return max(0.0, theta / 4.0 - 2.0 * M / depth)

@@ -429,6 +429,19 @@ class TestSolverConfig:
             SolverConfig(starts=0)
         with pytest.raises(ValueError):
             SolverConfig(refine_iterations=-1)
+        # each message opens with the field's name, which ExperimentConfig
+        # maps to a ConfigError; these once failed inside the first solve
+        bad = [("seed", -1), ("seed", 1.5), ("seed", math.nan),
+               ("coarse_samples", 2.5), ("starts", 2.5),
+               ("refine_iterations", 2.5)]
+        for name, value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                SolverConfig(**{name: value})
+        # numpy integers are integers
+        cfg = SolverConfig(coarse_samples=np.int64(64), seed=np.uint8(3),
+                           starts=np.int32(2), refine_iterations=np.int16(5))
+        assert cfg == SolverConfig(coarse_samples=64, seed=3, starts=2,
+                                   refine_iterations=5)
 
     def test_determinism(self):
         f = corpus_function(L2_2, "distance")

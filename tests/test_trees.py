@@ -58,6 +58,18 @@ class TestConstruction:
             trees_mod.DyadicTree(depth=2, theta=theta, ambient_dim=2,
                                  nodes=nodes)
 
+    @pytest.mark.parametrize("shape, ambient_dim", [
+        ((5, 2), 2), ((15, 2), 4), ((15,), 2), ((16, 2), 2)],
+        ids=["too-few-rows", "too-few-columns", "one-axis", "extra-row"])
+    def test_nodes_shape_checked(self, shape, ambient_dim):
+        # a (5, 2) array once built and then failed in validate_tree with an
+        # IndexError; a (15, 2) array in a 4-dimensional tree failed later
+        with pytest.raises(ValueError, match=re.escape(
+                f"shape {shape} is not (node_count, ambient_dim) "
+                f"(15, {ambient_dim})")):
+            trees_mod.DyadicTree(depth=3, theta=1.0, ambient_dim=ambient_dim,
+                                 nodes=np.zeros(shape))
+
     def test_scale(self):
         t = build_sign_tree(2, scale=0.5)
         assert t.theta == 0.5
@@ -133,9 +145,9 @@ def _kernel_dtypes(monkeypatch):
     seen = []
     kernel = trees_mod._min_pair_distance
 
-    def spy(space, A, B, upper=False):
-        seen.append(A.dtype)
-        return kernel(space, A, B, upper)
+    def spy(space, X):
+        seen.append(X.dtype)
+        return kernel(space, X)
 
     monkeypatch.setattr(trees_mod, "_min_pair_distance", spy)
     return seen
@@ -155,21 +167,16 @@ class TestPairKernel:
             monkeypatch.setattr(trees_mod, "_BLOCK", block)
         rng = np.random.default_rng(5)
         space = NormedSpace(9, p)
-        # columns 0-2 only in A, 3-5 in both, 6-7 only in B, 8 in neither
-        A = rng.uniform(-1, 1, size=(40, 9))
-        B = rng.uniform(-1, 1, size=(30, 9))
-        A[:, 6:] = 0.0
-        B[:, :3] = 0.0
-        B[:, 8] = 0.0
-        for X, Y, upper in ((A, B, False), (A, A, True)):
-            d = space.norm(X[:, None, :] - Y[None, :, :])
-            if upper:
-                d[~(np.arange(len(X))[:, None] < np.arange(len(Y)))] = math.inf
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            got, pair, count = trees_mod._min_pair_distance(space, X, Y, upper)
-            assert pair == (i, j)
-            assert count == int(np.isfinite(d).sum())
-            assert _close(p, got, float(d[i, j]))
+        # columns 6-8 are zero in every row, so the kernel skips them
+        X = rng.uniform(-1, 1, size=(40, 9))
+        X[:, 6:] = 0.0
+        d = space.norm(X[:, None, :] - X[None, :, :])
+        d[~(np.arange(len(X))[:, None] < np.arange(len(X)))] = math.inf
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        got, pair, count = trees_mod._min_pair_distance(space, X)
+        assert pair == (i, j)
+        assert count == int(np.isfinite(d).sum())
+        assert _close(p, got, float(d[i, j]))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("block", [None, 64])
@@ -189,19 +196,6 @@ class TestPairKernel:
         assert rep.separation_pair == want_pair
         assert _close(p, rep.min_separation, want_min)
 
-    def test_family_fault_in_last_row_block(self, monkeypatch):
-        # one row per block, so the faulty last row is the last block
-        monkeypatch.setattr(trees_mod, "_BLOCK", 8)
-        fam = build_tree_family([4, 4])
-        trees_mod._check_family_distance(fam)
-        a, b = fam.trees
-        last = (-1,) * a.depth  # the last row of member 0's node matrix
-        bad = a.with_node(last, b.node(()) - 0.5 * np.eye(fam.ambient_dim)[5])
-        broken = TreeFamily(trees=(bad, b), rho=fam.rho,
-                            mutual_distance=fam.mutual_distance)
-        with pytest.raises(AssertionError, match="0.5 apart"):
-            trees_mod._check_family_distance(broken)
-
     @pytest.mark.parametrize("theta", SIGN_THETAS)
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_exhaustive_signs_match_float_kernel(self, monkeypatch, depth,
@@ -211,7 +205,7 @@ class TestPairKernel:
         tree = build_sign_tree(depth, scale=theta)
         space = NormedSpace(depth, math.inf)
         nodes = trees_mod._heap_nodes(tree)
-        want = trees_mod._min_pair_distance(space, nodes, nodes, upper=True)
+        want = trees_mod._min_pair_distance(space, nodes)
         seen = _kernel_dtypes(monkeypatch)
         rep = validate_tree(tree, space)
         assert seen == [np.int8]
@@ -233,8 +227,7 @@ class TestPairKernel:
         space = NormedSpace(24, math.inf)
         for tree in fam.trees:
             nodes = trees_mod._heap_nodes(tree)
-            want = trees_mod._min_pair_distance(space, nodes, nodes,
-                                                upper=True)
+            want = trees_mod._min_pair_distance(space, nodes)
             seen = _kernel_dtypes(monkeypatch)
             rep = validate_tree(tree, space)
             assert seen == [np.int8]
@@ -265,15 +258,10 @@ class TestPairKernel:
             monkeypatch.setattr(trees_mod, "_BLOCK", block)
         rng = np.random.default_rng(9)
         space = NormedSpace(7, math.inf)
-        A = rng.integers(-1, 2, size=(90, 7)).astype(np.int8)
-        B = rng.integers(-1, 2, size=(50, 7)).astype(np.int8)
-        A[:, 5:] = 0
-        B[:, :2] = 0
-        for X, Y, upper in ((A, B, False), (A, A, True)):
-            got = trees_mod._min_pair_distance(space, X, Y, upper)
-            want = trees_mod._min_pair_distance(
-                space, X.astype(float), Y.astype(float), upper)
-            assert got == want
+        X = rng.integers(-1, 2, size=(90, 7)).astype(np.int8)
+        X[:, 5:] = 0
+        got = trees_mod._min_pair_distance(space, X)
+        assert got == trees_mod._min_pair_distance(space, X.astype(float))
 
     @pytest.mark.parametrize("block", [16, 100, 256])
     @pytest.mark.parametrize("m", [1, 2, 7, 13, 31])
@@ -294,7 +282,7 @@ class TestPairKernel:
                 dist = float(np.abs(X[i].astype(float) - X[j]).max())
                 if dist < best:
                     best, pair = dist, (i, j)
-        got = trees_mod._min_pair_distance(space, X, X, upper=True)
+        got = trees_mod._min_pair_distance(space, X)
         assert got == (best, pair, m * (m - 1) // 2)
 
     def test_explicit_sampler_matches_implicit(self):
@@ -308,10 +296,12 @@ class TestPairKernel:
             assert np.array_equal(got, want)
 
     def test_deep_family_memory(self, tmp_path):
-        # the family check at depths 32/64/128 once broadcast 1023 x 1023 x
-        # 227 doubles (3.7 GB peak); streamed it needs a small fraction.  A
-        # child's ru_maxrss counts the memory of the process it was forked
-        # from, so a fresh interpreter runs the CLI and reports its peak.
+        # the adversary on the depth-32/64/128 family (D = 227) must run in
+        # bounded memory: no step may hold pairs of the family's nodes at
+        # once (a broadcast over pairs of its first 10 levels once peaked at
+        # 3.7 GB).  A child's ru_maxrss counts the memory of the process it
+        # was forked from, so a fresh interpreter runs the CLI and reports
+        # its peak.
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(deltaconvex.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
@@ -331,16 +321,27 @@ class TestPairKernel:
 
 
 class TestFamily:
-    def test_mutual_distance_exact(self):
-        fam = build_tree_family([2, 4])
-        assert fam.ambient_dim == 8
-        assert fam.mutual_distance == 1.0
-        space = NormedSpace(8, math.inf)
-        a = np.vstack([fam.trees[0].level_array(k) for k in range(3)])
-        b = np.vstack([fam.trees[1].level_array(k) for k in range(5)])
-        cross = space.norm(a[:, None, :] - b[None, :, :])
-        assert cross.min() == 1.0
-        assert cross.max() == 1.0
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("depths, ambient_dim, levels", [
+        ([2, 4], None, None),
+        ([2, 4, 6], None, None),
+        ([3, 6, 9], 24, None),
+        ([8, 16, 32], None, 10),  # the adversary's default, first 10 levels
+    ], ids=["2-4", "2-4-6", "3-6-9-D24", "8-16-32-top10"])
+    def test_mutual_distance_exact(self, depths, ambient_dim, levels, scale):
+        # the gap holds by construction (build_tree_family): every cross
+        # pair of members is exactly scale apart
+        fam = build_tree_family(depths, ambient_dim=ambient_dim, scale=scale)
+        D = ambient_dim or sum(n + 1 for n in depths)
+        assert fam.ambient_dim == D
+        assert fam.mutual_distance == scale
+        space = NormedSpace(D, math.inf)
+        nodes = [trees_mod._heap_nodes(t, levels) for t in fam.trees]
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                for lo in range(0, len(a), 64):
+                    cross = space.norm(a[lo:lo + 64, None, :] - b[None, :, :])
+                    assert (cross == scale).all()
 
     def test_lead_coordinate(self):
         fam = build_tree_family([2, 2])
@@ -629,6 +630,13 @@ class TestErrorLowerBound:
             error_lower_bound(-1.0, 1.0, 8)
         with pytest.raises(ValueError):
             error_lower_bound(1.0, 1.0, 7)
+        # a nan M or theta gave 0.0, and theta = inf gave inf
+        for M in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="M .* not finite"):
+                error_lower_bound(M, 1.0, 4)
+        for theta in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="theta .* not finite"):
+                error_lower_bound(0.0, theta, 4)
 
 
 # malformed depth-1 tree files: (text, line at fault, message)
