@@ -336,7 +336,7 @@ def run_sandwich(cfg):
                   [regularize_power_grid, inf_convolve_grid], measure)
 
 
-def convex_pair_catalog(ambient_dim, space):
+def convex_pair_catalog(space):
     """Built-in convex (c, d) test pairs with |c| <= M on the unit ball."""
     def zero(x):
         x = np.asarray(x, dtype=float)
@@ -389,7 +389,7 @@ def run_adversary(cfg):
     family = _trees.build_tree_family(depths, scale=scale)
     space = NormedSpace(dim=family.ambient_dim, p_exponent=math.inf)
     f = _trees.counterexample_function(family, space)
-    catalog = convex_pair_catalog(family.ambient_dim, space)
+    catalog = convex_pair_catalog(space)
 
     # every catalog pair is measured on the same nodes of a tree
     error_nodes = []

@@ -1,5 +1,5 @@
-"""Lipschitz test functions: distance functions, a standard corpus, and a
-sampling-based Lipschitz-constant verifier.
+"""Lipschitz test functions: distance functions to finite point sets and a
+standard corpus, each carrying a proven Lipschitz constant.
 
 Evaluators are black boxes: callables taking a float array of shape (d,)
 or (n, d) and returning a scalar / shape-(n,) array.  The solver passes
@@ -10,19 +10,17 @@ the solver feeds them validated rows and rejects any non-finite value
 they return.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LipschitzFunction",
     "PointSet",
-    "LipschitzReport",
     "distance_function",
     "make_corpus",
     "corpus_function",
     "CORPUS_LABELS",
-    "verify_lipschitz",
 ]
 
 
@@ -55,34 +53,6 @@ class PointSet:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    @classmethod
-    def from_file(cls, path):
-        """One point per line, whitespace-separated reals; dimension inferred
-        from the first line."""
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    row = [float(tok) for tok in line.split()]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad coordinate ({exc})")
-                if rows and len(row) != len(rows[0]):
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {len(rows[0])} coordinates, "
-                        f"got {len(row)}")
-                rows.append(row)
-        if not rows:
-            raise ValueError(f"{path}: no points found")
-        return cls(points=np.array(rows, dtype=float))
-
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            for row in self.points:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def distance_function(space, point_set):
@@ -158,38 +128,3 @@ def corpus_function(space, label, seed=2357):
         if f.label == label:
             return f
     raise KeyError(f"no corpus function labeled {label!r}")
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    max_ratio: float
-    witness: tuple
-    violation: bool
-    trials: int
-
-
-def verify_lipschitz(f, space, trials=10_000, seed=0, radius=3.0):
-    """Empirical max of |f(x)-f(y)| / |x-y| over random pairs in the ball of
-    the given radius (default covers where the regularizers search)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    max_ratio = 0.0
-    witness = None
-    done = 0
-    while done < trials:
-        n = min(20_000, trials - done)
-        xs = space.ball_sample(rng, n, radius=radius)
-        ys = space.ball_sample(rng, n, radius=radius)
-        den = space.norm(xs - ys)
-        mask = den > 1e-9
-        if mask.any():
-            ratios = np.abs(f(xs[mask]) - f(ys[mask])) / den[mask]
-            i = int(np.argmax(ratios))
-            if ratios[i] > max_ratio:
-                max_ratio = float(ratios[i])
-                witness = (xs[mask][i].copy(), ys[mask][i].copy())
-        done += n
-    violation = max_ratio > f.lipschitz_constant * (1.0 + 1e-9)
-    return LipschitzReport(max_ratio=max_ratio, witness=witness,
-                           violation=violation, trials=trials)

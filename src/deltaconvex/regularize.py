@@ -38,7 +38,6 @@ __all__ = [
     "ConvexPair",
     "ParameterError",
     "SolverError",
-    "search_radius",
     "inner_minimize",
     "regularize_quadratic",
     "regularize_power",
@@ -46,7 +45,6 @@ __all__ = [
     "regularize_power_grid",
     "inf_convolve_grid",
     "decompose",
-    "sup_distance",
     "rate_bound",
     "ball_grid",
 ]
@@ -54,6 +52,7 @@ __all__ = [
 _POOL_BATCH = 1 << 16  # Sobol' points drawn at once for a unit-ball pool
 _POOL_DRAWS = 1 << 20  # Sobol' points drawn for one pool at most
 _POWER1_RADIUS = 8.0  # search radius of the inf-convolution at power 1
+_N_KEEP = 8  # coarse candidates kept per row for the start selection
 
 
 class ParameterError(ValueError):
@@ -189,15 +188,15 @@ def _lex_best(cands, vals):
     return int(tied[order[0]])
 
 
-def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
+def _coarse_stage(obj, space, cfg, centers, radii, counter):
     """Evaluate the shared pool around each row (``centers`` (d, N), by
-    coordinate); return the min(n_keep, m) best candidates per row,
-    value-sorted, as an (N, min(n_keep, m), d) array.  A chunk holds
+    coordinate); return the min(_N_KEEP, m) best candidates per row,
+    value-sorted, as an (N, min(_N_KEEP, m), d) array.  A chunk holds
     ``_BLOCK // (m*d)`` rows (at least one), so its (d, n, m) candidate
     block is about ``_BLOCK`` doubles."""
     d, N = centers.shape
     m = cfg.coarse_samples
-    k = min(n_keep, m)
+    k = min(_N_KEEP, m)
     pool = _unit_ball_pool(space, m, cfg.seed).T
     keep_pts = np.empty((N, k, d))
     chunk = max(1, _BLOCK // (m * d))
@@ -228,7 +227,7 @@ def _coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
     return keep_pts
 
 
-def _select_starts(space, keep_pts, sep, k_starts=3):
+def _select_starts(space, keep_pts, sep, k_starts):
     """Greedy value-ordered start selection, forcing mutual separation so the
     multistart explores distinct basins."""
     N, n_keep, d = keep_pts.shape
@@ -342,15 +341,6 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-def search_radius(x, L, lam, space):
-    """Radius of the ball on which the regularizer's infimum is attained:
-    R = 2(1 + |x|), valid once lambda >= 3L."""
-    if not 0.0 < L < math.inf:
-        raise ParameterError(f"L must be positive and finite, got {L}")
-    _check_lambda(lam)
-    return float(_search_ball(x, space.norm(x), L, lam, None, None)[1])
-
 
 def _check_lambda(lam):
     """Every public operator takes a finite positive lambda: at 0 the ball
@@ -549,15 +539,6 @@ def ball_grid(space, center, radius, n):
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     keep = space.norm(pts - center) <= radius + 1e-12
     return pts[keep]
-
-
-def sup_distance(f, g, space, center, radius, grid):
-    """Grid maximum of |f - g| over the ball; a lower bound on the true sup
-    at grid resolution."""
-    pts = ball_grid(space, center, radius, grid)
-    fv = np.asarray(f(pts), dtype=float)
-    gv = np.asarray(g(pts), dtype=float)
-    return float(np.abs(fv - gv).max())
 
 
 def rate_bound(p, C, lam, L=1.0):

@@ -12,6 +12,8 @@ __all__ = [
     "ModulusEstimate",
     "DimensionMismatchError",
     "modulus_of_convexity",
+    "analytic_modulus_lower",
+    "analytic_power_constant",
 ]
 
 
@@ -111,14 +113,6 @@ class NormedSpace:
         """|x|^power per row, unchecked, through ``_q_kernel``."""
         return _q_kernel(self, power)[0](x)
 
-    def dual_exponent(self):
-        p = self.p_exponent
-        if p == 1.0:
-            return math.inf
-        if p == math.inf:
-            return 1.0
-        return p / (p - 1.0)
-
     def defect2(self, x, y):
         """Quadratic convexity defect 2|x|^2 + 2|y|^2 - |x+y|^2 (>= 0)."""
         return self.defect_p(2.0, x, y)
@@ -132,19 +126,15 @@ class NormedSpace:
         y = self._check(y)
         return defect(term(x), y, x + y)
 
-    def unit_sphere_sample(self, rng, n):
-        """n points with l_p norm exactly 1 (up to one final division)."""
+    def ball_sample(self, rng, n, radius=1.0, center=None):
+        """Uniform-ish rejection-free sample of the ball: a Gaussian point
+        scaled to l_p norm 1 (up to one division), times a radial factor
+        with the right density for volume uniformity in l_2; adequate as a
+        search cloud for any p."""
         g = rng.standard_normal((n, self.dim))
         g[np.abs(g).max(axis=-1) < 1e-12] = 1.0
-        return g / self.norm(g)[..., None]
-
-    def ball_sample(self, rng, n, radius=1.0, center=None):
-        """Uniform-ish rejection-free sample of the ball: sphere point times
-        a radial factor with the right density for volume uniformity in l_2;
-        adequate as a search cloud for any p."""
-        pts = self.unit_sphere_sample(rng, n)
         r = rng.random(n) ** (1.0 / self.dim)
-        pts = pts * (radius * r)[:, None]
+        pts = g / self.norm(g)[..., None] * (radius * r)[:, None]
         if center is not None:
             pts = pts + np.asarray(center, dtype=float)
         return pts

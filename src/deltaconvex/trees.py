@@ -52,6 +52,7 @@ __all__ = [
     "validate_tree",
     "counterexample_function",
     "adversarial_branch_walk",
+    "SolverEvalError",
     "error_lower_bound",
     "save_tree",
     "load_tree",
@@ -95,7 +96,9 @@ class DyadicTree:
     A sign tree (``nodes`` None) computes its nodes from their signs:
     coordinates block_start.. hold a leading theta if ``lead``, then the
     sign prefix scaled by theta; every other coordinate is 0.  An explicit
-    tree holds every node in the read-only heap-ordered array ``nodes``."""
+    tree holds every node in the read-only heap-ordered array ``nodes``,
+    as doubles: the pair kernel runs in the dtype of its rows, where int8
+    differences wrap and integer rows take no root."""
     depth: int
     theta: float
     ambient_dim: int
@@ -110,6 +113,8 @@ class DyadicTree:
             raise ValueError(f"theta {self.theta} is not finite and positive")
         end = self.block_start + self.lead + self.depth
         if self.nodes is not None:
+            object.__setattr__(self, "nodes",
+                               np.asarray(self.nodes, dtype=np.float64))
             shape = (self.node_count, self.ambient_dim)
             if self.nodes.shape != shape:
                 raise ValueError(f"nodes array of shape {self.nodes.shape} "
@@ -227,8 +232,6 @@ def build_sign_tree(depth, block_start=0, ambient_dim=None, scale=1.0,
 @dataclass(frozen=True)
 class TreeFamily:
     trees: tuple
-    rho: tuple
-    mutual_distance: float
 
     @property
     def ambient_dim(self):
@@ -261,8 +264,7 @@ def build_tree_family(depths, ambient_dim=None, scale=1.0):
                                      ambient_dim=ambient_dim, scale=scale,
                                      lead=True))
         off += n + 1
-    return TreeFamily(trees=tuple(trees), rho=tuple(scale for _ in depths),
-                      mutual_distance=scale)
+    return TreeFamily(trees=tuple(trees))
 
 
 def _min_pair_distance(space, X):

@@ -5,7 +5,18 @@ import pytest
 
 from deltaconvex import (CORPUS_LABELS, LipschitzFunction, NormedSpace,
                          PointSet, corpus_function, distance_function,
-                         make_corpus, verify_lipschitz)
+                         make_corpus)
+
+
+def sampled_ratio(f, space, trials=4000, seed=1, radius=3.0):
+    """Largest |f(x) - f(y)| / |x - y| over random pairs of the ball: a
+    lower bound on the Lipschitz constant of f."""
+    rng = np.random.default_rng(seed)
+    xs = space.ball_sample(rng, trials, radius=radius)
+    ys = space.ball_sample(rng, trials, radius=radius)
+    den = space.norm(xs - ys)
+    keep = den > 1e-9
+    return float((np.abs(f(xs[keep]) - f(ys[keep])) / den[keep]).max())
 
 
 class TestLipschitzFunction:
@@ -62,35 +73,13 @@ class TestDistanceFunction:
         assert f(X[0]) == want[0]
 
 
-class TestPointSetIO:
-    def test_round_trip(self, tmp_path):
-        pts = PointSet(np.array([[0.5, -1.0], [2.0, 3.5]]))
-        path = tmp_path / "pts.txt"
-        pts.to_file(path)
-        back = PointSet.from_file(path)
-        assert np.array_equal(back.points, pts.points)
-
-    def test_bad_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1.0 2.0\n1.0 oops\n")
-        with pytest.raises(ValueError, match="2"):
-            PointSet.from_file(path)
-
-    def test_ragged_rejected(self, tmp_path):
-        path = tmp_path / "ragged.txt"
-        path.write_text("1.0 2.0\n1.0\n")
-        with pytest.raises(ValueError):
-            PointSet.from_file(path)
-
-
 class TestCorpus:
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_declared_constants_hold(self, p):
         space = NormedSpace(2, p)
         for f in make_corpus(space):
-            report = verify_lipschitz(f, space, trials=4000, seed=1)
-            assert not report.violation, (f.label, report.max_ratio)
-            assert report.max_ratio <= f.lipschitz_constant * (1 + 1e-9)
+            ratio = sampled_ratio(f, space)
+            assert ratio <= f.lipschitz_constant * (1 + 1e-9), (f.label, ratio)
 
     def test_labels(self):
         space = NormedSpace(2, 2.0)
@@ -113,6 +102,4 @@ class TestCorpus:
     def test_mislabeled_constant_flagged(self):
         space = NormedSpace(2, 2.0)
         bad = LipschitzFunction(lambda x: 2.0 * space.norm(x), 1.0, "bad")
-        report = verify_lipschitz(bad, space, trials=4000, seed=1)
-        assert report.violation
-        assert report.max_ratio > 1.5
+        assert sampled_ratio(bad, space) > 1.5

@@ -13,7 +13,7 @@ from deltaconvex import (CORPUS_LABELS, ConvexPair, DimensionMismatchError,
                          SolverError, ball_grid, corpus_function, decompose,
                          inf_convolve, inf_convolve_grid, inner_minimize,
                          rate_bound, regularize_power, regularize_power_grid,
-                         regularize_quadratic, search_radius, sup_distance)
+                         regularize_quadratic)
 
 L2_1 = NormedSpace(1, 2.0)
 L2_2 = NormedSpace(2, 2.0)
@@ -42,24 +42,34 @@ def huber(x, lam=1.0):
 
 
 class TestSearchRadius:
+    """The radius the power operators return: |x| plus the Clarkson ball's
+    radius where a constant is proven, else the restricted ball's
+    2(1 + |x|), which needs lambda >= 3L."""
+
+    CFG = SolverConfig(coarse_samples=16, refine_iterations=5)
+    L1_2 = NormedSpace(2, 1.0)
+
     def test_examples(self):
-        assert search_radius(np.array([1.0]), 1.0, 3.0, L2_1) == 4.0
-        assert search_radius(np.array([0.0]), 1.0, 10.0, L2_1) == 2.0
+        f = corpus_function(self.L1_2, "norm")
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, -1.5]])
+        R = regularize_power_grid(f, 2.0, 3.0, X, self.L1_2, self.CFG)[4]
+        assert R.tolist() == [4.0, 2.0, 6.0]
+        r = regularize_quadratic(f, 10.0, X[1], self.L1_2, self.CFG)
+        assert r.search_radius == 2.0
         # L = 2, lambda = 6 renormalizes to the threshold case
-        assert search_radius(np.array([1.0]), 2.0, 6.0, L2_1) == 4.0
+        f2 = LipschitzFunction(lambda x: 2.0 * f(x), 2.0, "twice-norm")
+        R = regularize_power_grid(f2, 2.0, 6.0, X[:1], self.L1_2, self.CFG)[4]
+        assert R.tolist() == [4.0]
+        # l2^1 has C = 1: |x| + L/(lambda C)
+        R = regularize_power_grid(abs_fn(), 2.0, 4.0, np.array([[1.0]]), L2_1,
+                                  self.CFG)[4]
+        assert R.tolist() == [1.25]
 
     def test_below_threshold(self):
+        f = corpus_function(self.L1_2, "norm")
         with pytest.raises(ParameterError, match="[Rr]aise lambda"):
-            search_radius(np.array([1.0]), 1.0, 2.0, L2_1)
-
-    def test_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            search_radius(np.array([1.0]), 0.0, 3.0, L2_1)
-
-    @pytest.mark.parametrize("L", [-1.0, 0.0, math.nan, math.inf])
-    def test_lipschitz_constant_must_be_finite_positive(self, L):
-        with pytest.raises(ParameterError, match="L must be"):
-            search_radius(np.array([1.0]), L, 3.0, L2_1)
+            regularize_power_grid(f, 2.0, 2.0, np.zeros((1, 2)), self.L1_2,
+                                  self.CFG)
 
 
 class TestInnerMinimize:
@@ -290,7 +300,6 @@ class TestThresholdRule:
         l1, linf = NormedSpace(2, 1.0), NormedSpace(2, math.inf)
         X = np.zeros((1, 2))
         return [
-            lambda: search_radius(np.array([1.0]), 1.0, lam, L2_1),
             lambda: regularize_power_grid(corpus_function(l1, "norm"), 2.0,
                                           lam, X, l1, self.CFG),
             lambda: regularize_power_grid(corpus_function(linf, "norm"), 2.0,
@@ -325,28 +334,6 @@ class TestGridHelpers:
             ball_grid(L2_2, np.zeros(2), 1.0, 1)
         with pytest.raises(ValueError):
             ball_grid(NormedSpace(5, 2.0), np.zeros(5), 1.0, 3)
-
-    def test_sup_distance_zero(self):
-        f = corpus_function(L2_2, "norm")
-        assert sup_distance(f, f, L2_2, np.zeros(2), 1.0, 9) == 0.0
-
-    def test_sup_distance_huber_gap(self):
-        f = abs_fn()
-
-        def g(x):
-            return np.array([huber(t) for t in np.atleast_2d(x)[:, 0]])
-
-        assert np.isclose(
-            sup_distance(f, g, L2_1, np.zeros(1), 2.0, 17), 0.25)
-
-    def test_sup_distance_norm_corners(self):
-        space = NormedSpace(2, math.inf)
-        f = corpus_function(space, "norm")
-
-        def zero(x):
-            return np.zeros(np.atleast_2d(x).shape[0])
-
-        assert sup_distance(f, zero, space, np.zeros(2), 1.0, 3) == 1.0
 
 
 BOUNDARY_CFG = SolverConfig(coarse_samples=16, refine_iterations=5)
@@ -900,7 +887,6 @@ class TestPublicParameters:
             lambda: inf_convolve_grid(f, 2.0, lam, x[None], L2_2),
             lambda: inf_convolve(f, 1.0, lam, x, L2_2),
             lambda: rate_bound(2.0, 1.0, lam),
-            lambda: search_radius(x, 1.0, lam, L2_2),
         ]
         for call in calls:
             with pytest.raises(ParameterError, match="lambda"):

@@ -63,12 +63,6 @@ class TestNorm:
         assert np.isclose(space.norm(t * x), abs(t) * nx,
                           rtol=1e-12, atol=1e-12)
 
-    def test_dual_exponent(self):
-        assert NormedSpace(2, 1.0).dual_exponent() == math.inf
-        assert NormedSpace(2, math.inf).dual_exponent() == 1.0
-        assert NormedSpace(2, 2.0).dual_exponent() == 2.0
-        assert np.isclose(NormedSpace(2, 3.0).dual_exponent(), 1.5)
-
 
 class TestDefects:
     def test_defect2_antipodal(self):

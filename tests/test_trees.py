@@ -70,6 +70,23 @@ class TestConstruction:
             trees_mod.DyadicTree(depth=3, theta=1.0, ambient_dim=ambient_dim,
                                  nodes=np.zeros(shape))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float32])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_nodes_held_as_doubles(self, dtype, p):
+        # int8 nodes at +-100 once wrapped in the pair kernel (separation 56
+        # for 100), and int64 nodes at p = 2 raised from np.sqrt
+        signs = build_sign_tree(3).to_explicit().nodes
+        want = validate_tree(
+            trees_mod.DyadicTree(depth=3, theta=100.0, ambient_dim=3,
+                                 nodes=100.0 * signs), NormedSpace(3, p))
+        t = trees_mod.DyadicTree(depth=3, theta=100.0, ambient_dim=3,
+                                 nodes=(100 * signs).astype(dtype))
+        assert t.nodes.dtype == np.float64
+        assert not t.nodes.flags.writeable
+        rep = validate_tree(t, NormedSpace(3, p))
+        assert rep == want
+        assert rep.min_separation == 100.0 and rep.separation_ok
+
     def test_scale(self):
         t = build_sign_tree(2, scale=0.5)
         assert t.theta == 0.5
@@ -334,7 +351,7 @@ class TestFamily:
         fam = build_tree_family(depths, ambient_dim=ambient_dim, scale=scale)
         D = ambient_dim or sum(n + 1 for n in depths)
         assert fam.ambient_dim == D
-        assert fam.mutual_distance == scale
+        assert all(t.theta == scale for t in fam.trees)
         space = NormedSpace(D, math.inf)
         nodes = [trees_mod._heap_nodes(t, levels) for t in fam.trees]
         for i, a in enumerate(nodes):
@@ -384,8 +401,7 @@ class TestCounterexample:
         fam = build_tree_family([2, 4])
         with pytest.raises(ValueError, match="l_inf"):
             counterexample_function(fam, NormedSpace(fam.ambient_dim, 2.0))
-        mixed = TreeFamily(trees=(fam.trees[0].to_explicit(), fam.trees[1]),
-                           rho=fam.rho, mutual_distance=fam.mutual_distance)
+        mixed = TreeFamily(trees=(fam.trees[0].to_explicit(), fam.trees[1]))
         with pytest.raises(ValueError, match="sign trees"):
             counterexample_function(
                 mixed, NormedSpace(fam.ambient_dim, math.inf))
@@ -494,7 +510,7 @@ class TestWalk:
         space = NormedSpace(fam.ambient_dim, math.inf)
         f = counterexample_function(fam, space)
         pairs = [(c, d) for _, c, d, _ in
-                 convex_pair_catalog(fam.ambient_dim, space)]
+                 convex_pair_catalog(space)]
         pairs.append(_turning_pair(fam.ambient_dim))
         for c, d in pairs:
             for tree in fam.trees + (fam.trees[2].to_explicit(),):
