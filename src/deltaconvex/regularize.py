@@ -11,15 +11,28 @@ share one derivative-free solver: a coarse stage on an in-package
 scrambled Sobol' pool (bit-identical to scipy's), then compass search from
 the best separated candidates (three by default), run as one batch over
 every start of every row until each step is below tolerance/8.  The solver
-stores its points by coordinate, as (d, ...) blocks whose coordinates are
-contiguous runs.  Its objectives are bound per block: ``obj(idx)`` gathers
-the data of rows ``idx`` once and returns an evaluator of the (n, d) view
-of a block, which may be non-contiguous.  The compass search keeps only its
+works in an offset frame: it stores h = y - centre for each row and
+searches the ball of the row's radius about 0, so coarse candidates are
+``radius * pool`` and a compass trial is projected with no subtraction;
+only the winners are moved back to y = centre + h.  It stores its points
+by coordinate, as (d, ...) blocks whose coordinates are contiguous runs.
+Its objectives are bound per block: ``obj(idx)`` gathers the data of rows
+``idx`` once and returns their centres and an evaluator of the (n, d) view
+of a block of offsets, which may be non-contiguous.  The compass search keeps only its
 active rows, compacted, and rebinds when that set shrinks.  Both stages
 take their rows in blocks of about ``spaces._BLOCK`` doubles.
-Returned values are objective values at points the solver found, so they
-are upper bounds on the true infimum up to the rounding of lambda*Q, which
-the minimizer can exploit at about the 1e-12 level.
+
+A returned value is f at the rounded point y = centre + h plus lambda
+times Q at the offset h.  On l_q at an even integer power p = q <= 8 the
+ball is centred at x, and Q(x, x + h) is summed from t = -h and s = y + x
+as nonnegative terms (``spaces._q_kernel``), to a few ulps at every |x|:
+a value is the objective at x + h up to those ulps and L times the
+rounding of x + h, so the rate bound holds on the whole space.  Every
+other pair, the restricted-infimum route about 0 included, evaluates the
+difference formula at the rounded y; its rounding grows as 2^p |x|^p and
+the minimizer can exploit it, so there a value can undershoot the
+infimum by that much.  The inf-convolution evaluates |x - y|^power at the
+rounded y.
 """
 
 import math
@@ -143,20 +156,16 @@ def _rows(B):
     return B.reshape(B.shape[0], -1).T
 
 
-def _project(space, B, centers, radii):
-    """Radial projection, in place, of every point of the coordinate-major
-    block B, shape (d, ...), into ball(centers, radii).  ``centers`` (d,
-    ...) and ``radii`` need only broadcast against B and its point axes:
-    one centre per row of a candidate block serves all of the block.  A
-    point inside its ball is untouched, so a row's result does not depend
-    on the other rows of the batch."""
-    diff = B - centers
-    nd = space._norm(_rows(diff)).reshape(diff.shape[1:])
+def _project(space, B, radii):
+    """Radial projection, in place, of every offset of the coordinate-major
+    block B, shape (d, ...), into the ball of radius ``radii`` about 0;
+    ``radii`` need only broadcast against B's point axes.  A point inside
+    its ball is untouched, so a row's result does not depend on the other
+    rows of the batch."""
+    nd = space._norm(_rows(B)).reshape(B.shape[1:])
     over = nd > radii
     if np.count_nonzero(over):
-        scale = np.broadcast_to(radii, nd.shape)[over] / nd[over]
-        B[:, over] = (np.broadcast_to(centers, B.shape)[:, over]
-                      + diff[:, over] * scale)
+        B[:, over] *= np.broadcast_to(radii, nd.shape)[over] / nd[over]
 
 
 class _Counter:
@@ -166,15 +175,26 @@ class _Counter:
         self.evals = 0
 
 
-def _checked(g, Y, counter):
-    v = np.asarray(g(Y), dtype=float)
-    counter.evals += Y.shape[0]
-    finite = np.isfinite(v)
-    if np.count_nonzero(finite) < finite.size:
-        bad = int(np.argmin(finite))
-        raise SolverError("objective returned a non-finite value",
-                          point=Y[bad].copy())
-    return v
+def _checked(obj, counter):
+    """``obj`` bound for the stages.  ``obj(idx)`` returns ``(origin, g)``:
+    the centres of rows ``idx`` as (n, d) rows and an evaluator g of one
+    offset per row.  The result maps ``idx`` to g with every evaluation
+    counted in ``counter`` and checked: a non-finite value raises
+    SolverError at its point y = centre + h."""
+    def bind(idx):
+        origin, g = obj(idx)
+
+        def ev(H):
+            v = np.asarray(g(H), dtype=float)
+            counter.evals += H.shape[0]
+            finite = np.isfinite(v)
+            if np.count_nonzero(finite) < finite.size:
+                bad = int(np.argmin(finite))
+                raise SolverError("objective returned a non-finite value",
+                                  point=origin[bad] + H[bad])
+            return v
+        return ev
+    return bind
 
 
 def _lex_best(cands, vals):
@@ -188,13 +208,14 @@ def _lex_best(cands, vals):
     return int(tied[order[0]])
 
 
-def _coarse_stage(obj, space, cfg, centers, radii, counter):
-    """Evaluate the shared pool around each row (``centers`` (d, N), by
-    coordinate); return the min(_N_KEEP, m) best candidates per row,
-    value-sorted, as an (N, min(_N_KEEP, m), d) array.  A chunk holds
-    ``_BLOCK // (m*d)`` rows (at least one), so its (d, n, m) candidate
-    block is about ``_BLOCK`` doubles."""
-    d, N = centers.shape
+def _coarse_stage(obj, space, cfg, radii):
+    """Evaluate the offsets ``radii[i] * pool`` of each row i; return the
+    min(_N_KEEP, m) best per row, value-sorted, as an
+    (N, min(_N_KEEP, m), d) array.  The pool lies in the unit ball, so an
+    offset leaves its ball by rounding only and needs no projection.  A
+    chunk holds ``_BLOCK // (m*d)`` rows (at least one), so its (d, n, m)
+    candidate block is about ``_BLOCK`` doubles."""
+    d, N = space.dim, radii.size
     m = cfg.coarse_samples
     k = min(_N_KEEP, m)
     pool = _unit_ball_pool(space, m, cfg.seed).T
@@ -203,12 +224,8 @@ def _coarse_stage(obj, space, cfg, centers, radii, counter):
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         n = hi - lo
-        ctr = centers[:, lo:hi, None]
-        rad = radii[lo:hi, None]
-        cand = ctr + rad * pool[:, None, :]  # (d, n, m)
-        _project(space, cand, ctr, rad)
-        vals = _checked(obj(np.repeat(np.arange(lo, hi), m)), _rows(cand),
-                        counter).reshape(n, m)
+        cand = radii[lo:hi, None] * pool[:, None, :]  # (d, n, m)
+        vals = obj(np.repeat(np.arange(lo, hi), m))(_rows(cand)).reshape(n, m)
         # flat indices into vals of each row's k best, value-sorted
         part = (np.argpartition(vals, k - 1, axis=1)[:, :k]
                 + np.arange(0, n * m, m)[:, None])
@@ -249,18 +266,19 @@ def _select_starts(space, keep_pts, sep, k_starts):
     return starts
 
 
-def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
-    """Compass search of every row, in place.  ``Y`` and ``centers`` hold
-    the rows by coordinate, shape (d, N).  A row finishes once its step
-    falls below tolerance/8; the search counts as converged when every
-    row's step ended below the tolerance itself.  Iterations run on a
-    compacted copy of the active rows, in slices of ``_BLOCK // (2*d*d)``
-    rows (at least one, so a (d, 2d, n) trial block is about ``_BLOCK``
-    doubles), each with its objective bound once.  Steps never grow, so the
-    copy is written back and compacted again only when a step falls below
-    tolerance/8, and at the iteration cap; rows move only on their own
-    values, so neither the slicing nor the compaction changes a result."""
-    d = Y.shape[0]
+def _compass(obj, H, vals, step, space, cfg, radii):
+    """Compass search of every row's offset, in place.  ``H`` holds the
+    offsets by coordinate, shape (d, N), each kept in the ball of radius
+    ``radii`` about 0.  A row finishes once its step falls below
+    tolerance/8; the search counts as converged when every row's step ended
+    below the tolerance itself.  Iterations run on a compacted copy of the
+    active rows, in slices of ``_BLOCK // (2*d*d)`` rows (at least one, so
+    a (d, 2d, n) trial block is about ``_BLOCK`` doubles), each with its
+    objective bound once.  Steps never grow, so the copy is written back
+    and compacted again only when a step falls below tolerance/8, and at
+    the iteration cap; rows move only on their own values, so neither the
+    slicing nor the compaction changes a result."""
+    d = H.shape[0]
     # dirs[k, j] is coordinate k of direction j: +e_0, ..., +e_{d-1}, -e_0, ...
     dirs = np.hstack([np.eye(d), -np.eye(d)])[:, :, None]
     tol8 = cfg.tolerance / 8.0
@@ -272,8 +290,8 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
             rows = (step >= tol8).nonzero()[0]
             if not rows.size:
                 break
-            Ya, va, sa = Y.take(rows, axis=1), vals.take(rows), step.take(rows)
-            ca, ra = centers.take(rows, axis=1)[:, None, :], radii.take(rows)
+            Ha, va, sa = H.take(rows, axis=1), vals.take(rows), step.take(rows)
+            ra = radii.take(rows)
             slices = [(slice(lo, lo + width),
                        obj(np.concatenate((rows[lo:lo + width],) * (2 * d))))
                       for lo in range(0, rows.size, width)]
@@ -281,28 +299,32 @@ def _compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
             s = sa[sl]
             n = s.size
             # trial point j of row i of the slice sits at T[:, j, i]
-            T = Ya[:, None, sl] + s * dirs
-            _project(space, T, ca[:, :, sl], ra[sl])
-            tv = _checked(g, _rows(T), counter)
+            T = Ha[:, None, sl] + s * dirs
+            _project(space, T, ra[sl])
+            tv = g(_rows(T))
             pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
             tmin = tv.take(pick)
             better = tmin < va[sl]
-            np.copyto(Ya[:, sl], T.reshape(d, -1).take(pick, axis=1),
+            np.copyto(Ha[:, sl], T.reshape(d, -1).take(pick, axis=1),
                       where=better)
             np.copyto(va[sl], tmin, where=better)
             sa[sl] = np.where(better, s, s * 0.5)
         if sa.min() < tol8 or it == cap - 1:
-            Y[:, rows], vals[rows], step[rows] = Ya, va, sa
+            H[:, rows], vals[rows], step[rows] = Ha, va, sa
             rows = None
     return (step < cfg.tolerance).all()
 
 
 def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
-    """Shared batch minimizer.  ``obj(idx)`` returns the objective of rows
-    ``idx`` bound to their data, an evaluator of one point per index; row
-    i minimizes it over ball(centers[i], radii[i]).  ``extra_vals``, when
+    """Shared batch minimizer in the offset frame.  Row i minimizes over
+    the ball of radius radii[i] about centers[i] (both (N, ...)), as a
+    search over offsets h = y - centers[i] in the ball about 0.
+    ``obj(idx)`` binds the objective to rows ``idx``: it returns the rows'
+    centres, as (n, d) rows, and an evaluator of one offset per row, which
+    evaluates f at y = centre + h (see ``_checked``).  ``extra_vals``, when
     given, holds its value at X[i], and y = X[i] wins where it beats the
-    search.  Returns (values, minimizers, evaluations, converged).
+    search.  Returns (values, minimizers y = centre + h, evaluations,
+    converged).
 
     Coarse candidates, compass points and trial points are stored by
     coordinate, so that each coordinate of a block is one contiguous run,
@@ -312,9 +334,9 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     row i; every stacked row moves only on its own values, so the result
     equals one search per start."""
     N = X.shape[0]
-    centers = np.ascontiguousarray(centers.T)
     counter = _Counter()
-    keep_pts = _coarse_stage(obj, space, cfg, centers, radii, counter)
+    obj = _checked(obj, counter)
+    keep_pts = _coarse_stage(obj, space, cfg, radii)
     starts = _select_starts(space, keep_pts, sep=radii * 0.25,
                             k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
@@ -322,15 +344,14 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     def stacked(idx):
         return obj(owner.take(idx))
 
-    Y = np.concatenate(starts).T.copy()
-    vals = _checked(obj(owner), Y.T, counter)
+    H = np.concatenate(starts).T.copy()
+    vals = obj(owner)(H.T)
     rad = radii.take(owner)
-    converged = _compass(stacked, Y, vals, rad * 0.25, space, cfg,
-                         centers.take(owner, axis=1), rad, counter)
+    converged = _compass(stacked, H, vals, rad * 0.25, space, cfg, rad)
     # argmin keeps the first minimum: a tie goes to the earlier start
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals.take(best)
-    best_pts = np.ascontiguousarray(Y.take(best, axis=1).T)
+    best_pts = centers + np.ascontiguousarray(H.take(best, axis=1).T)
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -387,15 +408,39 @@ def _search_ball(X, nx, L, lam, p, C):
 def _power_rows(f, p, lam, X, nx, space, cfg, C):
     """The power-p regularizer at the checked rows of X (nx = |x|, C the
     Clarkson constant or None): (values, minimizers, evaluations,
-    converged, radii)."""
-    centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
-    _, term, defect = _q_kernel(space, p)
-    ax = term(X)  # fixed per row; hoisted out of the loop
-    XT = np.ascontiguousarray(X.T)
+    converged, radii).
 
-    def obj(idx):
-        axi, Xi = ax.take(idx), XT.take(idx, axis=1).T
-        return lambda Y: f(Y) + lam * defect(axi, Y, Xi + Y)
+    An objective value is f at the rounded point y = centre + h plus
+    lam*Q.  Where C is proven the ball is centred at x, so t = x - y is -h
+    before rounding; at an even integer p equal to the space's exponent Q
+    is ``split(y + x, h)``, which never cancels.  Every other pair uses the
+    difference formula at y, with the x term hoisted."""
+    centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
+    _, term, defect, split = _q_kernel(space, p)
+    XT = np.ascontiguousarray(X.T)
+    if C is not None and split is not None:
+        def obj(idx):
+            Xi = XT.take(idx, axis=1).T
+
+            def g(H):
+                Y = Xi + H
+                fy = f(Y)  # before the kernel's temporaries; may view Y
+                s = Y + Xi
+                del Y  # freed here unless fy views it
+                return fy + lam * split(s, H)
+            return Xi, g
+    else:
+        ax = term(X)  # fixed per row; hoisted out of the loop
+
+        def obj(idx):
+            axi, Xi = ax.take(idx), XT.take(idx, axis=1).T
+            # the ball's centre: x, or 0 on the restricted-infimum route
+            Ci = Xi if C is not None else np.broadcast_to(0.0, Xi.shape)
+
+            def g(H):
+                Y = Ci + H
+                return f(Y) + lam * defect(axi, Y, Xi + Y)
+            return Ci, g
 
     return _minimize_rows(obj, X, space, cfg, centers, radii,
                           extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
@@ -444,7 +489,14 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
 
     def obj(idx):
         Xi = XT.take(idx, axis=1).T
-        return lambda Y: f(Y) + lam * powered(Xi - Y)
+
+        def g(H):
+            Y = Xi + H
+            fy = f(Y)
+            t = Xi - Y
+            del Y  # freed here unless fy views it
+            return fy + lam * powered(t)
+        return Xi, g
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
@@ -490,8 +542,13 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
 
     X = center[None]
     radii = np.array([float(radius)])
-    vals, pts, evals, conv = _minimize_rows(lambda idx: batch, X, space, cfg,
-                                            X, radii, extra_vals=cval)
+
+    def obj(idx):
+        return (np.broadcast_to(center, (idx.size, d)),
+                lambda H: batch(center + H))
+
+    vals, pts, evals, conv = _minimize_rows(obj, X, space, cfg, X, radii,
+                                            extra_vals=cval)
     diagnostics = {"evaluations": evals, "converged": bool(conv)}
     return pts[0], float(vals[0]), diagnostics
 

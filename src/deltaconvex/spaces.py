@@ -118,12 +118,16 @@ class NormedSpace:
         return self.defect_p(2.0, x, y)
 
     def defect_p(self, p, x, y):
-        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, p >= 2."""
+        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, p >= 2; at an
+        even integer p equal to the space's exponent (p <= 8) it is summed
+        from s = x + y and t = x - y without cancellation."""
         if not p >= 2.0:
             raise ValueError(f"defect exponent must be >= 2, got {p}")
-        _, term, defect = _q_kernel(self, p)
+        _, term, defect, split = _q_kernel(self, p)
         x = self._check(x)
         y = self._check(y)
+        if split is not None:
+            return split(x + y, x - y)
         return defect(term(x), y, x + y)
 
     def ball_sample(self, rng, n, radius=1.0, center=None):
@@ -153,15 +157,26 @@ class NormedSpace:
 @lru_cache(maxsize=64)
 def _q_kernel(space, power):
     """The one Q kernel, resolved once per (space, power) and unchecked:
-    ``(powered, term, defect)`` with ``powered(x)`` = |x|^power per row,
-    ``term(x)`` = 2^(power-1)|x|^power and ``defect(term(x), y, x + y)``
-    the defect 2^(power-1)(|x|^power + |y|^power) - |x+y|^power, summed
-    with ``_err_sum3`` above power 8 (the one formula for Q_p).
+    ``(powered, term, defect, split)`` with ``powered(x)`` = |x|^power per
+    row, ``term(x)`` = 2^(power-1)|x|^power, ``defect(term(x), y, x + y)``
+    the difference formula 2^(power-1)(|x|^power + |y|^power) -
+    |x+y|^power, summed with ``_err_sum3`` above power 8, and ``split``.
 
     At the space's own finite exponent ``powered`` takes no root: it sums
     products of x*x at integer powers up to 8 (at most four roundings, and
     much cheaper than a general pow), else |x_i|^power; at any other power
     it is ``_norm(x) ** power``.  Sums run through ``_rowsum``.
+
+    The difference formula subtracts terms of size about 2^power |x|^power,
+    so its rounding grows with |x| and can fall below 0.  Where power is an
+    even integer q <= 8 equal to the space's exponent, ``split(s, t)`` with
+    s = x + y and t = x - y (or t = y - x) gives Q without that loss: per
+    coordinate 2^(q-1)(x^q + y^q) - (x+y)^q = ((s+t)^q + (s-t)^q)/2 - s^q,
+    the sum over even k >= 2 of C(q, k) s^(q-k) t^k, which is t^2 at q = 2
+    and t^2 (6 s^2 + t^2) at q = 4.  Every term is >= 0, so the float value
+    is within a few ulps of Q at any |x|.  It is computed by Horner's rule
+    in s^2 with products only, and overwrites its argument s; ``split`` is
+    None for every other pair.
     """
     if power != space.p_exponent or power in (1.0, math.inf):
         def powered(x):
@@ -188,7 +203,28 @@ def _q_kernel(space, power):
     else:
         def defect(ax, y, xy):
             return ax + term(y) - powered(xy)
-    return powered, term, defect
+    split = None
+    if power == space.p_exponent and power in (2.0, 4.0, 6.0, 8.0):
+        q = int(power)
+        # C(q, 2), ..., C(q, q - 2): the Horner coefficients before C(q, q)
+        coef = [float(math.comb(q, k)) for k in range(2, q, 2)]
+
+        def split(s, t):
+            v = t * t
+            if not coef:
+                return _rowsum(v)
+            u = np.square(s, out=s)
+            # Horner's rule in u; at q = 4 it runs in u's own buffer
+            acc = np.multiply(u, coef[0], out=u if len(coef) == 1 else None)
+            vk = v
+            for c in coef[1:]:
+                acc += c * vk
+                acc *= u
+                vk = vk * v
+            acc += vk
+            acc *= v
+            return _rowsum(acc)
+    return powered, term, defect, split
 
 
 # 8 units in the last place of 1: how far the bracket of

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from deltaconvex import (NormedSpace, SolverConfig, analytic_modulus_lower,
-                         ball_grid, build_sign_tree, build_tree_family,
-                         inf_convolve_grid, make_corpus,
+from deltaconvex import (CORPUS_LABELS, NormedSpace, SolverConfig,
+                         analytic_modulus_lower, ball_grid, build_sign_tree,
+                         build_tree_family, inf_convolve_grid, make_corpus,
                          modulus_of_convexity, rate_bound,
                          regularize_power_grid, regularize_quadratic,
                          run_adversary, validate_tree)
-from deltaconvex.experiments import ExperimentConfig
+from deltaconvex.experiments import (ExperimentConfig, run_converge,
+                                     run_sandwich)
 from deltaconvex.cli import main
 
 TOL = 1e-6
@@ -255,3 +256,35 @@ def test_criterion_10_determinism(tmp_path):
         assert outs[0] == outs[1], name
     _pass(10, "identical config + seed give byte-identical CSV "
               "(converge, adversary)")
+
+
+# (q, power) on l_q^2 and the radii of the grids far from the origin
+WHOLE_SPACE_CASES = [(2.0, 2.0), (4.0, 4.0)]
+WHOLE_SPACE_RADII = (1e3, 1e6)
+
+
+def test_criterion_11_whole_space_rate():
+    # with a proven C the search ball's radius does not depend on x, so
+    # the rate bound holds on the whole space; the difference formula of Q
+    # lost it to rounding far from the origin (1.4e11 against a bound of
+    # 0.40 at radius 1e6 on l4^2)
+    worst_ratio, worst_sandwich, runs = 0.0, 0.0, 0
+    for q, power in WHOLE_SPACE_CASES:
+        for radius in WHOLE_SPACE_RADII:
+            for label in CORPUS_LABELS:
+                values = {"dim": "2", "p": f"{q:g}", "power": f"{power:g}",
+                          "radius": f"{radius:g}", "function": label}
+                conv = run_converge(ExperimentConfig(values=dict(values)))
+                sand = run_sandwich(ExperimentConfig(values=dict(values)))
+                case = (q, power, radius, label)
+                assert conv.violations == [], (case, conv.violations)
+                assert sand.violations == [], (case, sand.violations)
+                worst_ratio = max(worst_ratio, max(
+                    r.measured / r.bound for r in conv.rows))
+                worst_sandwich = max(worst_sandwich, max(
+                    r.measured for r in sand.rows))
+                runs += 2
+    _pass(11, f"whole-space rate on l2^2 (power 2) and l4^2 (power 4) at "
+              f"radius 1e3 and 1e6 over the corpus, {runs} runs: worst "
+              f"measured/bound {worst_ratio:.3g} <= 1, worst sandwich "
+              f"violation {worst_sandwich:.2e} <= {2 * TOL:.0e}")

@@ -347,21 +347,27 @@ class TestNonConvergedWarnings:
         assert code == 0
         assert "warning:" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("runner, lams, code", [
-        ("converge", ["16", "64", "256"], 0),
-        ("hilbert-equiv", ["9", "36", "144"], 1),
-        ("sandwich", ["4", "16", "64"], 1),
+    @pytest.mark.parametrize("runner, lams", [
+        ("converge", ["16", "64", "256"]),
+        ("hilbert-equiv", ["9", "36", "144"]),
+        ("sandwich", ["4", "16", "64"]),
     ])
     def test_every_runner_warns_per_lambda(self, tmp_path, capsys, runner,
-                                           lams, code):
+                                           lams):
         # no solve reaches a tolerance of 1e-300, so every lambda warns,
-        # naming the operators in call order; the two runners that check
-        # at solver tolerance then also fail each row
+        # naming the operators in call order.  The two runners that check
+        # at solver tolerance fail a row only where its gap is not exactly
+        # 0.  On l2^1 both kernels are a square rounded once, so a gap is 0
+        # or about an ulp of the values; the CSV's slack column says which
+        # rows fail
         got, data = run(tmp_path, [
             runner, "--set", "dim=1", "--set", "grid=9",
             "--set", "coarse_samples=64", "--set", "tolerance=1e-300"])
-        assert got == code
-        assert data.count(f"\n{runner},".encode()) == len(lams)
+        rows = [ln.split(",") for ln in data.decode().splitlines()
+                if ln.startswith(f"{runner},")]
+        assert [r[3] for r in rows] == lams
+        failed = [r[3] for r in rows if float(r[6]) < 0.0]
+        assert got == (1 if failed else 0)
         ops = ("regularize_power_grid" if runner == "converge"
                else "regularize_power_grid, inf_convolve_grid")
         lines = capsys.readouterr().err.splitlines()
@@ -369,9 +375,28 @@ class TestNonConvergedWarnings:
             f"warning: {runner} lambda={lam}: {ops} did not converge"
             for lam in lams]
         violations = lines[len(lams):]
-        assert len(violations) == (len(lams) if code else 0)
-        for line, lam in zip(violations, lams):
+        assert len(violations) == len(failed)
+        for line, lam in zip(violations, failed):
             assert line.startswith(f"bound violation: lambda={lam}: ")
+
+
+class TestWholeSpace:
+    """Far from the origin the rate bound still holds: the difference
+    formula of Q made both commands report false violations (measured 2
+    against a bound of 0.157 on l4^2, 0.254 against 0.0039 on l2^2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "p=4", "--set", "radius=1000", "--set", "function=linear"],
+        ["--set", "radius=1e6", "--set", "function=linear"],
+    ])
+    def test_converge_exits_zero(self, tmp_path, capsys, argv):
+        code, data = run(tmp_path, ["converge"] + argv)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [ln.split(",") for ln in data.decode().splitlines()
+                if ln.startswith("converge,")]
+        assert [r[3] for r in rows] == ["16", "64", "256"]
+        assert all(float(r[6]) > 0.0 for r in rows)
 
 
 class TestSweepRows:

@@ -20,9 +20,15 @@ L2_2 = NormedSpace(2, 2.0)
 
 
 def _bound(obj):
-    """A test objective ``obj(Y, idx)`` in the solver's bound form: ``idx``
-    to an evaluator of the rows ``Y``."""
-    return lambda idx: lambda Y: obj(Y, idx)
+    """A test objective ``obj(H, idx)`` in the bound form of the solver's
+    stages: ``idx`` to an evaluator of the offsets ``H``."""
+    return lambda idx: lambda H: obj(H, idx)
+
+
+def _centred(obj, centers):
+    """A test objective ``obj(H, idx)`` in the bound form of
+    ``_minimize_rows``: ``idx`` to the rows' centres and an evaluator."""
+    return lambda idx: (centers[idx], _bound(obj)(idx))
 
 
 def abs_fn():
@@ -449,12 +455,11 @@ class TestCompassFinish:
         def obj(Y, idx):
             return np.abs(Y[:, 0])
 
-        Y = np.array([[y0]])
+        # a ball about 0, so the offset h is the point y
+        H = np.array([[y0]])
         step = np.array([0.25])
-        conv = reg._compass(_bound(obj), Y, obj(Y, None), step, L2_1,
-                            self.CFG,
-                            np.zeros((1, 1)), np.array([10.0]),
-                            reg._Counter())
+        conv = reg._compass(_bound(obj), H, obj(H, None), step, L2_1,
+                            self.CFG, np.array([10.0]))
         return bool(conv), step[0]
 
     def test_capped_below_tolerance_converged(self):
@@ -471,20 +476,38 @@ class TestCompassFinish:
         assert not conv
 
 
-# The solver as it stood with points stored row by row, (rows, d): the
-# reference for the coordinate-major layout, which must reproduce it bit for
-# bit (values, minimizers, evaluation counts and converged flags).
+# The solver with points stored row by row, (rows, d), in the offset frame
+# h = y - centre: the reference for the coordinate-major layout, which must
+# reproduce it bit for bit (values, minimizers, evaluation counts and
+# converged flags).  It binds the objective on every evaluation and counts
+# and checks the values itself.
 
-def _ref_project_rows(space, Y, centers, radii):
-    diff = Y - centers
-    nd = space._norm(diff)
+def _evaluator(obj):
+    """The bound objective of ``_minimize_rows`` without its centre rows:
+    the reference reports a failing point from its own centres."""
+    return lambda idx: obj(idx)[1]
+
+
+def _ref_eval(obj, idx, H, centers, counter):
+    """obj bound to rows ``idx`` at the offsets ``H``, counted and checked:
+    a non-finite value reports its point y = centre + h."""
+    v = np.asarray(obj(idx)(H), dtype=float)
+    counter.evals += H.shape[0]
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise SolverError("objective returned a non-finite value",
+                          point=centers[idx[bad[0]]] + H[bad[0]])
+    return v
+
+
+def _ref_project_rows(space, H, radii):
+    nd = space._norm(H)
     over = nd > radii
     if over.any():
-        Y = Y.copy()
+        H = H.copy()
         scale = np.broadcast_to(radii, nd.shape)[over] / nd[over]
-        Y[over] = (np.broadcast_to(centers, Y.shape)[over]
-                   + diff[over] * scale[:, None])
-    return Y
+        H[over] = H[over] * scale[:, None]
+    return H
 
 
 def _ref_lex_best(cands, vals):
@@ -494,8 +517,8 @@ def _ref_lex_best(cands, vals):
     return int(tied[np.lexsort(cands[tied].T[::-1])[0]])
 
 
-def _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
-    N, d = X.shape
+def _ref_coarse_stage(obj, space, cfg, centers, radii, counter, n_keep=8):
+    N, d = radii.size, space.dim
     m = cfg.coarse_samples
     k = min(n_keep, m)
     pool = reg._unit_ball_pool(space, m, cfg.seed)
@@ -504,13 +527,9 @@ def _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         rows = np.arange(lo, hi)
-        ctr = centers[lo:hi][:, None, :]
-        rad = radii[lo:hi][:, None]
-        cand = _ref_project_rows(
-            space, ctr + rad[:, :, None] * pool[None, :, :], ctr, rad)
-        flat = cand.reshape(-1, d)
-        vals = reg._checked(obj(np.repeat(rows, m)), flat,
-                            counter).reshape(-1, m)
+        cand = radii[lo:hi][:, None, None] * pool[None, :, :]
+        vals = _ref_eval(obj, np.repeat(rows, m), cand.reshape(-1, d),
+                         centers, counter).reshape(-1, m)
         part = np.argpartition(vals, k - 1, axis=1)[:, :k]
         r = np.arange(hi - lo)[:, None]
         order = np.argsort(vals[r, part], axis=1, kind="stable")
@@ -522,8 +541,8 @@ def _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter, n_keep=8):
     return keep_pts
 
 
-def _ref_compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
-    N, d = Y.shape
+def _ref_compass(obj, H, vals, step, space, cfg, radii, counter, centers):
+    N, d = H.shape
     dirs = np.vstack([np.eye(d), -np.eye(d)])
     tol = cfg.tolerance
     for _ in range(cfg.refine_iterations + 40 * d):
@@ -531,17 +550,15 @@ def _ref_compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
         if not active.any():
             break
         rows = np.flatnonzero(active)
-        T = Y[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
-        T = _ref_project_rows(space, T, centers[rows][:, None, :],
-                              radii[rows][:, None])
-        flat = T.reshape(-1, d)
-        tv = reg._checked(obj(np.repeat(rows, 2 * d)), flat,
-                          counter).reshape(-1, 2 * d)
+        T = H[rows][:, None, :] + step[rows][:, None, None] * dirs[None]
+        T = _ref_project_rows(space, T, radii[rows][:, None])
+        tv = _ref_eval(obj, np.repeat(rows, 2 * d), T.reshape(-1, d),
+                       centers, counter).reshape(-1, 2 * d)
         j = tv.argmin(axis=1)
         tmin = tv[np.arange(rows.size), j]
         better = tmin < vals[rows]
         moved = rows[better]
-        Y[moved] = T[better, j[better]]
+        H[moved] = T[better, j[better]]
         vals[moved] = tmin[better]
         step[rows[~better]] *= 0.5
     return (step < tol).all()
@@ -549,9 +566,10 @@ def _ref_compass(obj, Y, vals, step, space, cfg, centers, radii, counter):
 
 def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     """The row-major stacked minimizer."""
+    obj = _evaluator(obj)
     N = X.shape[0]
     counter = reg._Counter()
-    keep_pts = _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    keep_pts = _ref_coarse_stage(obj, space, cfg, centers, radii, counter)
     starts = reg._select_starts(space, keep_pts, sep=radii * 0.25,
                                 k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
@@ -559,13 +577,13 @@ def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     def stacked(idx):
         return obj(owner[idx])
 
-    Y = np.concatenate(starts)
-    vals = reg._checked(obj(owner), Y, counter)
-    converged = _ref_compass(stacked, Y, vals, radii[owner] * 0.25, space,
-                             cfg, centers[owner], radii[owner], counter)
+    H = np.concatenate(starts)
+    vals = _ref_eval(obj, owner, H, centers, counter)
+    converged = _ref_compass(stacked, H, vals, radii[owner] * 0.25, space,
+                             cfg, radii[owner], counter, centers[owner])
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals[best]
-    best_pts = Y[best]
+    best_pts = centers + H[best]
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -577,23 +595,24 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
     """Reference: one row-major compass search per start, reduced in start
     order with a strict <, as the minimizer ran before the starts were
     stacked."""
+    obj = _evaluator(obj)
     N, d = X.shape
     counter = reg._Counter()
-    keep_pts = _ref_coarse_stage(obj, X, space, cfg, centers, radii, counter)
+    keep_pts = _ref_coarse_stage(obj, space, cfg, centers, radii, counter)
     starts = reg._select_starts(space, keep_pts, sep=radii * 0.25,
                                 k_starts=cfg.starts)
     best_vals = np.full(N, np.inf)
     best_pts = np.empty((N, d))
     converged = True
-    for Y0 in starts:
-        Y = Y0.copy()
-        vals = reg._checked(obj(np.arange(N)), Y, counter)
-        conv = _ref_compass(obj, Y, vals, radii * 0.25, space, cfg, centers,
-                            radii, counter)
+    for H0 in starts:
+        H = H0.copy()
+        vals = _ref_eval(obj, np.arange(N), H, centers, counter)
+        conv = _ref_compass(obj, H, vals, radii * 0.25, space, cfg, radii,
+                            counter, centers)
         converged = converged and conv
         upd = vals < best_vals
         best_vals[upd] = vals[upd]
-        best_pts[upd] = Y[upd]
+        best_pts[upd] = centers[upd] + H[upd]
     if extra_vals is not None:
         upd = extra_vals < best_vals
         best_vals[upd] = extra_vals[upd]
@@ -704,15 +723,14 @@ class TestStackedMultistart:
         X = np.zeros((1, 1))
         radii = np.array([1.5])
         cfg = replace(STACK_CFG, starts=starts)
-        keep_pts = reg._coarse_stage(_bound(obj), L2_1, cfg, X.T, radii,
-                                     reg._Counter())
+        keep_pts = reg._coarse_stage(_bound(obj), L2_1, cfg, radii)
         first = reg._select_starts(L2_1, keep_pts, sep=radii * 0.25,
                                    k_starts=starts)
         assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
         assert not np.array_equal(first[0], first[1])
-        vals, pts, _, _ = reg._minimize_rows(_bound(obj), X, L2_1, cfg, X,
-                                             radii)
-        want = _sequential_minimize(_bound(obj), X, L2_1, cfg, X, radii)
+        vals, pts, _, _ = reg._minimize_rows(_centred(obj, X), X, L2_1, cfg,
+                                             X, radii)
+        want = _sequential_minimize(_centred(obj, X), X, L2_1, cfg, X, radii)
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
@@ -770,7 +788,8 @@ class TestCoordinateMajorLayout:
             return -(Y[:, 0] + 0.5 * Y[:, d - 1])
 
         for n in (1, 65):
-            args = (_bound(obj), X[:n], space, REF_CFG, X[:n], radii[:n])
+            args = (_centred(obj, X[:n]), X[:n], space, REF_CFG, X[:n],
+                    radii[:n])
             got = reg._minimize_rows(*args)
             _assert_same_solve(got, _ref_minimize_rows(*args))
             r = space.norm(got[1] - X[:n])
@@ -813,10 +832,8 @@ class TestCoordinateMajorLayout:
         cfg = replace(REF_CFG, coarse_samples=m)
         X = L2_2.ball_sample(np.random.default_rng(m), 70)
         radii = np.full(70, 0.3)
-        got = reg._coarse_stage(_bound(obj), L2_2, cfg,
-                                np.ascontiguousarray(X.T), radii,
-                                reg._Counter())
-        want = _ref_coarse_stage(_bound(obj), X, L2_2, cfg, X, radii,
+        got = reg._coarse_stage(_bound(obj), L2_2, cfg, radii)
+        want = _ref_coarse_stage(_bound(obj), L2_2, cfg, X, radii,
                                  reg._Counter())
         assert np.array_equal(got, want)
 
@@ -826,15 +843,15 @@ class TestCoordinateMajorLayout:
         X = space.ball_sample(np.random.default_rng(d), 5)
         radii = np.full(5, 2.0)
 
-        def obj(Y, idx):
-            out = Y[:, 0].copy()
+        def obj(H, idx):
+            out = X[idx, 0] + H[:, 0]  # coordinate 0 of y = centre + h
             out[out > 0.5] = math.nan
             return out
 
         errors = []
         for solve in (reg._minimize_rows, _ref_minimize_rows):
             with pytest.raises(SolverError) as err:
-                solve(_bound(obj), X, space, REF_CFG, X, radii)
+                solve(_centred(obj, X), X, space, REF_CFG, X, radii)
             errors.append(err.value.point)
         got, want = errors
         assert got.shape == (d,) and got[0] > 0.5
@@ -993,7 +1010,8 @@ class TestSolverBlocks:
             return ((Y - 0.1) ** 2).sum(axis=1)
 
         X = L2_2.ball_sample(np.random.default_rng(4), 9)
-        reg._minimize_rows(_bound(obj), X, L2_2, REF_CFG, X, np.full(9, 0.5))
+        reg._minimize_rows(_centred(obj, X), X, L2_2, REF_CFG, X,
+                           np.full(9, 0.5))
         assert sizes[:6] == [48, 48, 48, 48, 24, 18]
         assert max(sizes[6:]) == 48
         assert all(n % 4 == 0 for n in sizes[6:])
@@ -1054,23 +1072,25 @@ def _pulls(space, n, seed):
 
 def _both_compasses(space, obj, Y, step, cfg):
     """The compacted search and the row-major reference from the same rows
-    ``Y`` (N, d) with unit balls around 0: (new, reference), each as
-    (minimizers, values, steps, converged, evaluations)."""
+    ``Y`` (N, d) with unit balls around 0, where the offset is the point:
+    (new, reference), each as (minimizers, values, steps, converged,
+    evaluations)."""
     N = Y.shape[0]
     radii = np.ones(N)
+    zeros = np.zeros_like(Y)
     out = []
     for compacted in (True, False):
         counter = reg._Counter()
         Y0, s0 = Y.copy(), step.copy()
-        v0 = reg._checked(_bound(obj)(np.arange(N)), Y0, counter)
+        v0 = _ref_eval(_bound(obj), np.arange(N), Y0, zeros, counter)
         if compacted:
             YT = np.ascontiguousarray(Y0.T)
-            conv = reg._compass(_bound(obj), YT, v0, s0, space, cfg,
-                                np.zeros_like(YT), radii, counter)
+            conv = reg._compass(reg._checked(_centred(obj, zeros), counter),
+                                YT, v0, s0, space, cfg, radii)
             Y0 = YT.T
         else:
-            conv = _ref_compass(_bound(obj), Y0, v0, s0, space, cfg,
-                                np.zeros_like(Y0), radii, counter)
+            conv = _ref_compass(_bound(obj), Y0, v0, s0, space, cfg, radii,
+                                counter, zeros)
         out.append((Y0, v0, s0, bool(conv), counter.evals))
     return out
 
@@ -1145,7 +1165,7 @@ class TestCompactedCompass:
         assert len(seen) == 6
         # every compass call holds at most ``width`` rows of 2d trials
         obj, _, sizes = _pulls(space, 7, 5)
-        real(_bound(obj), X, space, REF_CFG, X, np.full(7, 0.5))
+        real(_centred(obj, X), X, space, REF_CFG, X, np.full(7, 0.5))
         trials = sizes[sizes.index(7 * REF_CFG.starts) + 1:]
         assert max(trials) == 2 * d * width
         assert all(t % (2 * d) == 0 for t in trials)
@@ -1169,14 +1189,19 @@ class TestCompactedCompass:
         Y = targets + 3.3 * step[:, None]
         cfg = SolverConfig(refine_iterations=200, tolerance=1e-6)
         errors = []
-        for search in (reg._compass, _ref_compass):
-            Y0 = np.ascontiguousarray(Y.T) if search is reg._compass else Y
+        zeros = np.zeros_like(Y)
+        for compacted in (True, False):
             counter = reg._Counter()
-            v0 = reg._checked(_bound(pull)(np.arange(n)), Y, counter)
+            v0 = _ref_eval(_bound(pull), np.arange(n), Y, zeros, counter)
             del sizes[:]
             with pytest.raises(SolverError) as err:
-                search(_bound(obj), Y0.copy(), v0, step.copy(), space, cfg,
-                       np.zeros_like(Y0), np.ones(n), counter)
+                if compacted:
+                    reg._compass(reg._checked(_centred(obj, zeros), counter),
+                                 Y.T.copy(), v0, step.copy(), space, cfg,
+                                 np.ones(n))
+                else:
+                    _ref_compass(_bound(obj), Y.copy(), v0, step.copy(),
+                                 space, cfg, np.ones(n), counter, zeros)
             errors.append((err.value.point, counter.evals))
             assert sizes[-1] <= 2 * d * (n - 3) < sizes[0]
         (got, got_evals), (want, want_evals) = errors

@@ -125,24 +125,47 @@ def root_formula(space, p, x, y):
     return _err_sum3(a, b, c) if p > 8.0 else a + b + c
 
 
+def exact_defect(q, x, y):
+    """Q_q(x, y) = 2^(q-1)(|x|_q^q + |y|_q^q) - |x+y|_q^q of each row pair,
+    exactly, as a Fraction (q an integer)."""
+    out = []
+    for xr, yr in zip(x, y):
+        fx, fy = [Fraction(v) for v in xr], [Fraction(v) for v in yr]
+        out.append(2 ** (q - 1) * sum(abs(v) ** q for v in fx + fy)
+                   - sum(abs(a + b) ** q for a, b in zip(fx, fy)))
+    return out
+
+
+# the even-integer kernel's first-order error bound for q <= 8 and d <= 9:
+# at most 27 roundings of half an ulp (s, t, the squares, the Horner steps
+# and the row sum); the rows of these tests measure below 6 ulps
+SPLIT_ULPS = 16
+
+
+def assert_within_ulps(got, ref):
+    for v, r in zip(got, ref):
+        assert abs(Fraction(v) - r) <= SPLIT_ULPS * Fraction(2) ** -52 * r
+
+
 class TestPowerKernel:
-    @pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("q,d", [(2, 2), (2, 3), (4, 2), (4, 3), (6, 3),
+                                     (8, 2)])
     def test_exact_reference_p_equals_q(self, q, d):
+        # near-diagonal pairs in the unit cube, then the same offsets
+        # moved out to |x| = 1e6, where the difference formula cancels
         space = NormedSpace(d, float(q))
         x, y = near_diagonal(d)
+        far = np.geomspace(1.0, 1e6, x.shape[0])[:, None] * x
+        x, y = np.vstack([x, far]), np.vstack([y, far + (y - x)])
         got = space.defect_p(float(q), x, y)
         old = root_formula(space, float(q), x, y)
-
-        def exact(xr, yr):
-            fx, fy = map(lambda r: [Fraction(v) for v in r], (xr, yr))
-            return (2 ** (q - 1) * sum(abs(v) ** q for v in fx + fy)
-                    - sum(abs(a + b) ** q for a, b in zip(fx, fy)))
-
-        ref = [exact(xr, yr) for xr, yr in zip(x, y)]
-        err_new = max(abs(Fraction(v) - r) for v, r in zip(got, ref))
-        err_old = max(abs(Fraction(v) - r) for v, r in zip(old, ref))
-        assert err_new <= err_old
-        assert err_new < 3e-14
+        ref = exact_defect(q, x, y)
+        err_new = [abs(Fraction(v) - r) for v, r in zip(got, ref)]
+        err_old = [abs(Fraction(v) - r) for v, r in zip(old, ref)]
+        assert max(err_new) <= max(err_old)
+        assert max(err_new[:1000]) < 3e-14
+        assert_within_ulps(got, ref)
+        assert (got >= 0.0).all()
 
     @pytest.mark.parametrize("q,p", [(3.0, 4.0), (math.inf, 2.0),
                                      (1.0, 2.0), (2.0, 4.0), (3.0, 12.0)])
@@ -228,8 +251,10 @@ class TestResolvedKernel:
         layouts = [(x, y), (np.ascontiguousarray(x.T).T,
                             np.ascontiguousarray(y.T).T)]
         for power in KERNEL_POWERS:
-            powered, term, defect = _q_kernel(space, power)
+            powered, term, defect, split = _q_kernel(space, power)
             assert _q_kernel(space, power)[0] is powered
+            even = power == q and power in (2.0, 4.0, 6.0, 8.0)
+            assert (split is not None) == even
             for a, b in layouts:
                 want = _dispatched_powered(space, a, power)
                 assert np.array_equal(powered(a), want)
@@ -237,7 +262,14 @@ class TestResolvedKernel:
                 assert np.array_equal(term(a), 2.0 ** (power - 1.0) * want)
                 want = _dispatched_defect(space, power, a, b)
                 assert np.array_equal(defect(term(a), b, a + b), want)
-                if power >= 2.0:
+                if even:
+                    # defect_p sums the split form: checked against the
+                    # exact value in place of the difference formula
+                    got = space.defect_p(power, a, b)
+                    assert np.array_equal(got, split(a + b, a - b))
+                    assert_within_ulps(got, exact_defect(int(power), a, b))
+                    want = got
+                elif power >= 2.0:
                     assert np.array_equal(space.defect_p(power, a, b), want)
             if power == 2.0:
                 assert np.array_equal(space.defect2(x, y), want)
