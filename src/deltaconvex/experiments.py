@@ -11,8 +11,9 @@ import numpy as np
 from .spaces import (NormedSpace, analytic_power_constant,
                      modulus_of_convexity)
 from .functions import LipschitzFunction, corpus_function, CORPUS_LABELS
-from .regularize import (SolverConfig, ball_grid, inf_convolve_grid,
-                         rate_bound, regularize_power_grid)
+from .regularize import (_GRID_MAX_DIM, SolverConfig, ball_grid,
+                         inf_convolve_grid, rate_bound,
+                         regularize_power_grid)
 from . import trees as _trees
 
 __all__ = [
@@ -185,6 +186,9 @@ def _function(cfg, space, default="norm"):
 
 
 def _region(cfg, space):
+    if space.dim > _GRID_MAX_DIM:
+        raise ConfigError("dim", f"grid runners take dim <= {_GRID_MAX_DIM}, "
+                          f"got {space.dim}")
     radius = cfg.get_float("radius", 1.0)
     if radius <= 0:
         raise ConfigError("radius", "must be positive")

@@ -103,9 +103,13 @@ def make_corpus(space, seed=2357):
     pieces = [(e1, -0.25), (-e1, -0.25), (0.1 * elast, 0.2)]
 
     def f_max_affine(x):
+        # a running maximum over the pieces: no (pieces, rows) block
         x = np.asarray(x, dtype=float)
-        vals = [x @ a + b for a, b in pieces]
-        return np.maximum.reduce(vals)
+        (a, b), *rest = pieces
+        out = np.atleast_1d(x @ a + b)
+        for a, b in rest:
+            np.maximum(out, x @ a + b, out=out)
+        return out if x.ndim > 1 else out[0]
 
     def f_sawtooth(x):
         return _sawtooth(np.asarray(x, dtype=float)[..., 0])

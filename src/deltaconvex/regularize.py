@@ -66,6 +66,7 @@ _POOL_BATCH = 1 << 16  # Sobol' points drawn at once for a unit-ball pool
 _POOL_DRAWS = 1 << 20  # Sobol' points drawn for one pool at most
 _POWER1_RADIUS = 8.0  # search radius of the inf-convolution at power 1
 _N_KEEP = 8  # coarse candidates kept per row for the start selection
+_GRID_MAX_DIM = 4  # the largest dimension ``ball_grid`` covers
 
 
 class ParameterError(ValueError):
@@ -588,8 +589,9 @@ def ball_grid(space, center, radius, n):
     (in the space norm)."""
     if n < 2:
         raise ValueError("grid must have at least 2 points per axis")
-    if space.dim > 4:
-        raise ValueError("grid evaluation is limited to dimension <= 4")
+    if space.dim > _GRID_MAX_DIM:
+        raise ValueError(
+            f"grid evaluation is limited to dimension <= {_GRID_MAX_DIM}")
     center = np.asarray(center, dtype=float)
     axes = [np.linspace(c - radius, c + radius, n) for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -64,6 +64,22 @@ def _rowsum(a):
     return s
 
 
+def _root(v, p):
+    """v ** (1/p) for v >= 0: by square and cube roots at p = 3, 4, 6 and 8,
+    about an ulp from the exact root; ``** (1.0 / p)`` takes a rounded
+    exponent, which lands up to 7.6 ulps off at p = 3 and 6.  By ``**`` at
+    any other p."""
+    if p == 4.0:
+        return np.sqrt(np.sqrt(v))
+    if p == 8.0:
+        return np.sqrt(np.sqrt(np.sqrt(v)))
+    if p == 3.0:
+        return np.cbrt(v)
+    if p == 6.0:
+        return np.cbrt(np.sqrt(v))
+    return v ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """R^dim under the l_p norm. ``p_exponent`` is a real >= 1 or math.inf."""
@@ -98,7 +114,9 @@ class NormedSpace:
         """``norm`` without input checks, for rows already validated.
 
         Row sums run column by column (``_rowsum``) for dim < 8 on batches
-        of at least 64 rows, bit-identical to numpy's ``sum``.
+        of at least 64 rows, bit-identical to numpy's ``sum``.  At finite p
+        other than 1 and 2, |x|_p^p is the Q kernel's ``powered`` (products
+        of x*x at integer p <= 8) and the root comes from ``_root``.
         """
         p = self.p_exponent
         if p == 1.0:
@@ -107,7 +125,7 @@ class NormedSpace:
             return np.sqrt(_rowsum(np.square(x)))
         if p == math.inf:
             return np.abs(x).max(axis=-1)
-        return _rowsum(np.abs(x) ** p) ** (1.0 / p)
+        return _root(self._powered(x, p), p)
 
     def _powered(self, x, power):
         """|x|^power per row, unchecked, through ``_q_kernel``."""
@@ -164,8 +182,12 @@ def _q_kernel(space, power):
 
     At the space's own finite exponent ``powered`` takes no root: it sums
     products of x*x at integer powers up to 8 (at most four roundings, and
-    much cheaper than a general pow), else |x_i|^power; at any other power
-    it is ``_norm(x) ** power``.  Sums run through ``_rowsum``.
+    much cheaper than a general pow), squared in place, else |x_i|^power;
+    at any other power it is ``_norm(x) ** power``.  Sums run through
+    ``_rowsum``.  ``_norm`` takes |x|_p^p from here at every finite p
+    other than 1 and 2, so each sum of |x_i|^p in the solver has this one
+    source, and its root from ``_root``: square and cube roots at integer
+    p <= 8 but 5 and 7.
 
     The difference formula subtracts terms of size about 2^power |x|^power,
     so its rounding grows with |x| and can fall below 0.  Where power is an
@@ -182,13 +204,22 @@ def _q_kernel(space, power):
         def powered(x):
             return space._norm(x) ** power
     elif float(power).is_integer() and power <= 8.0:
-        squarings, odd = range(int(power) // 2 - 1), int(power) % 2
+        half, odd = divmod(int(power), 2)
 
         def powered(x):
+            # the products (x^2 x^2) x^2 ... in order, and one |x| last at
+            # odd powers: |x^2 x| rounds as x^2 |x|
             acc = sq = x * x
-            for _ in squarings:
-                acc = acc * sq
-            return _rowsum(acc * np.abs(x) if odd else acc)
+            if half == 2:
+                acc *= acc
+            elif half > 2:
+                acc = sq * sq
+                for _ in range(half - 2):
+                    acc *= sq
+            if odd:
+                acc *= x
+                np.abs(acc, out=acc)
+            return _rowsum(acc)
     else:
         def powered(x):
             return _rowsum(np.abs(x) ** power)

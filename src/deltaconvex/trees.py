@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functions import LipschitzFunction
-from .spaces import _BLOCK
+from .spaces import _BLOCK, _root
 
 __all__ = [
     "DyadicTree",
@@ -309,7 +309,7 @@ def _min_pair_distance(space, X):
         if p == 2.0:
             np.sqrt(acc, out=acc)
         elif p not in (1.0, math.inf):
-            np.power(acc, 1.0 / p, out=acc)
+            acc = _root(acc, p)
         # row lo+r, column j0+c: the pair is i < j exactly when c >= r.  So
         # only the leading (hi - lo)-column square holds masked pairs, and
         # as r <= n - j0, row r masks exactly r of them

@@ -103,6 +103,16 @@ class TestExitCodes:
         code, _ = run(tmp_path, ["converge", "--set", "grid=soon"])
         assert code == 2
 
+    @pytest.mark.parametrize("runner", ["converge", "sandwich",
+                                        "hilbert-equiv"])
+    def test_grid_dimension_limit(self, tmp_path, capsys, runner):
+        # ball_grid covers dimension <= 4; beyond it the runners exit 2
+        # with a config error (exit 1 is for bound violations)
+        code, data = run(tmp_path, [runner, "--set", "dim=5"])
+        assert code == 2
+        assert data == b""
+        assert "config error: config field 'dim'" in capsys.readouterr().err
+
     def test_non_monotone_schedule(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "lambdas=64,16"])
         assert code == 2

@@ -103,3 +103,18 @@ class TestCorpus:
         space = NormedSpace(2, 2.0)
         bad = LipschitzFunction(lambda x: 2.0 * space.norm(x), 1.0, "bad")
         assert sampled_ratio(bad, space) > 1.5
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_max_affine_running_maximum(self, d):
+        # the running maximum returns what np.maximum.reduce over the three
+        # stacked pieces returned, on every layout the solver passes
+        e1, elast = np.eye(d)[0], np.eye(d)[-1]
+        pieces = [(e1, -0.25), (-e1, -0.25), (0.1 * elast, 0.2)]
+        f = corpus_function(NormedSpace(d, 4.0), "max-affine")
+        x = np.random.default_rng(d).uniform(-2.0, 2.0, (500, d))
+        for a in (x, np.asfortranarray(x), np.ascontiguousarray(x.T).T,
+                  x[:1], x[7]):
+            want = np.maximum.reduce([a @ v + b for v, b in pieces])
+            got = f(a)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from deltaconvex import (DimensionMismatchError, NormedSpace,
                          analytic_modulus_lower, analytic_power_constant,
                          modulus_of_convexity)
+from deltaconvex.regularize import _rows
 from deltaconvex.spaces import (_err_sum3, _modulus_witness, _q_kernel,
-                                _rowsum)
+                                _root, _rowsum)
 
 
 def vec(*xs):
@@ -325,7 +326,7 @@ class TestBatchIndependence:
     """A row's norm and power kernel do not depend on the batch it comes
     in, on either side of the short-batch fallback of ``_rowsum``."""
 
-    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
     def test_norm_and_powered_per_row(self, q):
         space = NormedSpace(3, q)
         X = np.random.default_rng(8).uniform(-2.0, 2.0, (200, 3))
@@ -338,6 +339,94 @@ class TestBatchIndependence:
             for b, s in zip(batch, single):
                 assert s.shape == (1,)
                 assert b[i] == s[0]
+
+
+class UfuncSpy(np.ndarray):
+    """An array that records each ufunc call made on it, with the shape of
+    its first input, and passes its view on to the results."""
+
+    calls = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, UfuncSpy) else a
+
+        UfuncSpy.calls.append((ufunc.__name__, np.shape(inputs[0])))
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if isinstance(result, np.ndarray) and result.ndim:
+            return result.view(UfuncSpy)
+        return result
+
+
+def norm_ulps(mpmath, x, got, p):
+    """Largest distance, in ulps of the result, between ``got`` and the
+    l_p norms of the rows of x computed to 60 digits."""
+    worst = 0.0
+    with mpmath.workdps(60):
+        for row, g in zip(x, got):
+            ref = mpmath.root(mpmath.fsum(abs(mpmath.mpf(float(v))) ** p
+                                          for v in row), p)
+            ulp = math.ulp(float(ref))
+            worst = max(worst, float(abs(mpmath.mpf(float(g)) - ref)) / ulp)
+    return worst
+
+
+class TestNormKernel:
+    """At finite p other than 1 and 2 the norm is the Q kernel's
+    ``powered`` sum and a root: square and cube roots at integer p <= 8
+    but 5 and 7, where no general pow runs on the coordinates."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [3, 4, 6, 8])
+    def test_within_two_ulps(self, p, d):
+        # ** (1.0 / p) takes a rounded exponent: up to 7.6 ulps off at
+        # p = 3 and 6
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(10 * p + d)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0, (400, 1))
+        x = rng.uniform(-1.0, 1.0, (400, d)) * scale
+        got = NormedSpace(d, float(p))._norm(x)
+        assert norm_ulps(mpmath, x, got, p) <= 2.0
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 4.5])
+    @pytest.mark.parametrize("rows", [5, 200])
+    def test_any_layout(self, p, rows):
+        # the solver norms (points, d) views of blocks stored by coordinate
+        space = NormedSpace(3, p)
+        B = np.random.default_rng(rows).uniform(-2.0, 2.0, (3, rows))
+        view = _rows(B)
+        assert not view.flags.c_contiguous
+        got = space._norm(view)
+        assert np.array_equal(got, space._norm(np.ascontiguousarray(view)))
+        if p in (3.0, 4.0, 6.0, 8.0):
+            # one point as a vector: its row sum is a numpy scalar, and the
+            # root takes no pow (a scalar's ** is libm's pow, not numpy's)
+            assert space._norm(view[3]) == got[3]
+
+    @pytest.mark.parametrize("p", [1.5, 4.5, 10.0])
+    def test_real_exponent_unchanged(self, p):
+        space = NormedSpace(3, p)
+        x = np.random.default_rng(4).uniform(-3.0, 3.0, (300, 3))
+        for a in (x, np.asfortranarray(x), x[:10], x[0]):
+            assert np.array_equal(space._norm(a),
+                                  _rowsum(np.abs(a) ** p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    def test_no_pow_on_coordinates(self, p):
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, (100, 3))
+        UfuncSpy.calls.clear()
+        got = NormedSpace(3, p)._norm(x.view(UfuncSpy))
+        pows = [shape for name, shape in UfuncSpy.calls if name == "power"]
+        # only the root at p = 5 and 7, on the row sums
+        assert pows == ([(100,)] if p in (5.0, 7.0) else [])
+        assert np.array_equal(got, NormedSpace(3, p)._norm(x))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5])
+    def test_root_inverts_power(self, p):
+        v = np.geomspace(1e-300, 1e300, 601)
+        assert np.allclose(_root(v, p) ** p, v, rtol=1e-13, atol=0.0)
 
 
 class TestModulus:
