@@ -8,6 +8,7 @@ its bound, 2 configuration error.
 """
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -120,7 +121,11 @@ def _run_validate_tree(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls (each returns a new namespace, and ``--set``
+    starts a new list), so ``main`` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="deltaconvex",
         description="Regularization and tree-adversary experiments.")

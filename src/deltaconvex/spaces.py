@@ -66,9 +66,11 @@ def _rowsum(a):
 
 def _root(v, p):
     """v ** (1/p) for v >= 0: by square and cube roots at p = 3, 4, 6 and 8,
-    about an ulp from the exact root; ``** (1.0 / p)`` takes a rounded
-    exponent, which lands up to 7.6 ulps off at p = 3 and 6.  By ``**`` at
-    any other p."""
+    about an ulp from the exact root; a power 1.0 / p takes a rounded
+    exponent, which lands up to 7.6 ulps off at p = 3 and 6.  By
+    ``np.power`` at any other p, which sends an array and a scalar (the row
+    sum of one vector) through the same loop, so one vector's norm is its
+    row's norm in a batch; ``**`` on a numpy scalar calls libm's pow."""
     if p == 4.0:
         return np.sqrt(np.sqrt(v))
     if p == 8.0:
@@ -77,7 +79,7 @@ def _root(v, p):
         return np.cbrt(v)
     if p == 6.0:
         return np.cbrt(np.sqrt(v))
-    return v ** (1.0 / p)
+    return np.power(v, 1.0 / p)
 
 
 @dataclass(frozen=True)

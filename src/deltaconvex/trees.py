@@ -8,7 +8,7 @@ sign tree computes them from the signs, so walks on very deep trees never
 materialize the node set.  An explicit tree (loaded from a file, or copied
 with one node replaced) gathers them from one read-only array in heap
 order: level k fills rows 2^k - 1 .. 2^(k+1) - 2, listed by
-``_level_signs``; ``_heap_index`` finds a node's row.
+``_level_signs``; ``_heap_index`` finds the rows of a block of signs.
 
 Every check over many nodes runs in blocks of about ``spaces._BLOCK``
 doubles, the package's one block size: a block holds ``_BLOCK // D`` rows
@@ -17,16 +17,18 @@ of D coordinates, and the pair kernel takes as many rows as fill
 on the block size.  Random nodes follow one law: a level uniform on
 0..depth, then independent fair signs, drawn as packed random bytes.
 
-Pair distances take one of two routes, chosen by
-``DyadicTree._measures_signs``.  A sign tree on l_inf never places its
-nodes to measure them: two nodes differ only in their sign prefixes, where
-the float difference is exactly theta times the int8 sign difference, so
-the distance is theta times the largest |sa_j - sb_j|, the same double bit
-for bit.  The sampled pairs take it on their drawn signs
-(``DyadicTree._distances``), and the exhaustive pairs hand the heap-ordered
-int8 sign prefixes to the one all-pairs kernel, ``_min_pair_distance``, and
-scale its minimum by theta.  An explicit tree, or any finite p, places the
-nodes and takes the float norm.
+Pair distances take one of two routes, chosen by one accessor,
+``DyadicTree._int_rows``: int8 rows and a scale, or none.  On l_inf a tree
+whose coordinates are small integer multiples of one number is measured on
+the integers: a sign tree on its sign prefixes (scale theta), an explicit
+tree whose every coordinate is c * 2^e with |c| <= 63 on those codes c
+(scale 2^e, ``DyadicTree._codes``).  Coordinate differences are then exact
+multiples of the scale, so the distance is the scale times the largest
+integer difference, the float distance bit for bit.  The sampled pairs
+take it on the rows of their draws (``DyadicTree._distances``), and the
+exhaustive pairs hand the heap-ordered rows to the one all-pairs kernel,
+``_min_pair_distance``, and scale its minimum.  Any other tree, and any
+finite p, places the nodes and takes the float norm.
 
 The branch walk places the two children of each visited node from an int8
 sign array and evaluates only what its choice needs: the evaluator that
@@ -35,6 +37,7 @@ picks the child at both children, the others at the child taken.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,14 +81,21 @@ def _level_signs(k, lo=0, hi=None):
     return signs
 
 
-def _heap_index(alpha):
-    """Heap row of integer sign prefix ``alpha``: the root is row 0, row i
-    has children 2i + 1 (sign +1) and 2i + 2 (sign -1).  A (k, m) array gives
-    the rows of m prefixes stored by column, padded with zeros (no move)."""
-    row = 0
-    for s in alpha:
-        row = row + abs(s) * (row + 1 + (s < 0))
-    return row
+def _heap_index(signs):
+    """Heap rows of the sign prefixes in ``signs``: the root is row 0, row
+    i has children 2i + 1 (sign +1) and 2i + 2 (sign -1).  A (k, m) array
+    gives the rows of m prefixes stored by column, padded with zeros (no
+    move), as an (m,) array; a sequence of k signs gives one row.  Each
+    sign maps row r to 2r + 1 + (s < 0), in the dtype of the rows, so int8
+    signs need no wider copy."""
+    signs = np.asarray(signs)
+    # the deepest row of level k is 2^(k+1) - 2
+    dtype = np.int32 if signs.shape[0] < 30 else np.int64
+    rows = np.zeros(signs.shape[1:], dtype=dtype)
+    for s in signs:
+        rows += (s != 0) * (rows + 1)
+        rows += s < 0
+    return rows
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,8 @@ class DyadicTree:
     sign prefix scaled by theta; every other coordinate is 0.  An explicit
     tree holds every node in the read-only heap-ordered array ``nodes``,
     as doubles: the pair kernel runs in the dtype of its rows, where int8
-    differences wrap and integer rows take no root."""
+    differences wrap and integer rows take no root, so integer rows reach
+    it only through ``_int_rows``, which bounds them."""
     depth: int
     theta: float
     ambient_dim: int
@@ -133,9 +144,7 @@ class DyadicTree:
         (k, m) array padded with zeros, as the rows of an (m, D) array,
         written to ``out`` (any (m, D) view, overwritten) if given."""
         if self.nodes is not None:
-            # a row index per column, also for k = 0 (every column the root)
-            rows = np.full(signs.shape[1], _heap_index(signs.astype(np.int64)))
-            return self.nodes.take(rows, axis=0, out=out)
+            return self.nodes.take(_heap_index(signs), axis=0, out=out)
         if out is None:
             out = np.empty((signs.shape[1], self.ambient_dim))
         off = self.block_start + self.lead
@@ -147,25 +156,84 @@ class DyadicTree:
         np.multiply(signs.T, self.theta, out=out[:, off:off + k])
         return out
 
-    def _measures_signs(self, space):
-        """Whether the ``space`` distance of two nodes is theta times the
-        l_inf distance of their int8 sign prefixes, so that pair checks
-        need no coordinates: true for a sign tree on l_inf.  The lead
-        coordinates cancel to +0, and block coordinate j of the float
-        difference is exactly theta*(sa_j - sb_j), one of 0, +-theta and
-        +-2*theta, so the distance is theta * max_j |sa_j - sb_j| bit for
-        bit (theta > 0 commutes with max and keeps the order of pairs)."""
-        return self.nodes is None and space.p_exponent == math.inf
+    @cached_property
+    def _codes(self):
+        """(codes, 2^e) with ``nodes == codes.T * 2^e`` exactly: codes is a
+        (D, node_count) int8 array of integers in [-63, 63], stored by
+        coordinate, and 2^e a normal double with 126 * 2^e finite.  None
+        for a sign tree, and for an explicit tree whose coordinates are not
+        all such multiples of one power of two.
+
+        One e serves if any does.  With big the largest |coordinate| and
+        2^(E-1) <= big < 2^E, an e that bounds the codes by 63 has
+        big <= 63 * 2^e < 2^(e+6), so e >= E - 6; and a multiple of 2^e is
+        a multiple of every smaller power of two.  So the codes are tried at
+        e = E - 6, where big / 2^e < 64 bounds them, in blocks of rows.
+        Each block is divided by 2^e, rounded, and multiplied back: a code c
+        with |c| <= 63 times a normal power of two is exact, so equality
+        with the node proves it."""
+        if self.nodes is None:
+            return None
+        nodes = self.nodes
+        big = max(float(nodes.max()), -float(nodes.min()))
+        e = math.frexp(big)[1] - 6 if big > 0 else 0
+        if not (math.isfinite(big) and -1022 <= e <= 1016):
+            return None
+        scale = math.ldexp(1.0, e)
+        codes = np.empty(nodes.shape[::-1], dtype=np.int8)
+        rows = max(1, _BLOCK // self.ambient_dim)
+        for lo in range(0, nodes.shape[0], rows):
+            x = nodes[lo:lo + rows]
+            c = np.rint(x / scale)
+            if not (np.abs(c).max() <= 63 and (c * scale == x).all()):
+                return None
+            codes[:, lo:lo + rows] = c.T
+        return codes, scale
+
+    def _int_rows(self, space, signs):
+        """The pair kernel's rows for the nodes whose sign prefixes are the
+        columns of ``signs`` (a (k, m) array as for ``_place``): an (m, w)
+        int8 array and a scale such that the ``space`` distance of two
+        nodes is the scale times the l_inf distance of their rows, bit for
+        bit; or None, and the pairs are measured on placed coordinates.
+
+        - A sign tree on l_inf: its sign prefixes, scale theta.  The lead
+          coordinates cancel to +0, and block coordinate j of the float
+          difference is exactly theta*(sa_j - sb_j), one of 0, +-theta and
+          +-2*theta.
+        - An explicit tree on l_inf whose ``_codes`` exist: the code rows of
+          the nodes, scale 2^e.  Coordinate j of the float difference is
+          the exact value (ca_j - cb_j) * 2^e, an integer of size <= 126
+          times a normal power of two, so the subtraction rounds nothing.
+        - Anything else: None.
+
+        On both routes abs is exact and max picks one of the exact terms,
+        so the distance is the scale times the largest |ra_j - rb_j|, the
+        same double.  The scale is > 0, and multiplying by it is exact for
+        a power of two and monotone for theta, so it keeps the order and
+        the ties of pairs: the minimum, the first minimizing pair and the
+        pair count are the float kernel's.  The int8 differences cannot
+        wrap: |ra_j - rb_j| <= 126 < 127 (the kernel's mask value)."""
+        if space.p_exponent != math.inf:
+            return None
+        if self.nodes is None:
+            return signs.T, self.theta
+        if self._codes is None:
+            return None
+        codes, scale = self._codes
+        return codes.take(_heap_index(signs), axis=1).T, scale
 
     def _distances(self, space, sa, sb, scratch):
         """``space`` distances between the nodes whose sign prefixes are
         the columns of ``sa`` and ``sb`` (two (k, m) arrays as for
-        ``_place``), as an (m,) array: on the signs where
-        ``_measures_signs``, otherwise with both node sets placed in
+        ``_place``), as an (m,) array: on the int8 rows of ``_int_rows``
+        where it gives them, otherwise with both node sets placed in
         ``scratch``, two (D, w) arrays, w rows at a time, and normed."""
-        if self._measures_signs(space):
-            diff = np.subtract(sa, sb)
-            return self.theta * np.abs(diff, out=diff).max(axis=0)
+        route = self._int_rows(space, sa)
+        if route is not None:
+            ra, scale = route
+            diff = np.subtract(ra, self._int_rows(space, sb)[0])
+            return scale * np.abs(diff, out=diff).max(axis=1)
         a, b = scratch
         m, w = sa.shape[1], a.shape[1]
         dist = np.empty(m)
@@ -196,7 +264,11 @@ class DyadicTree:
         return self._level_rows(k, 0, 1 << k)
 
     def _level_rows(self, k, lo, hi):
-        """Rows lo..hi-1 of level k."""
+        """Rows lo..hi-1 of level k: for an explicit tree a read-only view
+        of its heap rows 2^k - 1 + lo .. 2^k - 2 + hi."""
+        if self.nodes is not None:
+            first = (1 << k) - 1
+            return self.nodes[first + lo:first + hi]
         return self._place(_level_signs(k, lo, hi))
 
     def indices(self):
@@ -276,9 +348,9 @@ def _min_pair_distance(space, X):
     bounded whatever the row count and dimension.  A coordinate zero in
     every row adds nothing to any l_p distance and is skipped.
 
-    The blocks are in the dtype of X.  Integer rows, such as the int8 sign
-    prefixes of a sign tree, need p = inf, where no power is taken and the
-    distances are the largest coordinate differences.
+    The blocks are in the dtype of X.  Integer rows, such as the int8 rows
+    of ``DyadicTree._int_rows``, need p = inf, where no power is taken and
+    the distances are the largest coordinate differences.
     """
     p = space.p_exponent
     # the lower triangle's mask value, above every distance
@@ -351,17 +423,23 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
     signs, so the sample depends on the seed alone.
 
-    On l_inf a sign tree measures pairs on their int8 sign prefixes, as
-    theta * max_j |sa_j - sb_j|: the lead coordinates cancel to +0 and
-    every block coordinate of the float difference is exactly
-    theta*(sa_j - sb_j), so this is the float distance bit for bit
-    (``DyadicTree._measures_signs``).  The sampled path measures a whole
-    draw batch so, in one more array the size of a draw.  The exhaustive
-    path gives the all-pairs kernel the heap-ordered sign prefixes, padded
-    with zeros, and scales its minimum by theta; the minimum, first pair
-    and count are the float kernel's (depth 10, 2,094,081 pairs: about
-    14 ms on 2 cores, 52 ms on placed nodes).  An explicit tree, or a
-    finite p, places the nodes in blocks of rows and takes the float norm.
+    On l_inf a tree whose ``DyadicTree._int_rows`` exist measures pairs on
+    int8 rows: a sign tree on its sign prefixes, as theta times
+    max_j |sa_j - sb_j|, and an explicit tree whose coordinates are codes
+    c * 2^e with |c| <= 63 (a saved sign tree at a dyadic theta, say) on
+    its codes, as 2^e times max_j |ca_j - cb_j|.  Either way every
+    coordinate of the float difference is exactly the scale times the
+    integer difference, so this is the float distance bit for bit.  The
+    sampled path measures a whole draw batch so: a sign tree on its drawn
+    signs, an explicit tree on the code rows it gathers from the drawn
+    signs' heap rows.  The exhaustive path gives the all-pairs kernel the
+    heap-ordered rows and scales its minimum; the minimum, first pair and
+    count are the float kernel's.  At depth 10 (2,094,081 pairs, 2 cores)
+    that takes about 6 ms on a sign tree and 6-8 ms on the same tree loaded
+    from a file (finding its codes included), against 40-47 ms for the
+    float kernel on its placed nodes.
+    Any other tree, or a finite p, places the nodes in blocks of rows and
+    takes the float norm.
     A sampled pair counts unless both draws are the same node (equal level
     and signs), tested only where the distance is 0: two distinct nodes
     that coincide, or whose l_p distance underflows to 0, count at
@@ -425,10 +503,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
         signs = _heap_signs(tree.depth)
         all_nodes = tree._place(signs)
         max_norm = float(space.norm(all_nodes).max())
-        if tree._measures_signs(space):
-            rows, scale = signs.T, tree.theta
-        else:
-            rows, scale = all_nodes, 1.0
+        rows, scale = tree._int_rows(space, signs) or (all_nodes, 1.0)
         sep, sep_pair, pairs_checked = _min_pair_distance(space, rows)
         min_sep = scale * sep
     else:
@@ -680,6 +755,9 @@ def error_lower_bound(M, theta, depth):
 # ---------------------------------------------------------------------------
 
 
+_SIGN_BITS = str.maketrans("+-", "01")
+
+
 def save_tree(tree, path):
     nodes = tree.to_explicit().nodes  # rejects trees past _ENUM_CAP nodes
     with open(path, "w") as fh:
@@ -692,7 +770,16 @@ def save_tree(tree, path):
 
 def load_tree(path):
     """Read a tree file; a malformed one raises ValueError naming the file
-    and, where one is at fault, the line."""
+    and, where one is at fault, the line.
+
+    One pass over the lines finds each node's heap row from its sign
+    string, as a binary numeral with - for 1 (level k starts at row
+    2^k - 1), and keeps its coordinate tokens in file order; then one
+    ``np.array`` parses them all and one ``np.isfinite`` checks them.
+    ``line_of`` maps each heap row to its line.  A line at fault gives the
+    message a parse line by line would: a coordinate error on an earlier
+    line wins over a structural one, and only an error path parses again
+    line by line to find it."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -709,36 +796,60 @@ def load_tree(path):
             raise ValueError(f"{path}:1: dimension {D} is below 1")
         if not (math.isfinite(theta) and theta > 0):
             raise ValueError(f"{path}:1: theta {theta} is not positive")
-        rows = [None] * ((1 << (depth + 1)) - 1)  # one per heap row
+        line_of = [0] * ((1 << (depth + 1)) - 1)  # 0: no line yet
+        order = []  # heap rows in file order
+        tokens = []  # their coordinates, D per node
+
+        def parsed():
+            """The coordinates read so far, one row per node in file order;
+            the first line with a bad or non-finite one raises."""
+            # numpy parses each str with Python's float, so the line by
+            # line parse below meets the same fault
+            try:
+                values = np.array(tokens, dtype=float).reshape(-1, D)
+                if np.isfinite(values).all():
+                    return values
+            except ValueError:
+                pass
+            for i, row in enumerate(order):
+                lineno = line_of[row]
+                try:
+                    values = [float(t) for t in tokens[i * D:(i + 1) * D]]
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad coordinate ({exc})") from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+
+        def fault(lineno, msg):
+            parsed()
+            return ValueError(f"{path}:{lineno}: {msg}")
+
         for lineno, line in enumerate(fh, 2):
             toks = line.split()
             if not toks:
                 continue
-            if set(toks[0]) <= {"+", "-"}:
-                alpha = tuple(1 if ch == "+" else -1 for ch in toks[0])
-                coords = toks[1:]
+            signs = toks[0]
+            if signs.strip("+-"):
+                signs, row = "", 0
             else:
-                alpha = ()
-                coords = toks
-            if len(alpha) > depth:
-                raise ValueError(f"{path}:{lineno}: sign string {toks[0]} "
-                                 f"deeper than depth {depth}")
-            if len(coords) != D:
-                raise ValueError(f"{path}:{lineno}: expected {D} coordinates")
-            row = _heap_index(alpha)
-            if rows[row] is not None:
-                raise ValueError(f"{path}:{lineno}: node "
-                                 f"{toks[0] if alpha else 'root'} given twice")
-            try:
-                rows[row] = [float(t) for t in coords]
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: bad coordinate ({exc})") from None
-            if not all(map(math.isfinite, rows[row])):
-                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-    missing = rows.count(None)
-    if missing:
-        raise ValueError(f"{path}: tree has {len(rows) - missing} nodes, "
-                         f"expected {len(rows)}")
-    return DyadicTree(depth=depth, theta=theta, ambient_dim=D,
-                      nodes=np.array(rows))
+                del toks[0]
+                k = len(signs)
+                if k > depth:
+                    raise fault(lineno, f"sign string {signs} deeper than "
+                                        f"depth {depth}")
+                row = int(signs.translate(_SIGN_BITS), 2) + (1 << k) - 1
+            if len(toks) != D:
+                raise fault(lineno, f"expected {D} coordinates")
+            if line_of[row]:
+                raise fault(lineno, f"node {signs or 'root'} given twice")
+            line_of[row] = lineno
+            order.append(row)
+            tokens += toks
+    values = parsed()
+    if len(order) < len(line_of):
+        raise ValueError(f"{path}: tree has {len(order)} nodes, "
+                         f"expected {len(line_of)}")
+    nodes = np.empty_like(values)
+    nodes[order] = values
+    return DyadicTree(depth=depth, theta=theta, ambient_dim=D, nodes=nodes)

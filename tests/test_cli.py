@@ -11,7 +11,7 @@ from deltaconvex import (ExperimentConfig, NormedSpace, SolverConfig,
                          inf_convolve_grid, rate_bound, regularize_power_grid,
                          run_converge, run_hilbert_equiv, run_sandwich,
                          save_tree)
-from deltaconvex import experiments
+from deltaconvex import cli, experiments
 from deltaconvex.cli import CSV_HEADER, main
 
 FAST_CONVERGE = ["--set", "dim=1", "--set", "grid=9",
@@ -88,6 +88,19 @@ class TestDeterminism:
         assert code == 0
         last = data.decode().strip().splitlines()[-1].split(",")
         assert last[-2].isdigit()
+
+
+class TestParser:
+    def test_built_once_without_shared_state(self, tmp_path):
+        # main reuses one parser: a second call's --set list starts empty
+        assert cli.build_parser() is cli.build_parser()
+        _, a = run(tmp_path, ["modulus", "--set", "dim=3", "--set", "p=4",
+                              "--set", "epsilons=1"], "a.csv")
+        _, b = run(tmp_path, ["modulus", "--set", "epsilons=0.5"], "b.csv")
+        assert b"# dim=3\n" in a and b"# p=4\n" in a
+        assert b"# dim=2\n" in b and b"# p=2.0\n" in b
+        assert b"# epsilons=[0.5]\n" in b
+        assert cli.build_parser().parse_args(["modulus"]).set is None
 
 
 class TestExitCodes:
@@ -322,6 +335,18 @@ class TestValidateTree:
         err = capsys.readouterr().err
         assert "separation 0.25 below theta 1" in err
         assert want in err
+
+    def test_depth10_stdout_pinned(self, tmp_path, capsys):
+        # the benchmark's saved tree, now measured on int8 codes: the same
+        # report, byte for byte, as on its float coordinates
+        path = tmp_path / "tree10.txt"
+        save_tree(build_sign_tree(10), path)
+        assert main(["validate-tree", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "depth=10 nodes=2047 theta=1\n"
+            "midpoint_exact=True worst_gap=0\n"
+            "min_separation=1 separation_ok=True pairs_checked=2094081 "
+            "exhaustive=True\n")
 
     def test_depth10_tree_checked_exhaustively(self, tmp_path, capsys):
         path = tmp_path / "tree10.txt"

@@ -400,18 +400,28 @@ class TestNormKernel:
         assert not view.flags.c_contiguous
         got = space._norm(view)
         assert np.array_equal(got, space._norm(np.ascontiguousarray(view)))
-        if p in (3.0, 4.0, 6.0, 8.0):
-            # one point as a vector: its row sum is a numpy scalar, and the
-            # root takes no pow (a scalar's ** is libm's pow, not numpy's)
-            assert space._norm(view[3]) == got[3]
+        # one point as a vector: its row sum is a numpy scalar, and the root
+        # takes no pow or numpy's (a scalar's ** is libm's pow)
+        assert space._norm(view[3]) == got[3]
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0, 8.0,
+                                   10.0])
+    def test_one_vector_is_its_batch_row(self, p):
+        # with ** on the scalar row sum, 48-64 of these 1,000 vectors
+        # differed from their batch row in the last bit at p = 1.5, 4.5, 5,
+        # 7 and 10
+        space = NormedSpace(3, p)
+        X = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 3))
+        batch = space.norm(X)
+        assert np.array_equal([space.norm(x) for x in X], batch)
 
     @pytest.mark.parametrize("p", [1.5, 4.5, 10.0])
     def test_real_exponent_unchanged(self, p):
         space = NormedSpace(3, p)
         x = np.random.default_rng(4).uniform(-3.0, 3.0, (300, 3))
         for a in (x, np.asfortranarray(x), x[:10], x[0]):
-            assert np.array_equal(space._norm(a),
-                                  _rowsum(np.abs(a) ** p) ** (1.0 / p))
+            assert np.array_equal(space._norm(a), np.power(
+                _rowsum(np.abs(a) ** p), 1.0 / p))
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
     def test_no_pow_on_coordinates(self, p):

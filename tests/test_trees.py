@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,15 @@ class TestValidation:
         rep = validate_tree(t, NormedSpace(3, math.inf))
         assert rep.min_separation < 1.0
         assert not rep.separation_ok
+
+    @pytest.mark.parametrize("depth", [4, 11], ids=["exhaustive", "sampled"])
+    def test_nan_node_raises(self, depth):
+        # a NaN has no code, and the node check rejects it before any pair
+        tree = build_sign_tree(depth).with_node(
+            (1,), np.r_[math.nan, np.zeros(depth - 1)])
+        assert tree._codes is None
+        with pytest.raises(ValueError, match="non-finite coordinate"):
+            validate_tree(tree, NormedSpace(depth, math.inf))
 
 
 def _brute_separation(tree, space):
@@ -250,10 +260,58 @@ class TestPairKernel:
             assert seen == [np.int8]
             assert (rep.min_separation, rep.separation_pair,
                     rep.pairs_checked) == want
-            # the explicit copy keeps the float kernel, with the same report
+            # the explicit copy measures int8 codes where every coordinate
+            # is a small multiple of one power of two, with the same report;
+            # 0.1 is not, and keeps the float kernel
             seen.clear()
             assert validate_tree(tree.to_explicit(), space) == rep
-            assert seen == [np.float64]
+            assert seen == [np.float64 if theta == 0.1 else np.int8]
+
+    @pytest.mark.parametrize("theta", [1.0, 0.75, 2.0 ** -40, 2.0 ** 1000])
+    def test_dyadic_explicit_trees_take_int8(self, monkeypatch, theta):
+        # every coordinate c * 2^e with |c| <= 63: a saved sign tree at a
+        # dyadic theta, and a copy with a leaf moved by 0.375 * theta.  At
+        # 2^1000 the codes are +-32 at e = 995, and every product is exact
+        sign = trees_mod.DyadicTree(depth=5, theta=theta, ambient_dim=7,
+                                    lead=True)
+        leaf = sign.node((1,) * 5).copy()
+        leaf[-1] += 0.375 * theta
+        space = NormedSpace(7, math.inf)
+        for tree in (sign.to_explicit(), sign.with_node((1,) * 5, leaf)):
+            want = trees_mod._min_pair_distance(space, tree.nodes)
+            seen = _kernel_dtypes(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = validate_tree(tree, space)
+            codes, scale = tree._codes
+            assert codes.dtype == np.int8 and np.abs(codes).max() <= 63
+            assert np.array_equal(codes.T * scale, tree.nodes)
+            assert seen == [np.int8]
+            assert (rep.min_separation, rep.separation_pair,
+                    rep.pairs_checked) == want
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("tree", [
+        build_sign_tree(5, scale=0.3).to_explicit(),
+        build_sign_tree(5).with_node((1, -1), [1.0, -1.0, 0.1, 0.0, 0.0]),
+        build_sign_tree(5).with_node((1, -1), [1.0, -1.0, 100.0, 0.0, 0.0]),
+        build_sign_tree(5, scale=5e-324).to_explicit(),
+    ], ids=["theta-0.3", "coordinate-0.1", "codes-past-63", "theta-5e-324"])
+    def test_explicit_trees_off_the_grid_keep_float_kernel(self, monkeypatch,
+                                                           tree):
+        # 0.3 and 0.1 are no small multiple of a power of two; 100 and 1
+        # are, of 2^0, but past the code range; 5e-324 = 2^-1074 would need
+        # the scale 2^-1079, which is no double
+        space = NormedSpace(5, math.inf)
+        want = trees_mod._min_pair_distance(space, tree.nodes)
+        seen = _kernel_dtypes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_tree(tree, space)
+        assert tree._codes is None
+        assert seen == [np.float64]
+        assert (rep.min_separation, rep.separation_pair,
+                rep.pairs_checked) == want
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_finite_p_keeps_float_kernel(self, monkeypatch, p):
@@ -676,6 +734,13 @@ MALFORMED = {
                             "bad coordinate"),
     "nan-coordinate": ("1 2 1\nnan 0\n+ 1 0\n- -1 0\n", 2, "non-finite"),
     "inf-coordinate": ("1 2 1\n0 0\n+ 1 -inf\n- -1 0\n", 3, "non-finite"),
+    # a coordinate fault on an earlier line wins over a later fault
+    "bad-coordinate-then-repeat": ("1 2 1\n0 0\n+ 1 x\n- -1 0\n- 5 0\n", 3,
+                                   "bad coordinate"),
+    "non-finite-then-bad": ("1 2 1\n0 inf\n+ 1 x\n- -1 0\n", 2,
+                            "non-finite"),
+    "bad-coordinate-then-missing": ("1 2 1\n0 0\n+ x 0\n", 3,
+                                    "bad coordinate"),
     "dimension-zero": ("1 0 1\n\n+\n-\n", 1, "dimension 0"),
     "dimension-negative": ("1 -2 1\n" + _DEPTH1_BODY, 1, "dimension -2"),
 }
@@ -690,6 +755,17 @@ class TestSerialization:
         assert back.depth == 4 and back.theta == 0.5
         for alpha in t.indices():
             assert np.array_equal(back.node(alpha), t.node(alpha))
+
+    def test_any_line_order(self, tmp_path):
+        # each line's sign string places its node, wherever the line is
+        t = build_sign_tree(4, scale=0.5).with_node((1, -1), [0.5, -0.5, 0.3,
+                                                              0.0])
+        path = tmp_path / "tree.txt"
+        save_tree(t, path)
+        header, *body = path.read_text().splitlines()
+        path.write_text("\n".join([header] + body[::-1]) + "\n")
+        back = load_tree(path)
+        assert np.array_equal(back.nodes, t.nodes)
 
     def test_missing_nodes_rejected(self, tmp_path):
         t = build_sign_tree(3)
@@ -781,6 +857,18 @@ class TestHeapLayout:
         # zero-padded prefixes of different lengths in one array
         padded = np.array([[1, -1, 0], [-1, 0, 0], [0, 0, 0], [-1, -1, -1]])
         assert list(trees_mod._heap_index(padded.T)) == [4, 2, 0, 14]
+
+    def test_heap_index_of_drawn_signs(self):
+        # the int8 draws of the sampled path, against each column's sign
+        # string read as a binary numeral (- is 1) past the 2^k - 1 rows
+        # of the levels above
+        tree = build_sign_tree(12)
+        signs = trees_mod._draw_nodes(tree, np.random.default_rng(4), 3000)
+        want = []
+        for col in signs.T:
+            bits = "".join("1" if s < 0 else "0" for s in col if s)
+            want.append(int(bits or "0", 2) + (1 << len(bits)) - 1)
+        assert trees_mod._heap_index(signs).tolist() == want
 
     def test_with_node_writes_one_row(self):
         tree = build_sign_tree(5)
@@ -1007,6 +1095,19 @@ class TestStreamedChecks:
         rep = validate_tree(tree, space, sample_pairs=pairs, seed=1)
         assert not rep.exhaustive_pairs
         assert validate_tree(copy, space, sample_pairs=pairs, seed=1) == rep
+
+    @pytest.mark.parametrize("tree", _sampled_trees()[2:],
+                             ids=["explicit-near", "explicit-coincident"])
+    def test_code_route_matches_placed_coordinates(self, tree):
+        # explicit trees on the dyadic grid measure sampled pairs on code
+        # rows gathered from the drawn signs' heap rows
+        space = NormedSpace(tree.ambient_dim, math.inf)
+        assert tree._codes is not None
+        rng = np.random.default_rng(6)
+        sa, sb = (trees_mod._draw_nodes(tree, rng, 5000) for _ in range(2))
+        got = tree._distances(space, sa, sb, None)
+        want = space._norm(tree._place(sa) - tree._place(sb))
+        assert got.tobytes() == want.tobytes()
 
     def test_sign_route_counts_distinct_pairs(self):
         tree = build_sign_tree(SAMPLED_DEPTH, lead=True, scale=0.5)
