@@ -166,9 +166,9 @@ def _seed(cfg):
     return seed
 
 
-def _space(cfg, default_dim=2, default_p=2.0):
-    dim = cfg.get_int("dim", default_dim)
-    p_raw = cfg.get_str("p", str(default_p))
+def _space(cfg):
+    dim = cfg.get_int("dim", 2)
+    p_raw = cfg.get_str("p", "2.0")
     try:
         p = math.inf if p_raw in ("inf", "oo") else float(p_raw)
         space = NormedSpace(dim=dim, p_exponent=p)
@@ -177,8 +177,8 @@ def _space(cfg, default_dim=2, default_p=2.0):
     return space
 
 
-def _function(cfg, space, default="norm"):
-    label = cfg.get_str("function", default)
+def _function(cfg, space):
+    label = cfg.get_str("function", "norm")
     if label not in CORPUS_LABELS:
         raise ConfigError(
             "function", f"{label!r} not in corpus {sorted(CORPUS_LABELS)}")

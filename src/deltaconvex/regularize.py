@@ -17,8 +17,8 @@ searches the ball of the row's radius about 0, so coarse candidates are
 only the winners are moved back to y = centre + h.  It stores its points
 by coordinate, as (d, ...) blocks whose coordinates are contiguous runs.
 Its objectives are bound per block: ``obj(idx)`` gathers the data of rows
-``idx`` once and returns their centres and an evaluator of the (n, d) view
-of a block of offsets, which may be non-contiguous.  The compass search keeps only its
+``idx`` once and returns an evaluator of the (n, d) view of a block of
+offsets, which may be non-contiguous.  The compass search keeps only its
 active rows, compacted, and rebinds when that set shrinks.  Both stages
 take their rows in blocks of about ``spaces._BLOCK`` doubles.
 
@@ -176,14 +176,14 @@ class _Counter:
         self.evals = 0
 
 
-def _checked(obj, counter):
-    """``obj`` bound for the stages.  ``obj(idx)`` returns ``(origin, g)``:
-    the centres of rows ``idx`` as (n, d) rows and an evaluator g of one
-    offset per row.  The result maps ``idx`` to g with every evaluation
-    counted in ``counter`` and checked: a non-finite value raises
-    SolverError at its point y = centre + h."""
+def _checked(obj, counter, centers):
+    """``obj`` bound for the stages.  ``obj(idx)`` returns an evaluator g
+    of one offset per row of ``idx``.  The result maps ``idx`` to g with
+    every evaluation counted in ``counter`` and checked: a non-finite value
+    raises SolverError at its point y = centre + h, the centre a row of
+    ``centers``."""
     def bind(idx):
-        origin, g = obj(idx)
+        g = obj(idx)
 
         def ev(H):
             v = np.asarray(g(H), dtype=float)
@@ -192,7 +192,7 @@ def _checked(obj, counter):
             if np.count_nonzero(finite) < finite.size:
                 bad = int(np.argmin(finite))
                 raise SolverError("objective returned a non-finite value",
-                                  point=origin[bad] + H[bad])
+                                  point=centers[idx[bad]] + H[bad])
             return v
         return ev
     return bind
@@ -320,12 +320,11 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     """Shared batch minimizer in the offset frame.  Row i minimizes over
     the ball of radius radii[i] about centers[i] (both (N, ...)), as a
     search over offsets h = y - centers[i] in the ball about 0.
-    ``obj(idx)`` binds the objective to rows ``idx``: it returns the rows'
-    centres, as (n, d) rows, and an evaluator of one offset per row, which
-    evaluates f at y = centre + h (see ``_checked``).  ``extra_vals``, when
-    given, holds its value at X[i], and y = X[i] wins where it beats the
-    search.  Returns (values, minimizers y = centre + h, evaluations,
-    converged).
+    ``obj(idx)`` binds the objective to rows ``idx``: it returns an
+    evaluator of one offset per row, which evaluates f at y = centre + h
+    (see ``_checked``).  ``extra_vals``, when given, holds its value at
+    X[i], and y = X[i] wins where it beats the search.  Returns (values,
+    minimizers y = centre + h, evaluations, converged).
 
     Coarse candidates, compass points and trial points are stored by
     coordinate, so that each coordinate of a block is one contiguous run,
@@ -336,7 +335,7 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     equals one search per start."""
     N = X.shape[0]
     counter = _Counter()
-    obj = _checked(obj, counter)
+    obj = _checked(obj, counter, centers)
     keep_pts = _coarse_stage(obj, space, cfg, radii)
     starts = _select_starts(space, keep_pts, sep=radii * 0.25,
                             k_starts=cfg.starts)
@@ -412,14 +411,15 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
     converged, radii).
 
     An objective value is f at the rounded point y = centre + h plus
-    lam*Q.  Where C is proven the ball is centred at x, so t = x - y is -h
-    before rounding; at an even integer p equal to the space's exponent Q
-    is ``split(y + x, h)``, which never cancels.  Every other pair uses the
-    difference formula at y, with the x term hoisted."""
+    lam*Q.  A ``split`` kernel exists only at an even integer p equal to
+    the space's exponent, where C = 1 and the ball is centred at x, so
+    t = x - y is -h before rounding and Q is ``split(y + x, h)``, which
+    never cancels.  Every other pair evaluates the difference formula at y
+    about the ball's centre: x, or 0 on the restricted-infimum route."""
     centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
-    _, term, defect, split = _q_kernel(space, p)
+    _, defect, split = _q_kernel(space, p)
     XT = np.ascontiguousarray(X.T)
-    if C is not None and split is not None:
+    if split is not None:
         def obj(idx):
             Xi = XT.take(idx, axis=1).T
 
@@ -429,19 +429,17 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
                 s = Y + Xi
                 del Y  # freed here unless fy views it
                 return fy + lam * split(s, H)
-            return Xi, g
+            return g
     else:
-        ax = term(X)  # fixed per row; hoisted out of the loop
+        CT = np.ascontiguousarray(centers.T)
 
         def obj(idx):
-            axi, Xi = ax.take(idx), XT.take(idx, axis=1).T
-            # the ball's centre: x, or 0 on the restricted-infimum route
-            Ci = Xi if C is not None else np.broadcast_to(0.0, Xi.shape)
+            Ci, Xi = CT.take(idx, axis=1).T, XT.take(idx, axis=1).T
 
             def g(H):
                 Y = Ci + H
-                return f(Y) + lam * defect(axi, Y, Xi + Y)
-            return Ci, g
+                return f(Y) + lam * defect(Xi, Y, Xi + Y)
+            return g
 
     return _minimize_rows(obj, X, space, cfg, centers, radii,
                           extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
@@ -497,7 +495,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
             t = Xi - Y
             del Y  # freed here unless fy views it
             return fy + lam * powered(t)
-        return Xi, g
+        return g
 
     vals, pts, evals, conv = _minimize_rows(
         obj, X, space, cfg, X, radii,
@@ -525,9 +523,8 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     if not 0.0 < radius < math.inf:
         raise ParameterError("radius must be positive and finite")
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    d = center.shape[0]
     if space is None:
-        space = NormedSpace(dim=d, p_exponent=2.0)
+        space = NormedSpace(dim=center.shape[0], p_exponent=2.0)
     center = space._check(center)
 
     batch = objective
@@ -545,8 +542,7 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
     radii = np.array([float(radius)])
 
     def obj(idx):
-        return (np.broadcast_to(center, (idx.size, d)),
-                lambda H: batch(center + H))
+        return lambda H: batch(center + H)
 
     vals, pts, evals, conv = _minimize_rows(obj, X, space, cfg, X, radii,
                                             extra_vals=cval)

@@ -143,25 +143,22 @@ class NormedSpace:
         from s = x + y and t = x - y without cancellation."""
         if not p >= 2.0:
             raise ValueError(f"defect exponent must be >= 2, got {p}")
-        _, term, defect, split = _q_kernel(self, p)
+        _, defect, split = _q_kernel(self, p)
         x = self._check(x)
         y = self._check(y)
         if split is not None:
             return split(x + y, x - y)
-        return defect(term(x), y, x + y)
+        return defect(x, y, x + y)
 
-    def ball_sample(self, rng, n, radius=1.0, center=None):
-        """Uniform-ish rejection-free sample of the ball: a Gaussian point
-        scaled to l_p norm 1 (up to one division), times a radial factor
-        with the right density for volume uniformity in l_2; adequate as a
-        search cloud for any p."""
+    def ball_sample(self, rng, n, radius=1.0):
+        """Uniform-ish rejection-free sample of the ball about 0: a Gaussian
+        point scaled to l_p norm 1 (up to one division), times a radial
+        factor with the right density for volume uniformity in l_2;
+        adequate as a search cloud for any p."""
         g = rng.standard_normal((n, self.dim))
         g[np.abs(g).max(axis=-1) < 1e-12] = 1.0
         r = rng.random(n) ** (1.0 / self.dim)
-        pts = g / self.norm(g)[..., None] * (radius * r)[:, None]
-        if center is not None:
-            pts = pts + np.asarray(center, dtype=float)
-        return pts
+        return g / self.norm(g)[..., None] * (radius * r)[:, None]
 
     def describe(self):
         p = self.p_exponent
@@ -177,10 +174,11 @@ class NormedSpace:
 @lru_cache(maxsize=64)
 def _q_kernel(space, power):
     """The one Q kernel, resolved once per (space, power) and unchecked:
-    ``(powered, term, defect, split)`` with ``powered(x)`` = |x|^power per
-    row, ``term(x)`` = 2^(power-1)|x|^power, ``defect(term(x), y, x + y)``
-    the difference formula 2^(power-1)(|x|^power + |y|^power) -
-    |x+y|^power, summed with ``_err_sum3`` above power 8, and ``split``.
+    ``(powered, defect, split)`` with ``powered(x)`` = |x|^power per row,
+    ``defect(x, y, x + y)`` the difference formula
+    2^(power-1)(|x|^power + |y|^power) - |x+y|^power, its three terms all
+    taken per call and summed with ``_err_sum3`` above power 8, and
+    ``split``.
 
     At the space's own finite exponent ``powered`` takes no root: it sums
     products of x*x at integer powers up to 8 (at most four roundings, and
@@ -226,16 +224,13 @@ def _q_kernel(space, power):
         def powered(x):
             return _rowsum(np.abs(x) ** power)
     scale = 2.0 ** (power - 1.0)
-
-    def term(x):
-        return scale * powered(x)
-
     if power > 8.0:
-        def defect(ax, y, xy):
-            return _err_sum3(ax, term(y), -powered(xy))
+        def defect(x, y, xy):
+            return _err_sum3(scale * powered(x), scale * powered(y),
+                             -powered(xy))
     else:
-        def defect(ax, y, xy):
-            return ax + term(y) - powered(xy)
+        def defect(x, y, xy):
+            return scale * powered(x) + scale * powered(y) - powered(xy)
     split = None
     if power == space.p_exponent and power in (2.0, 4.0, 6.0, 8.0):
         q = int(power)
@@ -257,7 +252,7 @@ def _q_kernel(space, power):
             acc += vk
             acc *= v
             return _rowsum(acc)
-    return powered, term, defect, split
+    return powered, defect, split
 
 
 # 8 units in the last place of 1: how far the bracket of

@@ -28,7 +28,8 @@ integer difference, the float distance bit for bit.  The sampled pairs
 take it on the rows of their draws (``DyadicTree._distances``), and the
 exhaustive pairs hand the heap-ordered rows to the one all-pairs kernel,
 ``_min_pair_distance``, and scale its minimum.  Any other tree, and any
-finite p, places the nodes and takes the float norm.
+finite p, places the nodes (the sampled pairs a block at a time) and takes
+the float norm; ``validate_tree`` checks its inputs once, at entry.
 
 The branch walk places the two children of each visited node from an int8
 sign array and evaluates only what its choice needs: the evaluator that
@@ -42,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import LipschitzFunction
-from .spaces import _BLOCK, _root
+from .spaces import _BLOCK, DimensionMismatchError, _root
 
 __all__ = [
     "DyadicTree",
@@ -139,21 +140,16 @@ class DyadicTree:
     def node_count(self):
         return (1 << (self.depth + 1)) - 1
 
-    def _place(self, signs, out=None):
+    def _place(self, signs):
         """The nodes whose sign prefixes are the columns of ``signs``, a
-        (k, m) array padded with zeros, as the rows of an (m, D) array,
-        written to ``out`` (any (m, D) view, overwritten) if given."""
+        (k, m) array padded with zeros, as the rows of an (m, D) array."""
         if self.nodes is not None:
-            return self.nodes.take(_heap_index(signs), axis=0, out=out)
-        if out is None:
-            out = np.empty((signs.shape[1], self.ambient_dim))
+            return self.nodes.take(_heap_index(signs), axis=0)
+        out = np.zeros((signs.shape[1], self.ambient_dim))
         off = self.block_start + self.lead
-        k = signs.shape[0]
-        out[:, :off] = 0.0
-        out[:, off + k:] = 0.0
         if self.lead:
             out[:, self.block_start] = self.theta
-        np.multiply(signs.T, self.theta, out=out[:, off:off + k])
+        np.multiply(signs.T, self.theta, out=out[:, off:off + signs.shape[0]])
         return out
 
     @cached_property
@@ -223,26 +219,25 @@ class DyadicTree:
         codes, scale = self._codes
         return codes.take(_heap_index(signs), axis=1).T, scale
 
-    def _distances(self, space, sa, sb, scratch):
+    def _distances(self, space, sa, sb):
         """``space`` distances between the nodes whose sign prefixes are
         the columns of ``sa`` and ``sb`` (two (k, m) arrays as for
         ``_place``), as an (m,) array: on the int8 rows of ``_int_rows``
-        where it gives them, otherwise with both node sets placed in
-        ``scratch``, two (D, w) arrays, w rows at a time, and normed."""
+        where it gives them, otherwise by placing both node sets
+        ``_BLOCK // D`` pairs at a time and taking the unchecked norm of
+        their difference, which ``_rowsum`` makes independent of the
+        block."""
         route = self._int_rows(space, sa)
         if route is not None:
             ra, scale = route
             diff = np.subtract(ra, self._int_rows(space, sb)[0])
             return scale * np.abs(diff, out=diff).max(axis=1)
-        a, b = scratch
-        m, w = sa.shape[1], a.shape[1]
-        dist = np.empty(m)
-        for r0 in range(0, m, w):
-            r1 = min(m, r0 + w)
-            xa, xb = a[:, :r1 - r0], b[:, :r1 - r0]
-            self._place(sa[:, r0:r1], xa.T)
-            self._place(sb[:, r0:r1], xb.T)
-            dist[r0:r1] = space._norm(np.subtract(xa, xb, out=xa).T)
+        w = max(1, _BLOCK // self.ambient_dim)
+        dist = np.empty(sa.shape[1])
+        for r0 in range(0, dist.size, w):
+            diff = self._place(sa[:, r0:r0 + w])
+            diff -= self._place(sb[:, r0:r0 + w])
+            dist[r0:r0 + w] = space._norm(diff)
         return dist
 
     def _sign_index(self, alpha):
@@ -423,23 +418,16 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
     signs, so the sample depends on the seed alone.
 
-    On l_inf a tree whose ``DyadicTree._int_rows`` exist measures pairs on
-    int8 rows: a sign tree on its sign prefixes, as theta times
-    max_j |sa_j - sb_j|, and an explicit tree whose coordinates are codes
-    c * 2^e with |c| <= 63 (a saved sign tree at a dyadic theta, say) on
-    its codes, as 2^e times max_j |ca_j - cb_j|.  Either way every
-    coordinate of the float difference is exactly the scale times the
-    integer difference, so this is the float distance bit for bit.  The
-    sampled path measures a whole draw batch so: a sign tree on its drawn
-    signs, an explicit tree on the code rows it gathers from the drawn
-    signs' heap rows.  The exhaustive path gives the all-pairs kernel the
-    heap-ordered rows and scales its minimum; the minimum, first pair and
-    count are the float kernel's.  At depth 10 (2,094,081 pairs, 2 cores)
-    that takes about 6 ms on a sign tree and 6-8 ms on the same tree loaded
-    from a file (finding its codes included), against 40-47 ms for the
-    float kernel on its placed nodes.
-    Any other tree, or a finite p, places the nodes in blocks of rows and
-    takes the float norm.
+    On l_inf a tree whose ``DyadicTree._int_rows`` exist (a sign tree, or
+    an explicit tree on a dyadic grid, such as a saved sign tree at a
+    dyadic theta) measures pairs on int8 rows, the float distances bit for
+    bit: the sampled path a whole draw batch at once, the exhaustive path
+    by giving the all-pairs kernel the heap-ordered rows and scaling its
+    minimum.  At depth 10 (2,094,081 pairs, 2 cores) that takes about 6 ms
+    on a sign tree and 6-8 ms on the same tree loaded from a file (finding
+    its codes included), against 40-47 ms for the float kernel on its
+    placed nodes.  Any other tree, or a finite p, places the nodes in
+    blocks of rows and takes the float norm.
     A sampled pair counts unless both draws are the same node (equal level
     and signs), tested only where the distance is 0: two distinct nodes
     that coincide, or whose l_p distance underflows to 0, count at
@@ -453,7 +441,26 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     ``max_norm`` is the largest node norm over every node on the exhaustive
     path, and on the sampled path over the children in the structured
     pairs only, so not the root.
+
+    The midpoint of children a and b is (a + b) * 0.5, which is (a + b)/2
+    correctly rounded wherever a + b is finite: a sum below 2^-1021 in size
+    is exact, as the doubles there are the multiples of 2^-1074, and is
+    halved with one rounding; from 2^-1021 up the halving is exact and
+    commutes with rounding.  A sum overflows only from 2^1024 - 2^970, and
+    no double exceeds 2^1024 - 2^971, so there |a|, |b| >= 2^970, and
+    0.5*a + 0.5*b, taken instead, has exact halves and rounds once, to the
+    same midpoint.  That form rounds once wherever its halves are exact,
+    so the two differ only where halving a subnormal rounds: at
+    theta = 5e-324, 0.5*theta + 0.5*theta is 0.
+
+    Raises DimensionMismatchError when the space's dimension is not the
+    tree's, and ValueError on an explicit tree with a non-finite node.
     """
+    if space.dim != tree.ambient_dim:
+        raise DimensionMismatchError(
+            f"space of dim {space.dim} for a tree in dim {tree.ambient_dim}")
+    if tree.nodes is not None:
+        space._check(tree.nodes)  # the blocks below use the unchecked _norm
     n = tree.node_count
     total_pairs = n * (n - 1) // 2
     exhaustive = total_pairs <= max(sample_pairs, _EXHAUSTIVE_PAIRS)
@@ -473,8 +480,13 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
             hi = min(width, lo + rows)
             parents = tree._level_rows(k, lo, hi)
             children = tree._level_rows(k + 1, 2 * lo, 2 * hi)
-            mid = 0.5 * children[0::2] + 0.5 * children[1::2]
+            a, b = children[0::2], children[1::2]
+            with np.errstate(over="ignore"):
+                mid = np.add(a, b)
+            mid *= 0.5
             if not (parents == mid).all():
+                over = np.isinf(mid)  # a + b overflowed: halve first there
+                mid[over] = 0.5 * a[over] + 0.5 * b[over]
                 gaps = np.abs(parents - mid).max(axis=1)
                 bad = int(np.argmax(gaps))
                 if gaps[bad] > worst_gap:
@@ -486,9 +498,9 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                 continue
             top = min(hi, budget) - lo
             parents, children = parents[:top], children[:2 * top]
-            max_norm = max(max_norm, float(space.norm(children).max()))
-            dpc = space.norm(np.repeat(parents, 2, axis=0) - children)
-            dss = space.norm(children[0::2] - children[1::2])
+            max_norm = max(max_norm, float(space._norm(children).max()))
+            dpc = space._norm(np.repeat(parents, 2, axis=0) - children)
+            dss = space._norm(children[0::2] - children[1::2])
             for s, (dist, first) in enumerate(((dpc, 2 * lo), (dss, lo))):
                 i = int(np.argmin(dist))
                 if dist[i] < best[s][0]:
@@ -502,24 +514,18 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     if exhaustive:
         signs = _heap_signs(tree.depth)
         all_nodes = tree._place(signs)
-        max_norm = float(space.norm(all_nodes).max())
+        max_norm = float(space._norm(all_nodes).max())
         rows, scale = tree._int_rows(space, signs) or (all_nodes, 1.0)
         sep, sep_pair, pairs_checked = _min_pair_distance(space, rows)
         min_sep = scale * sep
     else:
         rng = np.random.default_rng(seed)
         remaining = max(sample_pairs - pairs_checked, 0)
-        if tree.nodes is not None:
-            # checked once here: the blocks below use the unchecked _norm
-            space._check(tree.nodes)
-        # the float route's node blocks, stored by coordinate so that the
-        # norm reduces over contiguous rows
-        scratch = np.empty((2, tree.ambient_dim, min(rows, remaining)))
         for lo in range(0, remaining, _DRAW_BATCH):
             m = min(remaining - lo, _DRAW_BATCH)
             sa = _draw_nodes(tree, rng, m)
             sb = _draw_nodes(tree, rng, m)
-            dist = tree._distances(space, sa, sb, scratch)
+            dist = tree._distances(space, sa, sb)
             zero = np.flatnonzero(dist == 0.0)
             if zero.size:
                 same = (sa[:, zero] == sb[:, zero]).all(axis=0)

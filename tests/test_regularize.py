@@ -20,15 +20,9 @@ L2_2 = NormedSpace(2, 2.0)
 
 
 def _bound(obj):
-    """A test objective ``obj(H, idx)`` in the bound form of the solver's
-    stages: ``idx`` to an evaluator of the offsets ``H``."""
+    """A test objective ``obj(H, idx)`` in the bound form of the solver:
+    ``idx`` to an evaluator of the offsets ``H``."""
     return lambda idx: lambda H: obj(H, idx)
-
-
-def _centred(obj, centers):
-    """A test objective ``obj(H, idx)`` in the bound form of
-    ``_minimize_rows``: ``idx`` to the rows' centres and an evaluator."""
-    return lambda idx: (centers[idx], _bound(obj)(idx))
 
 
 def abs_fn():
@@ -482,12 +476,6 @@ class TestCompassFinish:
 # converged flags).  It binds the objective on every evaluation and counts
 # and checks the values itself.
 
-def _evaluator(obj):
-    """The bound objective of ``_minimize_rows`` without its centre rows:
-    the reference reports a failing point from its own centres."""
-    return lambda idx: obj(idx)[1]
-
-
 def _ref_eval(obj, idx, H, centers, counter):
     """obj bound to rows ``idx`` at the offsets ``H``, counted and checked:
     a non-finite value reports its point y = centre + h."""
@@ -566,7 +554,6 @@ def _ref_compass(obj, H, vals, step, space, cfg, radii, counter, centers):
 
 def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     """The row-major stacked minimizer."""
-    obj = _evaluator(obj)
     N = X.shape[0]
     counter = reg._Counter()
     keep_pts = _ref_coarse_stage(obj, space, cfg, centers, radii, counter)
@@ -595,7 +582,6 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
     """Reference: one row-major compass search per start, reduced in start
     order with a strict <, as the minimizer ran before the starts were
     stacked."""
-    obj = _evaluator(obj)
     N, d = X.shape
     counter = reg._Counter()
     keep_pts = _ref_coarse_stage(obj, space, cfg, centers, radii, counter)
@@ -728,9 +714,9 @@ class TestStackedMultistart:
                                    k_starts=starts)
         assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
         assert not np.array_equal(first[0], first[1])
-        vals, pts, _, _ = reg._minimize_rows(_centred(obj, X), X, L2_1, cfg,
+        vals, pts, _, _ = reg._minimize_rows(_bound(obj), X, L2_1, cfg,
                                              X, radii)
-        want = _sequential_minimize(_centred(obj, X), X, L2_1, cfg, X, radii)
+        want = _sequential_minimize(_bound(obj), X, L2_1, cfg, X, radii)
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
@@ -788,7 +774,7 @@ class TestCoordinateMajorLayout:
             return -(Y[:, 0] + 0.5 * Y[:, d - 1])
 
         for n in (1, 65):
-            args = (_centred(obj, X[:n]), X[:n], space, REF_CFG, X[:n],
+            args = (_bound(obj), X[:n], space, REF_CFG, X[:n],
                     radii[:n])
             got = reg._minimize_rows(*args)
             _assert_same_solve(got, _ref_minimize_rows(*args))
@@ -851,11 +837,61 @@ class TestCoordinateMajorLayout:
         errors = []
         for solve in (reg._minimize_rows, _ref_minimize_rows):
             with pytest.raises(SolverError) as err:
-                solve(_centred(obj, X), X, space, REF_CFG, X, radii)
+                solve(_bound(obj), X, space, REF_CFG, X, radii)
             errors.append(err.value.point)
         got, want = errors
         assert got.shape == (d,) and got[0] > 0.5
         assert np.array_equal(got, want)
+
+    @staticmethod
+    def raised_points(monkeypatch, call):
+        """The SolverError point of ``call``, then those of the solver and
+        of the row-major reference given the arguments it received."""
+        real = reg._minimize_rows
+        points = []
+
+        def spy(*args, **kwargs):
+            for solve in (real, _ref_minimize_rows):
+                with pytest.raises(SolverError) as err:
+                    solve(*args, **kwargs)
+                points.append(err.value.point)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        with pytest.raises(SolverError) as err:
+            call()
+        return [err.value.point] + points
+
+    @pytest.mark.parametrize("q", [1.0, math.inf])
+    def test_non_finite_reports_y_on_restricted_route(self, monkeypatch, q):
+        # l_1 and l_inf search a ball about 0, not about x: the failing
+        # point is y = 0 + h, where f is not finite
+        space = NormedSpace(2, q)
+
+        def ev(Y):
+            return np.where(Y[..., 0] > 0.5, math.nan, Y[..., 1])
+
+        f = LipschitzFunction(ev, 1.0, "nan-right")
+        X = np.array([[0.25, -0.5], [-0.75, 0.5]])
+        points = self.raised_points(
+            monkeypatch, lambda: regularize_power_grid(f, 2.0, 9.0, X, space,
+                                                       REF_CFG))
+        assert len(points) == 3
+        for y in points:
+            assert np.array_equal(y, points[0]) and np.isnan(f(y))
+
+    def test_non_finite_reports_y_through_inner_minimize(self, monkeypatch):
+        center = np.array([0.7, -0.4])
+
+        def objective(Y):
+            return np.where(Y[:, 0] > 1.0, math.nan, Y.sum(axis=1))
+
+        points = self.raised_points(
+            monkeypatch, lambda: inner_minimize(objective, center, 1.0,
+                                                REF_CFG))
+        assert len(points) == 3
+        for y in points:
+            assert np.array_equal(y, points[0]) and y[0] > 1.0
 
     def test_objective_receives_point_rows(self):
         # objectives get (n, d) float arrays, which may be strided views
@@ -1010,7 +1046,7 @@ class TestSolverBlocks:
             return ((Y - 0.1) ** 2).sum(axis=1)
 
         X = L2_2.ball_sample(np.random.default_rng(4), 9)
-        reg._minimize_rows(_centred(obj, X), X, L2_2, REF_CFG, X,
+        reg._minimize_rows(_bound(obj), X, L2_2, REF_CFG, X,
                            np.full(9, 0.5))
         assert sizes[:6] == [48, 48, 48, 48, 24, 18]
         assert max(sizes[6:]) == 48
@@ -1085,7 +1121,7 @@ def _both_compasses(space, obj, Y, step, cfg):
         v0 = _ref_eval(_bound(obj), np.arange(N), Y0, zeros, counter)
         if compacted:
             YT = np.ascontiguousarray(Y0.T)
-            conv = reg._compass(reg._checked(_centred(obj, zeros), counter),
+            conv = reg._compass(reg._checked(_bound(obj), counter, zeros),
                                 YT, v0, s0, space, cfg, radii)
             Y0 = YT.T
         else:
@@ -1165,7 +1201,7 @@ class TestCompactedCompass:
         assert len(seen) == 6
         # every compass call holds at most ``width`` rows of 2d trials
         obj, _, sizes = _pulls(space, 7, 5)
-        real(_centred(obj, X), X, space, REF_CFG, X, np.full(7, 0.5))
+        real(_bound(obj), X, space, REF_CFG, X, np.full(7, 0.5))
         trials = sizes[sizes.index(7 * REF_CFG.starts) + 1:]
         assert max(trials) == 2 * d * width
         assert all(t % (2 * d) == 0 for t in trials)
@@ -1196,7 +1232,7 @@ class TestCompactedCompass:
             del sizes[:]
             with pytest.raises(SolverError) as err:
                 if compacted:
-                    reg._compass(reg._checked(_centred(obj, zeros), counter),
+                    reg._compass(reg._checked(_bound(obj), counter, zeros),
                                  Y.T.copy(), v0, step.copy(), space, cfg,
                                  np.ones(n))
                 else:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import deltaconvex
-from deltaconvex import (NormedSpace, adversarial_branch_walk,
+from deltaconvex import (DimensionMismatchError, DyadicTree, NormedSpace,
+                         adversarial_branch_walk,
                          build_sign_tree, build_tree_family,
                          convex_pair_catalog, counterexample_function,
                          error_lower_bound, load_tree, save_tree,
@@ -135,6 +136,59 @@ class TestValidation:
         assert tree._codes is None
         with pytest.raises(ValueError, match="non-finite coordinate"):
             validate_tree(tree, NormedSpace(depth, math.inf))
+
+    @pytest.mark.parametrize("depth", [4, 11], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_dimension_mismatch_raises(self, depth, explicit):
+        tree = build_sign_tree(depth)
+        tree = tree.to_explicit() if explicit else tree
+        for dim in (depth - 1, depth + 1):
+            with pytest.raises(DimensionMismatchError):
+                validate_tree(tree, NormedSpace(dim, math.inf))
+
+    @pytest.mark.parametrize("depth", [4, 11], ids=["exhaustive", "sampled"])
+    def test_inputs_checked_once(self, monkeypatch, depth):
+        # an explicit tree's nodes are checked at entry, a sign tree's never
+        calls = []
+        check = NormedSpace._check
+
+        def counted(space, x):
+            calls.append(np.shape(x))
+            return check(space, x)
+
+        monkeypatch.setattr(NormedSpace, "_check", counted)
+        tree = build_sign_tree(depth)
+        for p in (math.inf, 3.0):
+            space = NormedSpace(depth, p)
+            validate_tree(tree, space, sample_pairs=20_000)
+            assert calls == []
+            validate_tree(tree.to_explicit(), space, sample_pairs=20_000)
+            assert calls == [(tree.node_count, depth)]
+            del calls[:]
+
+    def test_subnormal_theta_midpoints_exact(self):
+        # 0.5*theta rounds to 0 at the least subnormal, so the halves of
+        # two equal children no longer sum to them
+        rep = validate_tree(build_sign_tree(5, scale=5e-324),
+                            NormedSpace(5, math.inf))
+        assert rep.midpoint_exact and rep.worst_midpoint_gap == 0.0
+
+    def test_children_summing_past_the_largest_double(self):
+        # children 1.75 * 2^1023 and 1.25 * 2^1023 overflow when added;
+        # their midpoint 1.5 * 2^1023 still checks exactly, and a parent
+        # one ulp off is still caught, with no overflow warning
+        big = 2.0 ** 1023
+        nodes = np.array([[1.5 * big], [1.75 * big], [1.25 * big]])
+        tree = DyadicTree(depth=1, theta=big / 4, ambient_dim=1, nodes=nodes)
+        space = NormedSpace(1, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate_tree(tree, space)
+            assert rep.midpoint_exact and rep.worst_midpoint_gap == 0.0
+            off = tree.with_node((), np.nextafter(nodes[0], 0.0))
+            rep = validate_tree(off, space)
+        assert not rep.midpoint_exact and rep.midpoint_violation == ()
+        assert rep.worst_midpoint_gap == nodes[0, 0] - off.nodes[0, 0]
 
 
 def _brute_separation(tree, space):
@@ -1084,9 +1138,8 @@ class TestStreamedChecks:
         copy = tree.to_explicit()
         rng = np.random.default_rng(6)
         sa, sb = (trees_mod._draw_nodes(tree, rng, 5000) for _ in range(2))
-        scratch = np.empty((2, tree.ambient_dim, 700))
-        got = tree._distances(space, sa, sb, scratch)
-        want = copy._distances(space, sa, sb, scratch)
+        got = tree._distances(space, sa, sb)
+        want = copy._distances(space, sa, sb)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
         assert set(np.unique(got).tolist()) == {
@@ -1105,7 +1158,7 @@ class TestStreamedChecks:
         assert tree._codes is not None
         rng = np.random.default_rng(6)
         sa, sb = (trees_mod._draw_nodes(tree, rng, 5000) for _ in range(2))
-        got = tree._distances(space, sa, sb, None)
+        got = tree._distances(space, sa, sb)
         want = space._norm(tree._place(sa) - tree._place(sb))
         assert got.tobytes() == want.tobytes()
 
