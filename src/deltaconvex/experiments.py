@@ -355,7 +355,10 @@ def convex_pair_catalog(space):
     def max_affine(x):
         x = np.asarray(x, dtype=float)
         x0 = x[..., 0]
-        return np.maximum.reduce([x0, -x0, 0.5 * x[..., 1] + 0.25])
+        # a running maximum over the pieces: no (pieces, rows) block
+        out = np.atleast_1d(np.maximum(x0, -x0))
+        np.maximum(out, 0.5 * x[..., 1] + 0.25, out=out)
+        return out if x.ndim > 1 else out[0]
 
     return [
         ("zero", zero, zero, 0.0),
@@ -379,6 +382,8 @@ def run_adversary(cfg):
     measured sup node error must reach max(0, theta/4 - 2M/n), and the
     branch walk's growth guarantee must hold at the observed gap level."""
     depths = cfg.get_int_list("depths", [8, 16, 32])
+    if not depths:
+        raise ConfigError("depths", "needs at least one depth")
     for n in depths:
         if n < 2 or n % 2 != 0:
             raise ConfigError("depths", f"depths must be even, >= 2; got {n}")
@@ -441,6 +446,8 @@ def run_modulus(cfg):
     ``seed`` is validated and echoed and changes nothing else."""
     space = _space(cfg)
     epsilons = cfg.get_float_list("epsilons", [0.5, 1.0, 1.5])
+    if not epsilons:
+        raise ConfigError("epsilons", "needs at least one epsilon")
     for e in epsilons:
         if not 0.0 < e <= 2.0:
             raise ConfigError("epsilons", f"epsilon {e:g} outside (0, 2]")

@@ -181,9 +181,15 @@ def _checked(obj, counter, centers):
     of one offset per row of ``idx``.  The result maps ``idx`` to g with
     every evaluation counted in ``counter`` and checked: a non-finite value
     raises SolverError at its point y = centre + h, the centre a row of
-    ``centers``."""
+    ``centers``.  The evaluator names that row from its own copy of
+    ``idx`` in the smallest unsigned type holding every row of
+    ``centers`` (one byte a row up to 256 rows), not the caller's int64
+    array."""
+    rowtype = np.min_scalar_type(max(centers.shape[0] - 1, 0))
+
     def bind(idx):
         g = obj(idx)
+        idx = idx.astype(rowtype)
 
         def ev(H):
             v = np.asarray(g(H), dtype=float)

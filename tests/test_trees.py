@@ -521,19 +521,34 @@ class TestCounterexample:
     @pytest.mark.parametrize("scale", [0.75, 1 / 3])
     def test_matches_unfactored_form(self, scale):
         # members with a lead coordinate, one at block_start 0 and one past
-        # it, and three extra ambient coordinates outside every block
-        fam = build_tree_family([4, 7], ambient_dim=16, scale=scale)
-        f = counterexample_function(fam, NormedSpace(16, math.inf))
-        rng = np.random.default_rng(4)
-        nodes = np.vstack([trees_mod._heap_nodes(t) for t in fam.trees])
-        X = np.vstack([rng.uniform(-1.5, 1.5, size=(500, 16)), nodes,
-                       np.zeros((1, 16))])
-        X[:40, 13:] = 0.0  # points on the span of the blocks
-        for x in (X[0], X[-1], X, X[:60].reshape(3, 20, 16)):
-            got, want = f(x), _counterexample_unfactored(fam, x)
-            assert type(got) is type(want)
-            assert np.shape(got) == np.shape(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # it; [4, 7] has an odd depth and three extra ambient coordinates
+        # outside every block, [32, 64] is the adversary's family (D = 98)
+        for depths, dim in (([4, 7], 16), ([32, 64], 98)):
+            fam = build_tree_family(depths, ambient_dim=dim, scale=scale)
+            f = counterexample_function(fam, NormedSpace(dim, math.inf))
+            rng = np.random.default_rng(4)
+            X = rng.uniform(-1.5, 1.5, size=(500, dim))
+            X[:40, sum(depths) + len(depths):] = 0.0  # on the blocks' span
+            X[40:45] = np.round(X[40:45])  # exact zeros, +-1 and ties
+            X = np.vstack([X]
+                          + [trees_mod._heap_nodes(t, 8) for t in fam.trees]
+                          + [trees_mod._random_nodes(t, rng, 100)
+                             for t in fam.trees] + [np.zeros((1, dim))])
+            for x in (X[0], X[-1], X, X[:60].reshape(3, 20, dim), X[:0],
+                      X[:1], np.asfortranarray(X), X[::-2]):
+                got, want = f(x), _counterexample_unfactored(fam, x)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert (np.asarray(got).tobytes()
+                        == np.asarray(want).tobytes())
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 7), (2, 5, 16)])
+    def test_point_dimension_checked(self, shape):
+        # points of another dimension raise; they are not read in rows of D
+        fam = build_tree_family([4, 2])
+        f = counterexample_function(fam, NormedSpace(8, math.inf))
+        with pytest.raises(DimensionMismatchError, match="dim 8"):
+            f(np.zeros(shape))
 
     def test_lipschitz_one(self):
         fam = build_tree_family([4])
@@ -574,6 +589,12 @@ def _counterexample_unfactored(family, x):
     return best
 
 
+def _zero(x):
+    """0 at each node: a scalar for one node (D,), one value per row for a
+    batch, as ``adversarial_branch_walk`` passes f the visited nodes."""
+    return np.zeros(np.shape(x)[:-1])
+
+
 class TestWalk:
     def test_greedy_example(self):
         t = build_sign_tree(2)
@@ -581,8 +602,7 @@ class TestWalk:
         def c(x):
             return np.abs(np.asarray(x, float)).max(-1)
 
-        rep = adversarial_branch_walk(c, lambda x: 0.0, t, lambda x: 0.0,
-                                      delta=0.5)
+        rep = adversarial_branch_walk(c, lambda x: 0.0, t, _zero, delta=0.5)
         assert rep.branch == (1, 1)  # ties break toward the +1 child
         assert rep.total_c_growth == 1.0
         assert [lv.alpha for lv in rep.levels] == [(), (1,), (1, 1)]
@@ -595,8 +615,7 @@ class TestWalk:
             x = np.asarray(x, float)
             return -x[0]  # favors the -1 child at the first level
 
-        rep = adversarial_branch_walk(lambda x: 0.0, d, t, lambda x: 0.0,
-                                      delta=1.0)
+        rep = adversarial_branch_walk(lambda x: 0.0, d, t, _zero, delta=1.0)
         assert rep.branch[0] == -1
 
     def test_hypothesis_gap_recorded(self):
@@ -611,8 +630,8 @@ class TestWalk:
     def test_odd_depth_rejected(self):
         t = build_sign_tree(3)
         with pytest.raises(ValueError):
-            adversarial_branch_walk(lambda x: 0.0, lambda x: 0.0, t,
-                                    lambda x: 0.0, 0.0)
+            adversarial_branch_walk(lambda x: 0.0, lambda x: 0.0, t, _zero,
+                                    0.0)
 
     @pytest.mark.parametrize("scale", [1.0, 0.75])
     def test_matches_reference_walk(self, scale):
@@ -632,8 +651,9 @@ class TestWalk:
                     assert _fields(got) == _fields(want)
 
     def test_evaluations_per_walk(self):
-        # f once per visited node; c and d at the root, once per step at
-        # the taken child and at both children on the steps they choose
+        # f once, on the depth + 1 visited nodes, root first; c and d at
+        # the root, once per step at the taken child and at both children
+        # on the steps they choose
         fam = build_tree_family([2, 16, 64])
         space = NormedSpace(fam.ambient_dim, math.inf)
         f = counterexample_function(fam, space)
@@ -650,20 +670,53 @@ class TestWalk:
             rep = adversarial_branch_walk(counted("c", c), counted("d", d),
                                           tree, counted("f", f), 0.0)
             n = tree.depth
-            assert len(calls["f"]) == n + 1
+            [batch] = calls["f"]
+            assert batch.shape == (n + 1, fam.ambient_dim)
+            assert not batch.flags.writeable
             assert len(calls["c"]) == len(calls["d"]) == 1 + 3 * n // 2
-            for x, lv in zip(calls["f"], rep.levels):
-                assert x is lv.node
+            for k, (x, lv) in enumerate(zip(batch, rep.levels)):
+                assert len(lv.alpha) == k
+                assert np.shares_memory(x, lv.node)
+                assert x.tobytes() == tree.node(lv.alpha).tobytes()
+
+    @pytest.mark.parametrize("block", [98, 98 * 5, None])
+    def test_f_gets_visited_nodes_in_blocks(self, monkeypatch, block):
+        # blocks of _BLOCK // D rows: 1, 5 and all 65 rows of a depth-64
+        # walk on the adversary's family, with the same report
+        fam = build_tree_family([32, 64])
+        space = NormedSpace(fam.ambient_dim, math.inf)
+        f = counterexample_function(fam, space)
+        c, d = _turning_pair(fam.ambient_dim)
+        tree = fam.trees[1]
+        want = _reference_walk(c, d, tree, f, 0.0)
+        if block is not None:
+            monkeypatch.setattr(trees_mod, "_BLOCK", block)
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.shape[0])
+            return f(x)
+
+        got = adversarial_branch_walk(c, d, tree, counted, 0.0)
+        assert _fields(got) == _fields(want)
+        rows = 65 if block is None else block // 98
+        assert sizes == [rows] * (65 // rows) + [65 % rows] * (65 % rows > 0)
+
+    def test_f_must_give_one_value_per_node(self):
+        t = build_sign_tree(2)
+        for f in (lambda x: 0.0, lambda x: np.zeros((x.shape[0], 1))):
+            with pytest.raises(ValueError, match="f returned shape"):
+                adversarial_branch_walk(_zero, _zero, t, f, 0.0)
 
     def test_non_finite_values(self):
         t = build_sign_tree(2)
-
-        def zero(x):  # ties take (1,), then (1, 1)
-            return 0.0
+        zero = _zero  # ties take (1,), then (1, 1)
 
         def nan_at(alpha):
+            # nan at the node ``alpha``, for one node or a batch of them
             node = t.node(alpha)
-            return lambda x: math.nan if np.array_equal(x, node) else 0.0
+            return lambda x: np.where((x == node).all(axis=-1), math.nan,
+                                      0.0)
 
         # f at a child the walk does not take is never evaluated
         for alpha in ((-1,), (1, -1)):
@@ -682,6 +735,30 @@ class TestWalk:
                                match=f"'{name}' failed") as err:
                 adversarial_branch_walk(c, d, t, f, 0.0)
             assert err.value.alpha == alpha
+
+
+class TestCatalog:
+    def test_max_affine_matches_stacked_pieces(self):
+        # the running maximum returns the bytes and type that
+        # np.maximum.reduce over the three stacked pieces returned, on a
+        # node, C- and F-order batches and a 3-D batch; rounded rows put
+        # exact zeros of both signs and ties among the pieces
+        fam = build_tree_family([4, 8])
+        space = NormedSpace(fam.ambient_dim, math.inf)
+        [(_, c, _, _)] = [p for p in convex_pair_catalog(space)
+                          if p[0] == "max-affine"]
+        X = np.random.default_rng(2).uniform(-1.5, 1.5,
+                                             (60, fam.ambient_dim))
+        X[:10] = np.round(X[:10] * 2) / 2
+        X[0, 0] = -0.0
+        for x in (fam.trees[1].node((1, -1)), X[0], X, np.asfortranarray(X),
+                  X.reshape(3, 20, -1), X[:0]):
+            want = np.maximum.reduce([x[..., 0], -x[..., 0],
+                                      0.5 * x[..., 1] + 0.25])
+            got = c(x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _turning_pair(dim):
@@ -1036,6 +1113,21 @@ def _sampled_trees():
             member.with_node((1,), member.node((-1, 1)))]
 
 
+def _structured_trees():
+    """Trees whose structured pairs take the int8 rows: sign trees, a
+    family member, a saved sign tree with a lead coordinate, the explicit
+    trees of ``_sampled_trees``, and leaves moved by a dyadic step to 0.25
+    from their parent and from their sibling."""
+    sign = build_sign_tree(SAMPLED_DEPTH)
+    leaf = (1,) * SAMPLED_DEPTH
+    return [sign, build_sign_tree(SAMPLED_DEPTH, scale=1 / 3),
+            *_sampled_trees()[1:2],
+            build_sign_tree(SAMPLED_DEPTH, lead=True, scale=0.5).to_explicit(),
+            *_sampled_trees()[2:],
+            sign.with_node(leaf, _offset(sign, leaf, -0.75)),
+            sign.with_node(leaf, _offset(sign, leaf[:-1] + (-1,), 0.25))]
+
+
 def _distinct_draws(tree, seed, m):
     """Pairs of distinct nodes, by heap row, among the first m sampled
     pairs of ``validate_tree`` at ``seed`` (m at most one draw batch)."""
@@ -1148,6 +1240,37 @@ class TestStreamedChecks:
         rep = validate_tree(tree, space, sample_pairs=pairs, seed=1)
         assert not rep.exhaustive_pairs
         assert validate_tree(copy, space, sample_pairs=pairs, seed=1) == rep
+
+    @pytest.mark.parametrize("tree", _structured_trees(),
+                             ids=["theta-1", "theta-1/3", "member",
+                                  "explicit-lead", "explicit-near",
+                                  "explicit-coincident", "parent-child",
+                                  "siblings"])
+    def test_structured_pairs_take_int8(self, monkeypatch, tree):
+        # sign trees and explicit trees on the dyadic grid measure their
+        # parent/child and sibling pairs on int8 rows: two calls a level,
+        # then one for the 5000 sampled pairs; the float route on an
+        # explicit copy gives the same report
+        space = NormedSpace(tree.ambient_dim, math.inf)
+        pairs = STRUCTURED_PAIRS + 5000
+        seen = []
+        kernel = trees_mod._scaled_distances
+
+        def spy(ra, rb, scale):
+            seen.append((ra.dtype, rb.dtype))
+            return kernel(ra, rb, scale)
+
+        monkeypatch.setattr(trees_mod, "_scaled_distances", spy)
+        rep = validate_tree(tree, space, sample_pairs=pairs, seed=3)
+        assert seen == [(np.int8, np.int8)] * (2 * tree.depth + 1)
+        monkeypatch.setattr(trees_mod.DyadicTree, "_int_rows",
+                            lambda self, space, signs: None)
+        seen.clear()
+        want = validate_tree(tree.to_explicit(), space, sample_pairs=pairs,
+                             seed=3)
+        assert seen == []
+        assert not rep.exhaustive_pairs
+        assert rep == want
 
     @pytest.mark.parametrize("tree", _sampled_trees()[2:],
                              ids=["explicit-near", "explicit-coincident"])
