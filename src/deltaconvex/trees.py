@@ -2,8 +2,9 @@
 blocks, the distance counterexample function, and the adversarial branch
 walk that certifies approximation-error lower bounds for convex pairs.
 
-Every node comes from one accessor, ``DyadicTree._place``, which turns a
-block of sign prefixes (one per column, zero-padded) into coordinates.  A
+Blocks of nodes come from one accessor, ``DyadicTree._place``, which turns
+a block of sign prefixes (one per column, zero-padded) into coordinates,
+and the branch walk's children from another, ``DyadicTree._children``.  A
 sign tree computes them from the signs, so walks on very deep trees never
 materialize the node set.  An explicit tree (loaded from a file, or copied
 with one node replaced) gathers them from one read-only array in heap
@@ -24,20 +25,29 @@ the integers: a sign tree on its sign prefixes (scale theta), an explicit
 tree whose every coordinate is c * 2^e with |c| <= 63 on those codes c
 (scale 2^e, ``DyadicTree._codes``).  Coordinate differences are then exact
 multiples of the scale, so the distance is the scale times the largest
-integer difference, the float distance bit for bit.  The sampled pairs
-take it on the rows of their draws (``DyadicTree._distances``), and the
-exhaustive pairs hand the heap-ordered rows to the one all-pairs kernel,
+integer difference, the float distance bit for bit.  The exhaustive pairs
+hand the heap-ordered rows to the one all-pairs kernel,
 ``_min_pair_distance``, and scale its minimum.  Any other tree, and any
 finite p, places the nodes (the sampled pairs a block at a time) and takes
 the float norm; ``validate_tree`` checks its inputs once, at entry.
+
+A sampled pair is routed from the packed bits of its two draws
+(``_draw_packed``): ``_differ`` marks the pairs whose signs differ below
+the shallower level, which with equal levels is the same-node test for
+every tree.  A sign tree on l_inf takes its distance from those bits and
+the levels alone, theta times 2, 1 or 0 (``DyadicTree._draw_distances``);
+every other tree unpacks the draws to sign prefixes and takes
+``DyadicTree._distances``, on the int8 rows where ``_int_rows`` gives
+them.
 
 On the sampled path the structured pairs (parent/child and siblings) take
 the same int8 rows where ``_int_rows`` gives them
 (``DyadicTree._structured_distances``); the midpoint law is checked on the
 placed coordinates.
 
-The branch walk places the two children of each visited node from an int8
-sign array and evaluates only what its choice needs: the evaluator that
+The branch walk writes the two children of each visited node in place, a
+copy of the node with one coordinate set (an explicit tree gathers their
+two heap rows), and evaluates only what its choice needs: the evaluator that
 picks the child at both children, the other at the child taken.  The
 counterexample f, which steers nothing, runs once after the walk on the
 stacked visited nodes; it sweeps a coordinate-major copy of a batch, one
@@ -45,6 +55,7 @@ numpy call per coordinate row.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -247,12 +258,38 @@ class DyadicTree:
             dist[r0:r0 + w] = space._norm(diff)
         return dist
 
-    def _structured_distances(self, space, k, lo, hi):
-        """The structured pairs of parents lo..hi-1 of level k on the int8
-        rows of ``_int_rows``: (parent/child distances of the 2(hi - lo)
-        children in order, sibling distances of the parents in order), or
+    def _draw_distances(self, space, a, b, differ):
+        """The ``space`` distances of the node pairs of two draws ``a`` and
+        ``b`` (each (levels, packed) from ``_draw_packed``), whose sign
+        prefixes differ below the shallower level where ``differ`` is 1, as
+        (values, scale): the distances are scale * values, and scale > 0
+        keeps their order and ties.
+
+        A sign tree on l_inf, whose ``_int_rows`` are its sign prefixes,
+        gives uint8 values max(2 * differ, ka != kb) and scale theta, and
+        unpacks nothing.  That is the int8 route's theta * max_j
+        |sa_j - sb_j|, bit for bit: below the shallower level both signs
+        are +-1, so |sa_j - sb_j| is 0 or 2, and 2 at some such row exactly
+        where ``differ`` is 1; from that level up to the deeper one a sign
+        meets a pad, 1 apart; past both levels both are pads, 0 apart.  So
+        the largest difference is 2 where ``differ`` is 1, else 1 where the
+        levels differ, else 0, and theta times it is the same product.
+        theta * 0 < theta * 1 < theta * 2 for every finite theta > 0, so the
+        order and ties are the scaled ones.  Every other tree unpacks both
+        draws to their sign prefixes (``_draw_signs``) and gives the
+        doubles of ``_distances`` with scale 1."""
+        if space.p_exponent == math.inf and self.nodes is None:
+            gap = np.left_shift(differ, 1)
+            np.maximum(gap, a[0] != b[0], out=gap)
+            return gap, self.theta
+        return self._distances(space, _draw_signs(*a), _draw_signs(*b)), 1.0
+
+    def _structured_distances(self, space, k, sc):
+        """The structured pairs of a block of parents of level k on the int8
+        rows of ``_int_rows``, given by ``sc``, the (k + 1, 2m) sign
+        prefixes of their children: (parent/child distances of the 2m
+        children in order, sibling distances of the m parents in order), or
         None where ``_int_rows`` gives no rows."""
-        sc = _level_signs(k + 1, 2 * lo, 2 * hi)
         route = self._int_rows(space, sc)
         if route is None:
             return None
@@ -262,6 +299,24 @@ class DyadicTree:
         rp = self._int_rows(space, sp)[0]
         return (_scaled_distances(np.repeat(rp, 2, axis=0), rc, scale),
                 _scaled_distances(rc[0::2], rc[1::2], scale))
+
+    def _children(self, k, row, node):
+        """The +1 and -1 children of the level-k node in heap row ``row``
+        whose coordinates are ``node``, as a read-only (2, D) array.  An
+        explicit tree gathers heap rows 2 row + 1 and 2 row + 2.  A sign
+        tree copies ``node`` twice and sets coordinate block_start + lead
+        + k to +theta and -theta: ``_place`` writes theta * +-1 there, the
+        same doubles, and every other coordinate of a child is its
+        parent's."""
+        if self.nodes is not None:
+            return self.nodes[2 * row + 1:2 * row + 3]
+        out = np.empty((2, self.ambient_dim))
+        out[:] = node
+        j = self.block_start + self.lead + k
+        out[0, j] = self.theta
+        out[1, j] = -self.theta
+        out.flags.writeable = False
+        return out
 
     def _sign_index(self, alpha):
         alpha = tuple(int(s) for s in alpha)
@@ -281,13 +336,16 @@ class DyadicTree:
             raise ValueError(f"level {k} exceeds depth {self.depth}")
         return self._level_rows(k, 0, 1 << k)
 
-    def _level_rows(self, k, lo, hi):
+    def _level_rows(self, k, lo, hi, signs=None):
         """Rows lo..hi-1 of level k: for an explicit tree a read-only view
-        of its heap rows 2^k - 1 + lo .. 2^k - 2 + hi."""
+        of its heap rows 2^k - 1 + lo .. 2^k - 2 + hi, for a sign tree
+        placed from ``signs``, their sign prefixes
+        (``_level_signs(k, lo, hi)`` by default)."""
         if self.nodes is not None:
             first = (1 << k) - 1
             return self.nodes[first + lo:first + hi]
-        return self._place(_level_signs(k, lo, hi))
+        return self._place(_level_signs(k, lo, hi) if signs is None
+                           else signs)
 
     def indices(self):
         for k in range(self.depth + 1):
@@ -449,25 +507,33 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
     signs, so the sample depends on the seed alone.  The structured pairs
     are measured on the int8 rows of ``DyadicTree._int_rows`` wherever it
-    gives them, as the sampled pairs are, and on the placed blocks
-    otherwise; the midpoint pass always takes the placed blocks.  On the
-    depth-16 sign tree the midpoint and structured pass takes about 20 ms
-    on 2 cores, 27 ms with float structured pairs.
+    gives them, and on the placed blocks otherwise; the midpoint pass
+    always takes the placed blocks.  Each block builds its children's sign
+    prefixes once, and places the parents from the first children's
+    prefixes; on l_inf its ``max_norm`` term is the largest |coordinate|
+    of the children, the same double as their largest row norm.  On the
+    depth-16 sign tree the midpoint and structured pass takes about 21 ms
+    on 2 cores, 26 ms when parents, children and structured pairs each
+    built their signs.
 
     On l_inf a tree whose ``DyadicTree._int_rows`` exist (a sign tree, or
     an explicit tree on a dyadic grid, such as a saved sign tree at a
     dyadic theta) measures pairs on int8 rows, the float distances bit for
-    bit: the sampled path a whole draw batch at once, the exhaustive path
+    bit: the sampled path a whole draw batch at once (a sign tree on the
+    draw's packed bits, ``DyadicTree._draw_distances``), the exhaustive path
     by giving the all-pairs kernel the heap-ordered rows and scaling its
-    minimum.  At depth 10 (2,094,081 pairs, 2 cores) that takes about 6 ms
+    minimum.  The sampled pairs of the benchmark's depth-16 sign tree
+    (seed 5, 1,986,601 counted) take about 48 ms on 2 cores, 33 ms of them
+    in the generator calls, against 91 ms when both draws were unpacked to
+    int8 signs.  At depth 10 (2,094,081 pairs, 2 cores) that takes about 6 ms
     on a sign tree and 6-8 ms on the same tree loaded from a file (finding
     its codes included), against 40-47 ms for the float kernel on its
     placed nodes.  Any other tree, or a finite p, places the nodes in
     blocks of rows and takes the float norm.
-    A sampled pair counts unless both draws are the same node (equal level
-    and signs), tested only where the distance is 0: two distinct nodes
-    that coincide, or whose l_p distance underflows to 0, count at
-    distance 0.
+    A sampled pair counts unless both draws are the same node: equal
+    levels and no sign differing below them (``_differ``), tested on the
+    packed draw bits for every tree.  Two distinct nodes that coincide, or
+    whose l_p distance underflows to 0, count at distance 0.
     ``separation_pair`` is the first minimum.  On the exhaustive path it
     is (i, j), the two nodes' rows in level order (root first).  On the
     sampled path it names its kind: ("parent-child", k, i) for child i of
@@ -490,8 +556,17 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     theta = 5e-324, 0.5*theta + 0.5*theta is 0.
 
     Raises DimensionMismatchError when the space's dimension is not the
-    tree's, and ValueError on an explicit tree with a non-finite node.
+    tree's, and ValueError on an explicit tree with a non-finite node and
+    on a ``sample_pairs`` that is negative or not an integer (numpy
+    integers pass, through ``operator.index``).
     """
+    try:
+        sample_pairs = operator.index(sample_pairs)
+    except TypeError:
+        raise ValueError(f"sample_pairs {sample_pairs!r} is not an "
+                         f"integer") from None
+    if sample_pairs < 0:
+        raise ValueError(f"sample_pairs {sample_pairs} is negative")
     if space.dim != tree.ambient_dim:
         raise DimensionMismatchError(
             f"space of dim {space.dim} for a tree in dim {tree.ambient_dim}")
@@ -514,8 +589,11 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
         best = [(math.inf, None), (math.inf, None)]
         for lo in range(0, width, rows):
             hi = min(width, lo + rows)
-            parents = tree._level_rows(k, lo, hi)
-            children = tree._level_rows(k + 1, 2 * lo, 2 * hi)
+            # the children's sign prefixes; a parent's are its first
+            # child's less the last sign
+            sc = _level_signs(k + 1, 2 * lo, 2 * hi)
+            parents = tree._level_rows(k, lo, hi, sc[:k, 0::2])
+            children = tree._level_rows(k + 1, 2 * lo, 2 * hi, sc)
             a, b = children[0::2], children[1::2]
             with np.errstate(over="ignore"):
                 mid = np.add(a, b)
@@ -534,8 +612,12 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
                 continue
             top = min(hi, budget) - lo
             parents, children = parents[:top], children[:2 * top]
-            max_norm = max(max_norm, float(space._norm(children).max()))
-            pairs = tree._structured_distances(space, k, lo, lo + top)
+            # on l_inf the largest |coordinate|, the same double as the
+            # largest row norm
+            top_norm = (np.abs(children).max() if space.p_exponent == math.inf
+                        else space._norm(children).max())
+            max_norm = max(max_norm, float(top_norm))
+            pairs = tree._structured_distances(space, k, sc[:, :2 * top])
             if pairs is None:
                 pairs = (space._norm(np.repeat(parents, 2, axis=0)
                                      - children),
@@ -563,17 +645,19 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
         remaining = max(sample_pairs - pairs_checked, 0)
         for lo in range(0, remaining, _DRAW_BATCH):
             m = min(remaining - lo, _DRAW_BATCH)
-            sa = _draw_nodes(tree, rng, m)
-            sb = _draw_nodes(tree, rng, m)
-            dist = tree._distances(space, sa, sb)
-            zero = np.flatnonzero(dist == 0.0)
-            if zero.size:
-                same = (sa[:, zero] == sb[:, zero]).all(axis=0)
-                dist = np.delete(dist, zero[same])
+            a = _draw_packed(tree, rng, m)
+            b = _draw_packed(tree, rng, m)
+            differ = _differ(a, b)
+            dist, scale = tree._draw_distances(space, a, b, differ)
+            # the same node: equal levels and no differing sign below them
+            same = a[0] == b[0]
+            same &= differ == 0
+            if same.any():
+                dist = dist[~same]
             if dist.size:
                 i = int(np.argmin(dist))
-                if dist[i] < min_sep:
-                    min_sep = float(dist[i])
+                if scale * dist[i] < min_sep:
+                    min_sep = float(scale * dist[i])
                     sep_pair = ("sampled", lo + i)
             pairs_checked += dist.size
 
@@ -590,23 +674,53 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     )
 
 
-def _draw_nodes(tree, rng, m):
-    """Signs of m random nodes: a level uniform on 0..depth, then ``depth``
-    fair signs from packed random bytes (bit 1 is +1).  Returns a (depth, m)
-    int8 array whose column j holds node j's sign prefix followed by zeros,
-    so two draws are the same node exactly when their columns are equal."""
+def _draw_packed(tree, rng, m):
+    """The generator calls of a draw of m random nodes, in their order: an
+    int64 level uniform on 0..depth per node, then ``depth`` rows of fair
+    sign bits packed in random bytes (bit 1 is +1, node j at bit j, most
+    significant bit first).  Returns (levels, packed), the levels cast to
+    ``np.min_scalar_type(depth)`` and packed a (depth, ceil(m / 8)) uint8
+    array whose bits past m are unused.  The levels are drawn as int64:
+    a uint8 draw would be cheaper, but it would change every sample."""
     ks = rng.integers(0, tree.depth + 1, size=m)
     packed = rng.integers(0, 256, size=(tree.depth, -(-m // 8)),
                           dtype=np.uint8)
-    signs = np.unpackbits(packed, axis=1, count=m).view(np.int8)
+    return ks.astype(np.min_scalar_type(tree.depth)), packed
+
+
+def _draw_signs(ks, packed):
+    """The (depth, m) int8 sign prefixes of a draw from ``_draw_packed``:
+    column j holds node j's ks[j] signs followed by zeros."""
+    signs = np.unpackbits(packed, axis=1, count=ks.size).view(np.int8)
     signs *= 2
     signs -= 1
     # zero past the level, row by row; the bool mask viewed as int8 0/1
     # keeps the multiply in the int8 loop
-    ks = ks.astype(np.min_scalar_type(tree.depth))
     for j, row in enumerate(signs):
         row *= (ks > j).view(np.int8)
     return signs
+
+
+def _draw_nodes(tree, rng, m):
+    """Signs of m random nodes: a level uniform on 0..depth, then ``depth``
+    fair signs (``_draw_packed``).  Returns a (depth, m) int8 array whose
+    column j holds node j's sign prefix followed by zeros, so two draws are
+    the same node exactly when their columns are equal."""
+    return _draw_signs(*_draw_packed(tree, rng, m))
+
+
+def _differ(a, b):
+    """For the node pairs of two draws ``a`` and ``b`` (each (levels,
+    packed) from ``_draw_packed``), a (m,) uint8 array: 1 where the two
+    sign prefixes differ in a row below the shallower level, else 0.  The
+    draws' bytes are XORed, ANDed with the packed mask of those rows, ORed
+    over the rows, and the one row left is unpacked."""
+    (ka, pa), (kb, pb) = a, b
+    rows = np.arange(pa.shape[0], dtype=ka.dtype)[:, None]
+    below = rows < np.minimum(ka, kb)
+    bits = np.bitwise_xor(pa, pb)
+    bits &= np.packbits(below, axis=1)
+    return np.unpackbits(np.bitwise_or.reduce(bits, axis=0), count=ka.size)
 
 
 def _random_nodes(tree, rng, m):
@@ -753,9 +867,15 @@ def adversarial_branch_walk(c, d, tree, f, delta):
     ``SolverEvalError`` naming the evaluator and the node: c and d in walk
     order, then f at the first visited node where it fails.  A child the
     walk does not take never reaches f, nor c on an odd step or d on an
-    even one, so a non-finite value there raises nothing.  The 8 walks of
-    ``adversary --set depths=32,64`` take about 12 ms on 2 cores, 18 ms
-    when f ran at each visited node in turn."""
+    even one, so a non-finite value there raises nothing.
+
+    Each level's two children come from ``DyadicTree._children``: on a sign
+    tree the visited node copied into one (2, D) array with the level's
+    coordinate set to +theta and -theta, the doubles that placing their
+    sign prefixes gives; on an explicit tree the node's two child rows.
+    The 8 walks of ``adversary --set depths=32,64`` take about 11 ms on
+    2 cores, 13 ms when each level placed both children from an int8 sign
+    array."""
     if tree.depth % 2 != 0:
         raise ValueError("walk needs an even tree depth")
 
@@ -770,20 +890,15 @@ def adversarial_branch_walk(c, d, tree, f, delta):
     nodes[0] = root = tree.node(())
     alphas = [()]
     cvs, dvs = [value(c, "c", root, ())], [value(d, "d", root, ())]
-    # column 0 is the +1 child and column 1 the -1 child of the last
-    # visited node; the rows above hold that node's sign prefix
-    signs = np.zeros((tree.depth, 2), dtype=np.int8)
-    alpha = ()
+    alpha, row = (), 0  # the last visited node and its heap row
     for k in range(tree.depth):
         odd = k % 2 == 0  # the children are on level k + 1
         pick, other = ((d, "d"), (c, "c")) if odd else ((c, "c"), (d, "d"))
-        signs[k] = 1, -1
-        children = tree._place(signs[:k + 1])
-        children.flags.writeable = False
+        children = tree._children(k, row, nodes[k])
         v = [value(*pick, x, alpha + (s,)) for x, s in zip(children, (1, -1))]
         i = 0 if v[0] >= v[1] else 1
-        signs[k] = 1 - 2 * i
         alpha += (1 - 2 * i,)
+        row = 2 * row + 1 + i
         nodes[k + 1] = x = children[i]
         w = value(*other, x, alpha)
         cv, dv = (w, v[i]) if odd else (v[i], w)

@@ -331,6 +331,23 @@ class TestValidateTree:
         assert proc.stderr.strip() == (
             f"config error: {path}:2: non-finite coordinate")
 
+    def test_package_runs_as_module(self, tmp_path):
+        # python -m deltaconvex from a checkout, with src on the path only
+        path = tmp_path / "tree.txt"
+        save_tree(build_sign_tree(4), path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(deltaconvex.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltaconvex", "validate-tree", str(path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "depth=4 nodes=31 theta=1\n"
+            "midpoint_exact=True worst_gap=0\n"
+            "min_separation=1 separation_ok=True pairs_checked=465 "
+            "exhaustive=True\n")
+
     @pytest.mark.parametrize("depth, want", [
         (4, "node pair"), (11, "siblings pair (level 10, index")])
     def test_separation_failure_names_pair_kind(self, tmp_path, capsys,

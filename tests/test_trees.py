@@ -146,6 +146,22 @@ class TestValidation:
             with pytest.raises(DimensionMismatchError):
                 validate_tree(tree, NormedSpace(dim, math.inf))
 
+    @pytest.mark.parametrize("bad, match", [
+        (-1, "negative"), (2.5, "not an integer"), (1e6, "not an integer")])
+    def test_sample_pairs_checked_at_entry(self, bad, match):
+        # -1 was taken as 0, and a float failed inside range
+        tree = build_sign_tree(11)
+        with pytest.raises(ValueError, match=match):
+            validate_tree(tree, NormedSpace(11, math.inf), sample_pairs=bad)
+
+    def test_numpy_integer_sample_pairs(self):
+        tree = build_sign_tree(11)
+        space = NormedSpace(11, math.inf)
+        rep = validate_tree(tree, space, sample_pairs=np.int64(10_000),
+                            seed=1)
+        assert rep == validate_tree(tree, space, sample_pairs=10_000, seed=1)
+        assert type(rep.pairs_checked) is int
+
     @pytest.mark.parametrize("depth", [4, 11], ids=["exhaustive", "sampled"])
     def test_inputs_checked_once(self, monkeypatch, depth):
         # an explicit tree's nodes are checked at entry, a sign tree's never
@@ -679,6 +695,44 @@ class TestWalk:
                 assert np.shares_memory(x, lv.node)
                 assert x.tobytes() == tree.node(lv.alpha).tobytes()
 
+    @pytest.mark.parametrize("tree", [
+        build_sign_tree(2), build_sign_tree(16),
+        build_sign_tree(12, scale=1 / 3),
+        *build_tree_family([32, 64]).trees,
+        *build_tree_family([4, 8], scale=1 / 3).trees,
+        build_sign_tree(10).to_explicit(),
+        build_sign_tree(6, scale=1 / 3, lead=True).to_explicit(),
+        build_tree_family([2, 8], scale=0.75).trees[1].to_explicit(),
+    ], ids=["sign-2", "sign-16", "theta-1/3", "member-32", "member-64",
+            "member-4-1/3", "member-8-1/3", "explicit-10", "explicit-lead",
+            "explicit-member"])
+    def test_children_match_tree_nodes(self, tree):
+        # the children written in place are tree.node's bytes, and c and d
+        # get one read-only (D,) row per call: both at the root, then per
+        # step the choosing evaluator at the +1 and the -1 child and the
+        # other at the child taken
+        c, d = _turning_pair(tree.ambient_dim)
+        calls = []
+
+        def counted(name, fn):
+            def call(x):
+                calls.append((name, x.shape, x.flags.writeable, x.tobytes()))
+                return fn(x)
+            return call
+
+        rep = adversarial_branch_walk(counted("c", c), counted("d", d), tree,
+                                      _zero, 0.0)
+        assert {1, -1} <= set(rep.branch) or tree.depth == 2
+        for lv in rep.levels:
+            assert lv.node.tobytes() == tree.node(lv.alpha).tobytes()
+        want = [("c", ()), ("d", ())]
+        for k, lv in enumerate(rep.levels[1:]):
+            up = rep.levels[k].alpha
+            pick, other = ("d", "c") if k % 2 == 0 else ("c", "d")
+            want += [(pick, up + (1,)), (pick, up + (-1,)), (other, lv.alpha)]
+        assert calls == [(name, (tree.ambient_dim,), False,
+                          tree.node(alpha).tobytes()) for name, alpha in want]
+
     @pytest.mark.parametrize("block", [98, 98 * 5, None])
     def test_f_gets_visited_nodes_in_blocks(self, monkeypatch, block):
         # blocks of _BLOCK // D rows: 1, 5 and all 65 rows of a depth-64
@@ -1138,6 +1192,35 @@ def _distinct_draws(tree, seed, m):
     return int((rows[0] != rows[1]).sum())
 
 
+def _reference_sampled(tree, space, structured, sample_pairs, seed):
+    """validate_tree's report at ``sample_pairs``, from ``structured``, its
+    report at sample_pairs=0 (the structured pairs only), and the sampled
+    loop as first written: both draws unpacked by ``_draw_nodes``, measured
+    by ``_distances``, and the pairs at distance 0 whose columns are equal
+    dropped as the same node."""
+    min_sep, sep_pair = structured.min_separation, structured.separation_pair
+    checked = structured.pairs_checked
+    rng = np.random.default_rng(seed)
+    remaining = max(sample_pairs - checked, 0)
+    for lo in range(0, remaining, trees_mod._DRAW_BATCH):
+        m = min(remaining - lo, trees_mod._DRAW_BATCH)
+        sa = trees_mod._draw_nodes(tree, rng, m)
+        sb = trees_mod._draw_nodes(tree, rng, m)
+        dist = tree._distances(space, sa, sb)
+        zero = np.flatnonzero(dist == 0.0)
+        if zero.size:
+            same = (sa[:, zero] == sb[:, zero]).all(axis=0)
+            dist = np.delete(dist, zero[same])
+        if dist.size:
+            i = int(np.argmin(dist))
+            if dist[i] < min_sep:
+                min_sep, sep_pair = float(dist[i]), ("sampled", lo + i)
+        checked += dist.size
+    return dataclasses.replace(
+        structured, min_separation=min_sep, separation_pair=sep_pair,
+        separation_ok=min_sep >= tree.theta - 1e-12, pairs_checked=checked)
+
+
 class TestStreamedChecks:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("tree", _sampled_trees(),
@@ -1262,7 +1345,10 @@ class TestStreamedChecks:
 
         monkeypatch.setattr(trees_mod, "_scaled_distances", spy)
         rep = validate_tree(tree, space, sample_pairs=pairs, seed=3)
-        assert seen == [(np.int8, np.int8)] * (2 * tree.depth + 1)
+        # a sign tree's sampled pairs are measured on the packed draw bits
+        # (``DyadicTree._draw_distances``), without this kernel
+        sampled = int(tree.nodes is not None)
+        assert seen == [(np.int8, np.int8)] * (2 * tree.depth + sampled)
         monkeypatch.setattr(trees_mod.DyadicTree, "_int_rows",
                             lambda self, space, signs: None)
         seen.clear()
@@ -1284,6 +1370,52 @@ class TestStreamedChecks:
         got = tree._distances(space, sa, sb)
         want = space._norm(tree._place(sa) - tree._place(sb))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("tree", [
+        *(build_sign_tree(depth, scale=theta) for depth in (11, 12, 16)
+          for theta in (1.0, 1 / 3, 5e-324)),
+        build_tree_family([3, 12]).trees[1],
+    ], ids=[*(f"depth-{depth}-{theta}" for depth in (11, 12, 16)
+              for theta in ("1", "1/3", "2^-1074")), "member"])
+    def test_packed_pairs_match_reference(self, monkeypatch, tree, seed):
+        # the sampled pairs measured on the packed draw bits give the
+        # report of the loop that unpacked both draws, measured them with
+        # _distances and dropped the same nodes, and of the float route on
+        # an explicit copy; the last batch is not a multiple of 8 pairs
+        space = NormedSpace(tree.ambient_dim, math.inf)
+        structured = validate_tree(tree, space, sample_pairs=0, seed=seed)
+        last = (13, 1003, 40_005, 7)[seed]
+        pairs = structured.pairs_checked + seed * (1 << 16) + last
+        rep = validate_tree(tree, space, sample_pairs=pairs, seed=seed)
+        assert not rep.exhaustive_pairs
+        assert rep == _reference_sampled(tree, space, structured, pairs, seed)
+        monkeypatch.setattr(trees_mod.DyadicTree, "_int_rows",
+                            lambda self, space, signs: None)
+        assert validate_tree(tree.to_explicit(), space, sample_pairs=pairs,
+                             seed=seed) == rep
+
+    @pytest.mark.parametrize("tree", [
+        build_sign_tree(11), build_sign_tree(16, scale=1 / 3),
+        build_tree_family([3, 12], scale=0.5).trees[1],
+        build_sign_tree(11).to_explicit()])
+    def test_packed_draw_distances(self, tree):
+        # per pair, the same node test and scale * values against the
+        # unpacked signs: column equality and _distances, bit for bit
+        space = NormedSpace(tree.ambient_dim, math.inf)
+        rng, ref = (np.random.default_rng(7) for _ in range(2))
+        for m in (1, 8, 13, 5000):
+            a, b = (trees_mod._draw_packed(tree, rng, m) for _ in range(2))
+            sa, sb = (trees_mod._draw_nodes(tree, ref, m) for _ in range(2))
+            differ = trees_mod._differ(a, b)
+            assert differ.shape == (m,) and set(differ.tolist()) <= {0, 1}
+            same = (a[0] == b[0]) & (differ == 0)
+            assert np.array_equal(same, (sa == sb).all(axis=0))
+            values, scale = tree._draw_distances(space, a, b, differ)
+            want = tree._distances(space, sa, sb)
+            assert (scale * values).tobytes() == want.tobytes()
+            assert (values.dtype == np.uint8) == (tree.nodes is None)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_sign_route_counts_distinct_pairs(self):
         tree = build_sign_tree(SAMPLED_DEPTH, lead=True, scale=0.5)
