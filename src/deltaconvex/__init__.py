@@ -17,8 +17,7 @@ from .trees import (DyadicTree, TreeFamily, TreeValidation, WalkLevel,
                     adversarial_branch_walk, SolverEvalError,
                     error_lower_bound, save_tree, load_tree)
 from .experiments import (ConfigError, ExperimentConfig, ResultRow,
-                          ExperimentResult, run_converge, run_hilbert_equiv,
-                          run_sandwich, run_adversary, run_modulus,
-                          convex_pair_catalog)
+                          ExperimentResult, run_converge, run_sandwich,
+                          run_adversary, run_modulus, convex_pair_catalog)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line driver.
 
-Subcommands: converge, hilbert-equiv, sandwich, adversary, modulus,
-validate-tree.  Results go to CSV with the fully resolved configuration
-echoed as '# key=value' header comments; identical config and seed produce
+Subcommands: converge, sandwich, adversary, modulus, validate-tree.
+Results go to CSV with the fully resolved configuration echoed as
+'# key=value' header comments; identical config and seed produce
 byte-identical output.  Exit codes: 0 success, 1 a measured value violated
 its bound, 2 configuration error.
 """
@@ -23,7 +23,6 @@ CSV_HEADER = ("experiment,space,function,lambda,measured,bound,slack,"
 
 _RUNNERS = {
     "converge": _exp.run_converge,
-    "hilbert-equiv": _exp.run_hilbert_equiv,
     "sandwich": _exp.run_sandwich,
     "adversary": _exp.run_adversary,
     "modulus": _exp.run_modulus,

@@ -1,7 +1,7 @@
-"""Experiment runners behind the CLI: convergence-rate sweeps, the Hilbert
-equivalence check, the three-way sandwich, the tree adversary, and modulus
-bracketing.  Each runner consumes a resolved ExperimentConfig and returns
-deterministic ResultRow lists plus any bound violations."""
+"""Experiment runners behind the CLI: convergence-rate sweeps, the
+three-way sandwich, the tree adversary, and modulus bracketing.  Each
+runner consumes a resolved ExperimentConfig and returns deterministic
+ResultRow lists plus any bound violations."""
 
 import math
 from dataclasses import dataclass, field
@@ -22,7 +22,6 @@ __all__ = [
     "ResultRow",
     "ExperimentResult",
     "run_converge",
-    "run_hilbert_equiv",
     "run_sandwich",
     "run_adversary",
     "run_modulus",
@@ -114,13 +113,13 @@ class ExperimentConfig:
     def unknown_keys(self):
         return sorted(set(self.values) - set(self.resolved))
 
-    def solver(self, coarse=512, starts=3):
+    def solver(self):
         kw = dict(
-            coarse_samples=self.get_int("coarse_samples", coarse),
+            coarse_samples=self.get_int("coarse_samples", 512),
             refine_iterations=self.get_int("refine_iterations", 80),
             tolerance=self.get_float("tolerance", 1e-6),
             seed=_seed(self),
-            starts=self.get_int("starts", starts),
+            starts=self.get_int("starts", 3),
         )
         try:
             return SolverConfig(**kw)
@@ -285,32 +284,6 @@ def run_converge(cfg):
                   [regularize_power_grid], measure)
 
 
-def run_hilbert_equiv(cfg):
-    """Max grid gap between the quadratic-defect regularizer and the Moreau
-    envelope; the two coincide exactly for a Euclidean norm."""
-    space = _space(cfg)
-    if space.p_exponent != 2.0:
-        raise ConfigError(
-            "p", f"Hilbert-only experiment; got {space.describe()}")
-    f = _function(cfg, space)
-    lams = _lambdas(cfg, [9.0, 36.0, 144.0])
-    region = _region(cfg, space)
-    # the inner problems live in tiny balls (radius ~ L/lambda) where the
-    # corpus functions have at most one kink, so a lean profile suffices
-    solver = cfg.solver(coarse=160, starts=2)
-    bound = 2.0 * solver.tolerance
-
-    def measure(lam, fX, vals, state):
-        measured = float(np.abs(vals[0] - vals[1]).max())
-        messages = []
-        if measured > bound:
-            messages.append(f"gap {measured:.6g} exceeds {bound:.6g}")
-        return measured, bound, messages, None
-
-    return _sweep("hilbert-equiv", space, f, lams, region, solver, 2.0,
-                  [regularize_power_grid, inf_convolve_grid], measure)
-
-
 def run_sandwich(cfg):
     """Three-way check inf_convolve(p, lambda*C) <= f_lambda^p <= f on the
     grid, with Clarkson's C = 1, reported as the worst one-sided violation;
@@ -441,9 +414,9 @@ def run_modulus(cfg):
     """Modulus-of-convexity brackets over an epsilon schedule: ``bound`` is
     the theorem value of delta(eps) and ``measured`` is 1 - |(x+y)/2| at one
     explicit witness pair, both from ``modulus_of_convexity`` and rounded
-    outward.  A row with measured below bound is a violation.  The keys
-    ``samples`` and ``refine`` are still read and echoed but have no effect;
-    ``seed`` is validated and echoed and changes nothing else."""
+    outward.  A row with measured below bound is a violation.  The key
+    ``samples`` is still read and echoed but has no effect; ``seed`` is
+    validated and echoed and changes nothing else."""
     space = _space(cfg)
     epsilons = cfg.get_float_list("epsilons", [0.5, 1.0, 1.5])
     if not epsilons:
@@ -452,7 +425,6 @@ def run_modulus(cfg):
         if not 0.0 < e <= 2.0:
             raise ConfigError("epsilons", f"epsilon {e:g} outside (0, 2]")
     cfg.get_int("samples", 4096)
-    cfg.get_int("refine", 200)
     seed = _seed(cfg)
     rows, violations = [], []
     for eps in epsilons:

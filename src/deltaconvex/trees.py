@@ -40,10 +40,9 @@ every other tree unpacks the draws to sign prefixes and takes
 ``DyadicTree._distances``, on the int8 rows where ``_int_rows`` gives
 them.
 
-On the sampled path the structured pairs (parent/child and siblings) take
-the same int8 rows where ``_int_rows`` gives them
-(``DyadicTree._structured_distances``); the midpoint law is checked on the
-placed coordinates.
+On the sampled path the structured pairs (parent/child and siblings) are
+two ``DyadicTree._distances`` calls on sign prefixes; the midpoint law is
+checked on the placed coordinates.
 
 The branch walk writes the two children of each visited node in place, a
 copy of the node with one coordinate set (an explicit tree gathers their
@@ -284,22 +283,6 @@ class DyadicTree:
             return gap, self.theta
         return self._distances(space, _draw_signs(*a), _draw_signs(*b)), 1.0
 
-    def _structured_distances(self, space, k, sc):
-        """The structured pairs of a block of parents of level k on the int8
-        rows of ``_int_rows``, given by ``sc``, the (k + 1, 2m) sign
-        prefixes of their children: (parent/child distances of the 2m
-        children in order, sibling distances of the m parents in order), or
-        None where ``_int_rows`` gives no rows."""
-        route = self._int_rows(space, sc)
-        if route is None:
-            return None
-        rc, scale = route
-        sp = sc[:, 0::2].copy()
-        sp[k] = 0  # a parent is its first child's prefix less the last sign
-        rp = self._int_rows(space, sp)[0]
-        return (_scaled_distances(np.repeat(rp, 2, axis=0), rc, scale),
-                _scaled_distances(rc[0::2], rc[1::2], scale))
-
     def _children(self, k, row, node):
         """The +1 and -1 children of the level-k node in heap row ``row``
         whose coordinates are ``node``, as a read-only (2, D) array.  An
@@ -506,12 +489,13 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     parents of each level) from the same blocks.  The sampled pairs are
     drawn 2^16 at a time, each node a level uniform on 0..depth and fair
     signs, so the sample depends on the seed alone.  The structured pairs
-    are measured on the int8 rows of ``DyadicTree._int_rows`` wherever it
-    gives them, and on the placed blocks otherwise; the midpoint pass
-    always takes the placed blocks.  Each block builds its children's sign
-    prefixes once, and places the parents from the first children's
-    prefixes; on l_inf its ``max_norm`` term is the largest |coordinate|
-    of the children, the same double as their largest row norm.  On the
+    are measured by ``DyadicTree._distances`` on the block's sign
+    prefixes, on int8 rows wherever ``DyadicTree._int_rows`` gives them;
+    the midpoint pass always takes the placed blocks.  Each block builds
+    its children's sign prefixes once, and places the parents from the
+    first children's prefixes; on l_inf its ``max_norm`` term is the
+    largest |coordinate| of the children, the same double as their largest
+    row norm.  On the
     depth-16 sign tree the midpoint and structured pass takes about 21 ms
     on 2 cores, 26 ms when parents, children and structured pairs each
     built their signs.
@@ -611,18 +595,16 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
             if lo >= budget:
                 continue
             top = min(hi, budget) - lo
-            parents, children = parents[:top], children[:2 * top]
+            sc, children = sc[:, :2 * top], children[:2 * top]
             # on l_inf the largest |coordinate|, the same double as the
             # largest row norm
             top_norm = (np.abs(children).max() if space.p_exponent == math.inf
                         else space._norm(children).max())
             max_norm = max(max_norm, float(top_norm))
-            pairs = tree._structured_distances(space, k, sc[:, :2 * top])
-            if pairs is None:
-                pairs = (space._norm(np.repeat(parents, 2, axis=0)
-                                     - children),
-                         space._norm(children[0::2] - children[1::2]))
-            dpc, dss = pairs
+            sp = np.repeat(sc[:, 0::2], 2, axis=1)
+            sp[k] = 0  # each child's parent: its prefix less the last sign
+            dpc = tree._distances(space, sp, sc)
+            dss = tree._distances(space, sc[:, 0::2], sc[:, 1::2])
             for s, (dist, first) in enumerate(((dpc, 2 * lo), (dss, lo))):
                 i = int(np.argmin(dist))
                 if dist[i] < best[s][0]:

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -9,8 +11,7 @@ import deltaconvex
 from deltaconvex import (ExperimentConfig, NormedSpace, SolverConfig,
                          ball_grid, build_sign_tree, corpus_function,
                          inf_convolve_grid, rate_bound, regularize_power_grid,
-                         run_converge, run_hilbert_equiv, run_sandwich,
-                         save_tree)
+                         run_converge, run_sandwich, save_tree)
 from deltaconvex import cli, experiments
 from deltaconvex.cli import CSV_HEADER, main
 
@@ -32,13 +33,6 @@ class TestSubcommands:
         assert CSV_HEADER in text
         assert "# dim=1" in text
         assert text.count("\nconverge,") == 2
-
-    def test_hilbert_equiv(self, tmp_path):
-        code, data = run(tmp_path, [
-            "hilbert-equiv", "--set", "dim=1", "--set", "grid=9",
-            "--set", "lambdas=9", "--set", "coarse_samples=64"])
-        assert code == 0
-        assert b"hilbert-equiv,l2^1" in data
 
     def test_sandwich(self, tmp_path):
         code, data = run(tmp_path, [
@@ -64,8 +58,6 @@ class TestSubcommands:
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["converge"] + FAST_CONVERGE,
-        ["hilbert-equiv", "--set", "dim=1", "--set", "grid=9",
-         "--set", "lambdas=9,36", "--set", "coarse_samples=64"],
         ["sandwich", "--set", "dim=1", "--set", "grid=9",
          "--set", "lambdas=4,16", "--set", "coarse_samples=64"],
     ], ids=lambda argv: argv[0])
@@ -103,21 +95,58 @@ class TestParser:
         assert cli.build_parser().parse_args(["modulus"]).set is None
 
 
+class TestDocumentedSubcommands:
+    """cli's module docstring and README's CLI command block name exactly
+    the parser's subcommands, in its order."""
+
+    def _parser_commands(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+
+    def test_module_docstring(self):
+        listed = re.search(r"Subcommands: ([^.]*)\.", cli.__doc__).group(1)
+        assert [c.strip() for c in listed.split(",")] == (
+            self._parser_commands())
+
+    def test_readme_command_block(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert [ln.split()[1] for ln in block.splitlines()
+                if ln.startswith("deltaconvex ")] == self._parser_commands()
+
+
 class TestExitCodes:
     def test_unknown_key(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "lambda_sched=4"])
         assert code == 2
 
-    def test_hilbert_guard(self, tmp_path):
-        code, _ = run(tmp_path, ["hilbert-equiv", "--set", "p=4"])
+    def test_removed_subcommand(self, capsys):
+        # the deleted subcommand is refused like any unknown command
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert-equiv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hilbert-equiv'" in capsys.readouterr().err
+
+    def test_modulus_refine_is_unknown(self, tmp_path, capsys):
+        code, data = run(tmp_path, ["modulus", "--set", "refine=1"])
         assert code == 2
+        assert data == b""
+        assert "config field 'refine'" in capsys.readouterr().err
+
+    def test_modulus_still_reads_samples(self, tmp_path):
+        code, data = run(tmp_path, ["modulus", "--set", "samples=1024"])
+        assert code == 0
+        assert b"# samples=1024\n" in data
 
     def test_unparseable_value(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "grid=soon"])
         assert code == 2
 
-    @pytest.mark.parametrize("runner", ["converge", "sandwich",
-                                        "hilbert-equiv"])
+    @pytest.mark.parametrize("runner", ["converge", "sandwich"])
     def test_grid_dimension_limit(self, tmp_path, capsys, runner):
         # ball_grid covers dimension <= 4; beyond it the runners exit 2
         # with a config error (exit 1 is for bound violations)
@@ -146,7 +175,7 @@ class TestExitCodes:
                                          "tolerance=0",
                                          "refine_iterations=-1"])
     def test_bad_solver_setting(self, tmp_path, capsys, setting):
-        code, data = run(tmp_path, ["hilbert-equiv", "--set", "dim=1",
+        code, data = run(tmp_path, ["converge", "--set", "dim=1",
                                     "--set", "grid=5", "--set", setting])
         assert code == 2
         assert data == b""
@@ -249,7 +278,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["converge"] + FAST_CONVERGE,
-        ["hilbert-equiv", "--set", "dim=1", "--set", "grid=5"],
         ["sandwich", "--set", "dim=1", "--set", "grid=5"],
         ["adversary", "--set", "depths=4"],
         ["modulus", "--set", "epsilons=1", "--set", "samples=512"],
@@ -413,17 +441,16 @@ class TestNonConvergedWarnings:
 
     @pytest.mark.parametrize("runner, lams", [
         ("converge", ["16", "64", "256"]),
-        ("hilbert-equiv", ["9", "36", "144"]),
         ("sandwich", ["4", "16", "64"]),
     ])
     def test_every_runner_warns_per_lambda(self, tmp_path, capsys, runner,
                                            lams):
         # no solve reaches a tolerance of 1e-300, so every lambda warns,
-        # naming the operators in call order.  The two runners that check
-        # at solver tolerance fail a row only where its gap is not exactly
-        # 0.  On l2^1 both kernels are a square rounded once, so a gap is 0
-        # or about an ulp of the values; the CSV's slack column says which
-        # rows fail
+        # naming the operators in call order.  sandwich checks at solver
+        # tolerance, so it fails a row only where its worst term is not
+        # exactly 0.  On l2^1 both kernels are a square rounded once, so a
+        # term is 0 or about an ulp of the values; the CSV's slack column
+        # says which rows fail
         got, data = run(tmp_path, [
             runner, "--set", "dim=1", "--set", "grid=9",
             "--set", "coarse_samples=64", "--set", "tolerance=1e-300"])
@@ -466,11 +493,11 @@ class TestWholeSpace:
 class TestSweepRows:
     """Every row of the grid runners recomputed from the operators."""
 
-    def _setup(self, p, starts):
+    def _setup(self, p):
         space = NormedSpace(2, p)
         f = corpus_function(space, "sawtooth")
         X = ball_grid(space, np.zeros(2), 1.0, 5)
-        solver = SolverConfig(coarse_samples=64, seed=1, starts=starts)
+        solver = SolverConfig(coarse_samples=64, seed=1)
         return space, f, X, solver
 
     def _run(self, runner, argv):
@@ -490,7 +517,7 @@ class TestSweepRows:
     def test_converge(self):
         lams = [16.0, 64.0]
         rows = self._run(run_converge, ["p=4", "power=4", "lambdas=16,64"])
-        space, f, X, solver = self._setup(4.0, 3)
+        space, f, X, solver = self._setup(4.0)
         assert len(rows) == len(lams)
         for row, lam in zip(rows, lams):
             vals, _, evals, _, _ = regularize_power_grid(
@@ -499,22 +526,10 @@ class TestSweepRows:
             bound = rate_bound(4.0, 1.0, lam, f.lipschitz_constant)
             self._check(row, lam, measured, bound, evals)
 
-    def test_hilbert_equiv(self):
-        lams = [9.0, 36.0]
-        rows = self._run(run_hilbert_equiv, ["lambdas=9,36"])
-        space, f, X, solver = self._setup(2.0, 2)
-        assert len(rows) == len(lams)
-        for row, lam in zip(rows, lams):
-            q, _, ev1, _, _ = regularize_power_grid(
-                f, 2.0, lam, X, space, solver)
-            m, _, ev2, _, _ = inf_convolve_grid(f, 2.0, lam, X, space, solver)
-            measured = float(np.abs(q - m).max())
-            self._check(row, lam, measured, 2e-6, ev1 + ev2)
-
     def test_sandwich(self):
         lams = [4.0, 16.0, 64.0]
         rows = self._run(run_sandwich, ["p=4", "power=4"])
-        space, f, X, solver = self._setup(4.0, 3)
+        space, f, X, solver = self._setup(4.0)
         assert len(rows) == len(lams)
         prev = None
         for row, lam in zip(rows, lams):
