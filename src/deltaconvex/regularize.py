@@ -14,8 +14,14 @@ every start of every row until each step is below tolerance/8.  The solver
 works in an offset frame: it stores h = y - centre for each row and
 searches the ball of the row's radius about 0, so coarse candidates are
 ``radius * pool`` and a compass trial is projected with no subtraction;
-only the winners are moved back to y = centre + h.  It stores its points
-by coordinate, as (d, ...) blocks whose coordinates are contiguous runs.
+only the winners are moved back to y = centre + h.  A slice of compass
+trials is projected only when a proven screen says one may leave its
+ball: each row carries a bound on |h|, its norm at compaction plus the
+steps it has taken since, and a slice whose rows all keep that bound plus
+the step below the radius, less a margin derived from the iteration cap,
+d and the norm's rounding, skips a projection that would move nothing.
+It stores its points by coordinate, as (d, ...) blocks whose coordinates
+are contiguous runs.
 Its objectives are bound per block: ``obj(idx)`` gathers the data of rows
 ``idx`` once and returns an evaluator of the (n, d) view of a block of
 offsets, which may be non-contiguous.  The compass search keeps only its
@@ -43,7 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import _BLOCK, NormedSpace, _q_kernel, analytic_power_constant
+from .spaces import (_BLOCK, DimensionMismatchError, NormedSpace,
+                     _norm_rounding, _q_kernel, analytic_power_constant)
 
 __all__ = [
     "SolverConfig",
@@ -162,7 +169,10 @@ def _project(space, B, radii):
     block B, shape (d, ...), into the ball of radius ``radii`` about 0;
     ``radii`` need only broadcast against B's point axes.  A point inside
     its ball is untouched, so a row's result does not depend on the other
-    rows of the batch."""
+    rows of the batch.  A projected point is each coordinate times
+    radius/norm <= 1, so projection only shrinks a point; the compass
+    search relies on that in its screen, and calls this only for slices
+    whose screen fails (``_compass``)."""
     nd = space._norm(_rows(B)).reshape(B.shape[1:])
     over = nd > radii
     if np.count_nonzero(over):
@@ -281,16 +291,39 @@ def _compass(obj, H, vals, step, space, cfg, radii):
     below the tolerance itself.  Iterations run on a compacted copy of the
     active rows, in slices of ``_BLOCK // (2*d*d)`` rows (at least one, so
     a (d, 2d, n) trial block is about ``_BLOCK`` doubles), each with its
-    objective bound once.  Steps never grow, so the copy is written back
-    and compacted again only when a step falls below tolerance/8, and at
-    the iteration cap; rows move only on their own values, so neither the
-    slicing nor the compaction changes a result."""
+    objective, views and index range bound once.  Steps never grow, so the
+    copy is written back and compacted again only when a step falls below
+    tolerance/8, and at the iteration cap; rows move only on their own
+    values, so neither the slicing nor the compaction changes a result.
+
+    A slice projects its trials only when one of them may leave its ball.
+    Each row carries a bound b on |h|: the computed norm at compaction,
+    plus the step of every move it accepts since.  A trial moves one
+    coordinate by exactly s, |e_k| = 1 in every l_p, and a projection only
+    shrinks a point, so |h + s e_k| <= |h| + s.  With (kappa, eta, big) the
+    norm's rounding bound (``spaces._norm_rounding``), u = 2^-53 and at most
+    ``cap`` moves between compactions, the slice skips ``_project`` when
+    every row has
+
+        b + s <= (min(r, big) - 3 eta) (1 - m),
+        m = 2 kappa + 2 (cap + 4) u.
+
+    Then the exact |h| stays below (b + eta)((1+u)/(1-u))^cap / (1-kappa),
+    each trial's computed norm is at most (1+kappa)|T| + eta <= r, and
+    ``_project`` would have moved nothing: 2 kappa pays for the norm at
+    compaction and at the trial, 2u per move for b's sum and the trial's
+    one rounded coordinate, and the last 8u for the trial, b + s and the
+    limit itself.  Values are checked finite, so ``~(tmin >= v)`` is
+    ``tmin < v``."""
     d = H.shape[0]
     # dirs[k, j] is coordinate k of direction j: +e_0, ..., +e_{d-1}, -e_0, ...
     dirs = np.hstack([np.eye(d), -np.eye(d)])[:, :, None]
     tol8 = cfg.tolerance / 8.0
     width = max(1, _BLOCK // (2 * d * d))
     cap = cfg.refine_iterations + 40 * d
+    kappa, eta, big = _norm_rounding(space)
+    margin = 2.0 * kappa + 2.0 * (cap + 4) * 2.0 ** -53
+    limits = (np.minimum(radii, big) - 3.0 * eta) * (1.0 - margin)
     rows = None
     for it in range(cap):
         if rows is None:
@@ -298,25 +331,31 @@ def _compass(obj, H, vals, step, space, cfg, radii):
             if not rows.size:
                 break
             Ha, va, sa = H.take(rows, axis=1), vals.take(rows), step.take(rows)
-            ra = radii.take(rows)
-            slices = [(slice(lo, lo + width),
-                       obj(np.concatenate((rows[lo:lo + width],) * (2 * d))))
-                      for lo in range(0, rows.size, width)]
-        for sl, g in slices:
-            s = sa[sl]
-            n = s.size
+            ra, limit = radii.take(rows), limits.take(rows)
+            ba = space._norm(_rows(Ha))
+            slices = []
+            for lo in range(0, rows.size, width):
+                sl = slice(lo, lo + width)
+                n = ra[sl].size
+                slices.append((
+                    Ha[:, sl], Ha[:, None, sl], va[sl], sa[sl], ba[sl],
+                    limit[sl], ra[sl], np.arange(n), n,
+                    obj(np.concatenate((rows[sl],) * (2 * d)))))
+        for h, h3, v, s, b, lim, r, ar, n, g in slices:
             # trial point j of row i of the slice sits at T[:, j, i]
-            T = Ha[:, None, sl] + s * dirs
-            _project(space, T, ra[sl])
+            T = h3 + s * dirs
+            if np.count_nonzero(b + s > lim):
+                _project(space, T, r)
             tv = g(_rows(T))
-            pick = tv.reshape(2 * d, n).argmin(axis=0) * n + np.arange(n)
+            pick = tv.reshape(2 * d, n).argmin(axis=0) * n + ar
             tmin = tv.take(pick)
-            better = tmin < va[sl]
-            np.copyto(Ha[:, sl], T.reshape(d, -1).take(pick, axis=1),
-                      where=better)
-            np.copyto(va[sl], tmin, where=better)
-            sa[sl] = np.where(better, s, s * 0.5)
-        if sa.min() < tol8 or it == cap - 1:
+            worse = tmin >= v
+            better = ~worse
+            np.copyto(h, T.reshape(d, -1).take(pick, axis=1), where=better)
+            np.copyto(v, tmin, where=better)
+            np.add(b, s, out=b, where=better)
+            np.multiply(s, 0.5, out=s, where=worse)
+        if np.count_nonzero(sa < tol8) or it == cap - 1:
             H[:, rows], vals[rows], step[rows] = Ha, va, sa
             rows = None
     return (step < cfg.tolerance).all()
@@ -451,11 +490,32 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
                           extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
 
 
+def _point(x, space):
+    """x as one point: a batch or a scalar fails here, before any solve."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatchError(
+            f"expected one point of shape ({space.dim},), got shape "
+            f"{x.shape}")
+    return x
+
+
+def _batch(points, space):
+    """points as a checked (n, d) batch, one point of shape (d,) as a batch
+    of one; any other shape fails here, before any solve."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DimensionMismatchError(
+            f"expected shape ({space.dim},) or (n, {space.dim}), got shape "
+            f"{x.shape}")
+    return space._check(np.atleast_2d(x))
+
+
 def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
     """Values of the power-p regularizer at every row of ``points``."""
     _check_exponent(p, 2.0)
     _check_lambda(lam)
-    X = space._check(np.atleast_2d(points))
+    X = _batch(points, space)
     C = analytic_power_constant(space, p)
     nx = space._norm(X)
     vals, pts, evals, conv, radii = _power_rows(f, p, lam, X, nx, space, cfg,
@@ -465,7 +525,7 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
 
 
 def regularize_power(f, p, lam, x, space, cfg=SolverConfig()):
-    x = np.asarray(x, dtype=float)
+    x = _point(x, space)
     vals, pts, evals, conv, R = regularize_power_grid(f, p, lam, x[None],
                                                       space, cfg)
     return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
@@ -482,7 +542,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
     """Values of (f square lam*|.|^power) at every row of ``points``."""
     _check_exponent(power, 1.0)
     _check_lambda(lam)
-    X = space._check(np.atleast_2d(points))
+    X = _batch(points, space)
     if power > 1.0:
         _, radii = _search_ball(X, None, f.lipschitz_constant, lam, power,
                                 1.0)
@@ -510,7 +570,7 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
 
 
 def inf_convolve(f, power, lam, x, space, cfg=SolverConfig()):
-    x = np.asarray(x, dtype=float)
+    x = _point(x, space)
     vals, pts, evals, conv, radii = inf_convolve_grid(
         f, power, lam, x[None], space, cfg)
     return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
@@ -530,8 +590,8 @@ def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
         raise ParameterError("radius must be positive and finite")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if space is None:
-        space = NormedSpace(dim=center.shape[0], p_exponent=2.0)
-    center = space._check(center)
+        space = NormedSpace(dim=center.shape[-1], p_exponent=2.0)
+    center = space._check(_point(center, space))
 
     batch = objective
     try:
@@ -576,12 +636,11 @@ def decompose(f, lam, space, cfg=SolverConfig()):
 
     def d(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = space._check(np.atleast_2d(x))
+        X = _batch(x, space)
         nx = space._norm(X)
         out = (2.0 * lam * nx ** 2
                - _power_rows(f, 2.0, lam, X, nx, space, d_cfg, C)[0])
-        return float(out[0]) if single else out
+        return float(out[0]) if x.ndim == 1 else out
 
     return ConvexPair(c=c, d=d, lam=lam)
 

@@ -82,6 +82,38 @@ def _root(v, p):
     return np.power(v, 1.0 / p)
 
 
+def _norm_rounding(space):
+    """(kappa, eta, big): a bound on the rounding of ``space._norm``.  For
+    every x with |x| <= big the computed value N(x) obeys
+
+        (1 - kappa)|x| - eta  <=  N(x)  <=  (1 + kappa)|x| + eta,
+
+    and no term, product or sum of the kernel overflows.
+
+    In units of u = 2^-53: the row sum of d terms >= 0 adds at most
+    (d - 1)u; a term |x_i|^p at most 7u as products of x*x (integer p <= 8)
+    and 8u through pow (4 ulps; libm's pow is within 1, numpy allows its
+    cbrt 2); the root (``_root``) at most 8u by sqrt and cbrt, and through
+    ``np.power`` at the rounded exponent (1/p)(1 + delta) a further
+    |ln v|u/p <= 745u, as |ln v| <= 745 for every positive double v.  The
+    root's p-th root only shrinks the sum's error.  That is (d + 760)u to
+    first order, and kappa = 2(d + 760)u holds the higher orders.  eta
+    covers underflow: each term errs by at most 4 subnormal ulps, so the
+    sum by at most A = d * 2^-1072, which the root, subadditive, turns into
+    A^(1/p), doubled for the root's own rounding.  big = (2^1018/d)^(1/p)
+    keeps d|x|^p, and with it every product and partial sum, below
+    2^1018.  On l_inf the norm is a max of abs values and rounds nothing.
+    """
+    p = space.p_exponent
+    if p == math.inf:
+        return 0.0, 0.0, math.inf
+    d = space.dim
+    kappa = 2.0 * (d + 760) * 2.0 ** -53
+    eta = 2.0 * (d * 2.0 ** -1072) ** (1.0 / p)
+    big = (2.0 ** 1018 / d) ** (1.0 / p)
+    return kappa, eta, big
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """R^dim under the l_p norm. ``p_exponent`` is a real >= 1 or math.inf."""

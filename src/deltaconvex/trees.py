@@ -495,10 +495,7 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     its children's sign prefixes once, and places the parents from the
     first children's prefixes; on l_inf its ``max_norm`` term is the
     largest |coordinate| of the children, the same double as their largest
-    row norm.  On the
-    depth-16 sign tree the midpoint and structured pass takes about 21 ms
-    on 2 cores, 26 ms when parents, children and structured pairs each
-    built their signs.
+    row norm.
 
     On l_inf a tree whose ``DyadicTree._int_rows`` exist (a sign tree, or
     an explicit tree on a dyadic grid, such as a saved sign tree at a
@@ -506,14 +503,8 @@ def validate_tree(tree, space, sample_pairs=2_000_000, seed=0):
     bit: the sampled path a whole draw batch at once (a sign tree on the
     draw's packed bits, ``DyadicTree._draw_distances``), the exhaustive path
     by giving the all-pairs kernel the heap-ordered rows and scaling its
-    minimum.  The sampled pairs of the benchmark's depth-16 sign tree
-    (seed 5, 1,986,601 counted) take about 48 ms on 2 cores, 33 ms of them
-    in the generator calls, against 91 ms when both draws were unpacked to
-    int8 signs.  At depth 10 (2,094,081 pairs, 2 cores) that takes about 6 ms
-    on a sign tree and 6-8 ms on the same tree loaded from a file (finding
-    its codes included), against 40-47 ms for the float kernel on its
-    placed nodes.  Any other tree, or a finite p, places the nodes in
-    blocks of rows and takes the float norm.
+    minimum.  Any other tree, or a finite p, places the nodes in blocks of
+    rows and takes the float norm.
     A sampled pair counts unless both draws are the same node: equal
     levels and no sign differing below them (``_differ``), tested on the
     packed draw bits for every tree.  Two distinct nodes that coincide, or
@@ -754,9 +745,7 @@ def counterexample_function(family, space):
     A batch pays about one numpy call per block coordinate, whatever its
     row count, so at a few rows the call count is the cost: the branch
     walk hands it the visited nodes as one batch, in ``_BLOCK // D``-row
-    blocks.  On the adversary's two 4095-node error
-    sets (D = 98) it takes about 9 ms on 2 cores, against 23 ms when each
-    point's block was swept along its own row.
+    blocks.
     """
     if space.dim != family.ambient_dim:
         raise ValueError("space dimension does not match the family")
@@ -854,10 +843,7 @@ def adversarial_branch_walk(c, d, tree, f, delta):
     Each level's two children come from ``DyadicTree._children``: on a sign
     tree the visited node copied into one (2, D) array with the level's
     coordinate set to +theta and -theta, the doubles that placing their
-    sign prefixes gives; on an explicit tree the node's two child rows.
-    The 8 walks of ``adversary --set depths=32,64`` take about 11 ms on
-    2 cores, 13 ms when each level placed both children from an int8 sign
-    array."""
+    sign prefixes gives; on an explicit tree the node's two child rows."""
     if tree.depth % 2 != 0:
         raise ValueError("walk needs an even tree depth")
 

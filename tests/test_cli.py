@@ -442,7 +442,7 @@ class TestNonConvergedWarnings:
     @pytest.mark.parametrize("runner, lams", [
         ("converge", ["16", "64", "256"]),
         ("sandwich", ["4", "16", "64"]),
-    ])
+    ], ids=["converge", "sandwich"])
     def test_every_runner_warns_per_lambda(self, tmp_path, capsys, runner,
                                            lams):
         # no solve reaches a tolerance of 1e-300, so every lambda warns,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -368,6 +369,44 @@ class TestBoundaryValidation:
         for name, call in _entry_points(L2_2).items():
             with pytest.raises(DimensionMismatchError):
                 call(np.zeros((1, dim)))
+
+    @pytest.mark.parametrize("name,shape", [
+        *[(name, shape) for name in ("regularize_quadratic",
+                                     "regularize_power", "inf_convolve")
+          for shape in [(), (1, 2), (3, 2)]],
+        ("inner_minimize", (1, 2)), ("inner_minimize", (3, 2)),
+        *[(name, shape) for name in ("decompose.d", "regularize_power_grid",
+                                     "inf_convolve_grid")
+          for shape in [(), (1, 1, 2), (2, 512, 2)]]])
+    def test_point_shape(self, monkeypatch, name, shape):
+        # a batch at a single-point call, or a scalar or a 3-D batch at a
+        # batch call, fails with its shape before any solve or evaluation
+        def solve(*args, **kwargs):
+            raise AssertionError("solved")
+
+        def objective(Y):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(reg, "_minimize_rows", solve)
+        f = corpus_function(L2_2, "linear")
+        call = {
+            "regularize_quadratic": lambda x: regularize_quadratic(
+                f, 4.0, x, L2_2, BOUNDARY_CFG),
+            "regularize_power": lambda x: regularize_power(
+                f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
+            "inf_convolve": lambda x: inf_convolve(
+                f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
+            "inner_minimize": lambda x: inner_minimize(
+                objective, x, 1.0, BOUNDARY_CFG, L2_2),
+            "decompose.d": decompose(f, 4.0, L2_2, BOUNDARY_CFG).d,
+            "regularize_power_grid": lambda x: regularize_power_grid(
+                f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
+            "inf_convolve_grid": lambda x: inf_convolve_grid(
+                f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
+        }[name]
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(str(shape))):
+            call(np.zeros(shape))
 
     def test_inner_minimize_checks_before_evaluating(self):
         calls = []
@@ -1243,3 +1282,96 @@ class TestCompactedCompass:
         (got, got_evals), (want, want_evals) = errors
         assert got.shape == (d,) and np.isfinite(got).all()
         assert np.array_equal(got, want) and got_evals == want_evals
+
+    @pytest.mark.parametrize("q", [2.0, 4.0, math.inf])
+    def test_screen_projects_at_the_boundary(self, monkeypatch, q):
+        # slices of one row.  Rows 0-3 start on the unit sphere, within the
+        # screen's margin of it, and rows 4-7 near 0, all pulled to targets
+        # outside the ball with long steps, so trials leave the ball on many
+        # iterations; rows 8-11 stay well inside.  Skipped and projecting
+        # slices both occur, and the search matches the reference, which
+        # projects every trial
+        space = NormedSpace(2, q)
+        d, n = 2, 12
+        monkeypatch.setattr(reg, "_BLOCK", 2 * d * d)
+        rng = np.random.default_rng(7)
+        dirs = rng.standard_normal((n, d))
+        dirs /= space.norm(dirs)[:, None]
+        turn = dirs[:, ::-1] * [1.0, -1.0]
+        turn /= space.norm(turn)[:, None]
+        Y = dirs * np.repeat([1.0, 0.2, 0.1], 4)[:, None]
+        targets = (dirs + 0.3 * turn) * np.repeat([1.5, 1.3, 0.3], 4)[:, None]
+        step = np.repeat([0.5, 0.25, 0.05], 4)
+        assert (np.abs(space.norm(Y[:4]) - 1.0) < 1e-15).all()
+        assert (space.norm(targets[:8]) > 1.0).all()
+        sizes, moved = [], []
+
+        def obj(Y, idx):
+            sizes.append(Y.shape[0])
+            return space._norm(Y - targets[idx])
+
+        def project(space, B, radii):
+            before = B.copy()
+            real(space, B, radii)
+            moved.append(not np.array_equal(B, before))
+
+        real = reg._project
+        monkeypatch.setattr(reg, "_project", project)
+        cfg = SolverConfig(refine_iterations=40, tolerance=1e-6)
+        got, want = _both_compasses(space, obj, Y, step, cfg)
+        _assert_same_compass(got, want)
+        # the compacted search evaluates n start values, then one slice of
+        # 2d trials per call, until the reference's n start values
+        slice_calls = sizes.index(n, 1) - 1
+        assert set(sizes[1:slice_calls + 1]) == {2 * d}
+        assert 0 < len(moved) < slice_calls
+        assert any(moved)
+        assert (space.norm(got[0][:8]) > 0.99).all()
+
+    def test_screen_margin_at_the_last_ulp(self):
+        # on l_1 the bound |h| + s and the trial's norm add the same three
+        # doubles in a different order: here the bound rounds to the radius
+        # 1 and the +e_0 trial to 1 + 2^-52, so a screen of b + s <= r
+        # would skip a projection that moves the winning trial.  The
+        # objective is flat beyond y_0 = 0.9, so that first move is the
+        # last one and its bits are the result
+        space = NormedSpace(2, 1.0)
+        Y = np.array([[0.7060739738961044, 0.04392602610389576]])
+        step = np.array([0.25])
+        assert (Y[0, 0] + Y[0, 1]) + step[0] == 1.0
+        assert (Y[0, 0] + step[0]) + Y[0, 1] > 1.0
+        cfg = SolverConfig(refine_iterations=10, tolerance=1e-3)
+        got, want = _both_compasses(
+            space, lambda Y, idx: -np.minimum(Y[:, 0], 0.9), Y, step, cfg)
+        _assert_same_compass(got, want)
+        assert space.norm(got[0][0]) <= 1.0 and got[1][0] == -0.9
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_single_points_equal_references(self, monkeypatch, seed):
+        # one point per call at the default profile, as the public
+        # single-point operators run it
+        seen = []
+        real = reg._minimize_rows
+
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            assert args[1].shape[0] == 1
+            for ref in (_ref_minimize_rows, _sequential_minimize):
+                _assert_same_solve(got, ref(*args, **kwargs))
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(reg, "_minimize_rows", spy)
+        cfg = SolverConfig(seed=seed)
+        L4_2 = NormedSpace(2, 4.0)
+        rng = np.random.default_rng(seed)
+        for k, label in enumerate(("norm", "linear", "sawtooth",
+                                   "max-affine")):
+            x = L2_2.ball_sample(rng, 1)[0]
+            f = corpus_function(L2_2, label)
+            regularize_quadratic(f, 9.0, x, L2_2, cfg)
+            inf_convolve(f, 2.0, 9.0, x, L2_2, cfg)
+            decompose(f, 9.0, L2_2, cfg).d(x)
+            regularize_power(corpus_function(L4_2, label), 4.0, 9.0, x,
+                             L4_2, cfg)
+        assert len(seen) == 16

@@ -9,8 +9,8 @@ from deltaconvex import (DimensionMismatchError, NormedSpace,
                          analytic_modulus_lower, analytic_power_constant,
                          modulus_of_convexity)
 from deltaconvex.regularize import _rows
-from deltaconvex.spaces import (_err_sum3, _modulus_witness, _q_kernel,
-                                _root, _rowsum)
+from deltaconvex.spaces import (_err_sum3, _modulus_witness, _norm_rounding,
+                                _q_kernel, _root, _rowsum)
 
 
 def vec(*xs):
@@ -431,6 +431,30 @@ class TestNormKernel:
         # only the root at p = 5 and 7, on the row sums
         assert pows == ([(100,)] if p in (5.0, 7.0) else [])
         assert np.array_equal(got, NormedSpace(3, p)._norm(x))
+
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0, 10.0,
+                                   12.5, math.inf])
+    def test_rounding_bound(self, p, d):
+        # (1 - kappa)|x| - eta <= N(x) <= (1 + kappa)|x| + eta, from
+        # subnormal coordinates up to |x| = big, where pow's rounded
+        # exponent errs most
+        mpmath = pytest.importorskip("mpmath")
+        space = NormedSpace(d, p)
+        kappa, eta, big = _norm_rounding(space)
+        rng = np.random.default_rng(d)
+        top = math.log2(min(big, 2.0 ** 1000) / d)
+        scale = 2.0 ** rng.uniform(-1080.0, top, (300, 1))
+        x = rng.uniform(-1.0, 1.0, (300, d)) * scale
+        got = space._norm(x)
+        with mpmath.workdps(60):
+            for row, g in zip(x, got):
+                a = [abs(mpmath.mpf(float(v))) for v in row]
+                exact = (max(a) if p == math.inf else
+                         mpmath.fsum(v ** p for v in a) ** (1 / mpmath.mpf(p)))
+                assert exact <= big
+                assert (1 - kappa) * exact - eta <= g
+                assert g <= (1 + kappa) * exact + eta
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 2.5])
     def test_root_inverts_power(self, p):
