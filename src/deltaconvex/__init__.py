@@ -9,8 +9,8 @@ from .functions import (LipschitzFunction, PointSet, CORPUS_LABELS,
 from .regularize import (ParameterError, SolverError, SolverConfig,
                          RegularizationResult, ConvexPair, regularize_power,
                          regularize_power_grid, regularize_quadratic,
-                         inf_convolve, inf_convolve_grid, inner_minimize,
-                         decompose, ball_grid, rate_bound)
+                         inf_convolve, inf_convolve_grid, decompose,
+                         ball_grid, rate_bound)
 from .trees import (DyadicTree, TreeFamily, TreeValidation, WalkLevel,
                     WalkReport, build_sign_tree, build_tree_family,
                     validate_tree, counterexample_function,

@@ -61,9 +61,6 @@ def _run_experiment(name, args):
         t0 = time.perf_counter()
         result = _RUNNERS[name](cfg)
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000.0))
-        unknown = cfg.unknown_keys()
-        if unknown:
-            raise _exp.ConfigError(unknown[0], "unknown key")
     except (_exp.ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -110,8 +110,11 @@ class ExperimentConfig:
             return [int(t) for t in raw.replace(",", " ").split()]
         return self._get(key, list(default), cast, "list of integers")
 
-    def unknown_keys(self):
-        return sorted(set(self.values) - set(self.resolved))
+    def reject_unknown(self):
+        """Fail on the first unread key; runners call it before any work."""
+        unknown = sorted(set(self.values) - set(self.resolved))
+        if unknown:
+            raise ConfigError(unknown[0], "unknown key")
 
     def solver(self):
         kw = dict(
@@ -233,6 +236,8 @@ def _sweep(experiment, space, f, lams, region, solver, power, operators,
     (None at the first), and returns (measured, bound, messages, state);
     each message becomes a violation prefixed with the lambda."""
     X = ball_grid(space, *region)
+    if not X.shape[0]:
+        raise ConfigError("grid", "the ball keeps no grid point; raise grid")
     fX = np.asarray(f(X), dtype=float)
     rows, violations, warnings = [], [], []
     state = None
@@ -267,6 +272,7 @@ def run_converge(cfg):
     region = _region(cfg, space)
     tol = cfg.get_float("bound_slack", 1e-4)
     solver = cfg.solver()
+    cfg.reject_unknown()
 
     def measure(lam, fX, vals, prev):
         measured = float(np.abs(fX - vals[0]).max())
@@ -294,6 +300,7 @@ def run_sandwich(cfg):
     lams = _lambdas(cfg, [4.0, 16.0, 64.0])
     region = _region(cfg, space)
     solver = cfg.solver()
+    cfg.reject_unknown()
     bound = 2.0 * solver.tolerance
 
     def measure(lam, fX, vals, prev):
@@ -367,6 +374,7 @@ def run_adversary(cfg):
     deep_samples = cfg.get_int("deep_samples", 2048)
     if deep_samples < 0:
         raise ConfigError("deep_samples", f"must be >= 0, got {deep_samples}")
+    cfg.reject_unknown()
 
     family = _trees.build_tree_family(depths, scale=scale)
     space = NormedSpace(dim=family.ambient_dim, p_exponent=math.inf)
@@ -426,6 +434,7 @@ def run_modulus(cfg):
             raise ConfigError("epsilons", f"epsilon {e:g} outside (0, 2]")
     cfg.get_int("samples", 4096)
     seed = _seed(cfg)
+    cfg.reject_unknown()
     rows, violations = [], []
     for eps in epsilons:
         est = modulus_of_convexity(space, eps)

@@ -6,11 +6,13 @@ their search ball from one rule: radius (L/(lambda*C))^(1/(p-1)) around x
 where a Clarkson constant C is proven (C = 1 for the inf-convolution at
 power > 1, which searches radius 8 at power 1), and |y| <= 2(1 + |x|)
 otherwise, which needs lambda >= 3L.  The pair of ``decompose`` has
-d = c - f_lambda, solved on the regularizer's own objective.  All searches
-share one derivative-free solver: a coarse stage on an in-package
-scrambled Sobol' pool (bit-identical to scipy's), then compass search from
-the best separated candidates (three by default), run as one batch over
-every start of every row until each step is below tolerance/8.  The solver
+d = c - f_lambda, solved on the regularizer's own objective.  Its row solve
+``_power_rows`` (the power grid and d) and ``inf_convolve_grid`` call one
+derivative-free solver with y = x as a candidate: a coarse stage on an
+in-package scrambled Sobol' pool (bit-identical to scipy's), then compass
+search from the best separated candidates (three by default), run as one
+batch over every start of every row until each step is below
+tolerance/8; the single-point operators call the grid ones.  The solver
 works in an offset frame: it stores h = y - centre for each row and
 searches the ball of the row's radius about 0, so coarse candidates are
 ``radius * pool`` and a compass trial is projected with no subtraction;
@@ -49,8 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import (_BLOCK, DimensionMismatchError, NormedSpace,
-                     _norm_rounding, _q_kernel, analytic_power_constant)
+from .spaces import (_BLOCK, DimensionMismatchError, _norm_rounding,
+                     _q_kernel, analytic_power_constant)
 
 __all__ = [
     "SolverConfig",
@@ -58,7 +60,6 @@ __all__ = [
     "ConvexPair",
     "ParameterError",
     "SolverError",
-    "inner_minimize",
     "regularize_quadratic",
     "regularize_power",
     "inf_convolve",
@@ -116,6 +117,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RegularizationResult:
+    """``search_radius`` bounds where the search looked: from
+    ``regularize_power`` a bound on |y|, |x| + r where a Clarkson constant
+    is proven and 2(1 + |x|) otherwise; from ``inf_convolve`` the radius r
+    of the ball about x."""
     value: float
     minimizer: np.ndarray
     search_radius: float
@@ -361,15 +366,15 @@ def _compass(obj, H, vals, step, space, cfg, radii):
     return (step < cfg.tolerance).all()
 
 
-def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
+def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals):
     """Shared batch minimizer in the offset frame.  Row i minimizes over
     the ball of radius radii[i] about centers[i] (both (N, ...)), as a
     search over offsets h = y - centers[i] in the ball about 0.
     ``obj(idx)`` binds the objective to rows ``idx``: it returns an
     evaluator of one offset per row, which evaluates f at y = centre + h
-    (see ``_checked``).  ``extra_vals``, when given, holds its value at
-    X[i], and y = X[i] wins where it beats the search.  Returns (values,
-    minimizers y = centre + h, evaluations, converged).
+    (see ``_checked``).  ``extra_vals`` holds its value at X[i], and
+    y = X[i] wins where it beats the search.  Returns (values, minimizers
+    y = centre + h, evaluations, converged), empty for no rows.
 
     Coarse candidates, compass points and trial points are stored by
     coordinate, so that each coordinate of a block is one contiguous run,
@@ -394,13 +399,12 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     rad = radii.take(owner)
     converged = _compass(stacked, H, vals, rad * 0.25, space, cfg, rad)
     # argmin keeps the first minimum: a tie goes to the earlier start
-    best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
+    best = vals.reshape(len(starts), N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals.take(best)
     best_pts = centers + np.ascontiguousarray(H.take(best, axis=1).T)
-    if extra_vals is not None:
-        upd = extra_vals < best_vals
-        best_vals[upd] = extra_vals[upd]
-        best_pts[upd] = X[upd]
+    upd = extra_vals < best_vals
+    best_vals[upd] = extra_vals[upd]
+    best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
 
 
@@ -487,17 +491,21 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
             return g
 
     return _minimize_rows(obj, X, space, cfg, centers, radii,
-                          extra_vals=np.asarray(f(X), dtype=float)) + (radii,)
+                          np.asarray(f(X), dtype=float)) + (radii,)
 
 
-def _point(x, space):
-    """x as one point: a batch or a scalar fails here, before any solve."""
+def _at_point(grid, f, p, lam, x, space, cfg):
+    """``grid`` at the one point x, as a RegularizationResult; a batch or
+    a scalar fails here, before any solve."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatchError(
             f"expected one point of shape ({space.dim},), got shape "
             f"{x.shape}")
-    return x
+    vals, pts, evals, conv, R = grid(f, p, lam, x[None], space, cfg)
+    return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
+                                search_radius=float(R[0]),
+                                evaluations=evals, converged=conv)
 
 
 def _batch(points, space):
@@ -525,12 +533,7 @@ def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
 
 
 def regularize_power(f, p, lam, x, space, cfg=SolverConfig()):
-    x = _point(x, space)
-    vals, pts, evals, conv, R = regularize_power_grid(f, p, lam, x[None],
-                                                      space, cfg)
-    return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
-                                search_radius=float(R[0]),
-                                evaluations=evals, converged=conv)
+    return _at_point(regularize_power_grid, f, p, lam, x, space, cfg)
 
 
 def regularize_quadratic(f, lam, x, space, cfg=SolverConfig()):
@@ -563,57 +566,12 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
             return fy + lam * powered(t)
         return g
 
-    vals, pts, evals, conv = _minimize_rows(
-        obj, X, space, cfg, X, radii,
-        extra_vals=np.asarray(f(X), dtype=float))
-    return vals, pts, evals, conv, radii
+    return _minimize_rows(obj, X, space, cfg, X, radii,
+                          np.asarray(f(X), dtype=float)) + (radii,)
 
 
 def inf_convolve(f, power, lam, x, space, cfg=SolverConfig()):
-    x = _point(x, space)
-    vals, pts, evals, conv, radii = inf_convolve_grid(
-        f, power, lam, x[None], space, cfg)
-    return RegularizationResult(value=float(vals[0]), minimizer=pts[0],
-                                search_radius=float(radii[0]),
-                                evaluations=evals, converged=conv)
-
-
-def inner_minimize(objective, center, radius, cfg=SolverConfig(), space=None):
-    """Minimize a black-box objective over ball(center, radius).
-
-    The objective may be batch-aware ((n, d) -> (n,)) or scalar-only; scalar
-    evaluators are wrapped row by row.  A batch is an (n, d) float array
-    that may be a non-contiguous view, so an objective must not assume a
-    memory layout.  Returns (minimizer, value, diagnostics).
-    """
-    if not 0.0 < radius < math.inf:
-        raise ParameterError("radius must be positive and finite")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if space is None:
-        space = NormedSpace(dim=center.shape[-1], p_exponent=2.0)
-    center = space._check(_point(center, space))
-
-    batch = objective
-    try:
-        # the probe doubles as the value at the centre, a candidate itself
-        cval = np.asarray(batch(center[None]), dtype=float)
-        if cval.shape != (1,):
-            raise TypeError
-    except Exception:
-        def batch(Y):
-            return np.array([float(objective(row)) for row in Y])
-        cval = batch(center[None])
-
-    X = center[None]
-    radii = np.array([float(radius)])
-
-    def obj(idx):
-        return lambda H: batch(center + H)
-
-    vals, pts, evals, conv = _minimize_rows(obj, X, space, cfg, X, radii,
-                                            extra_vals=cval)
-    diagnostics = {"evaluations": evals, "converged": bool(conv)}
-    return pts[0], float(vals[0]), diagnostics
+    return _at_point(inf_convolve_grid, f, power, lam, x, space, cfg)
 
 
 def decompose(f, lam, space, cfg=SolverConfig()):
@@ -647,7 +605,13 @@ def decompose(f, lam, space, cfg=SolverConfig()):
 
 def ball_grid(space, center, radius, n):
     """Regular n-per-axis grid on the enclosing cube, restricted to the ball
-    (in the space norm)."""
+    (in the space norm).  The ball may keep no grid point."""
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    try:
+        n = operator.index(n)  # numpy integers pass
+    except TypeError:
+        raise ValueError(f"grid must be an integer, got {n!r}") from None
     if n < 2:
         raise ValueError("grid must have at least 2 points per axis")
     if space.dim > _GRID_MAX_DIM:

@@ -12,7 +12,7 @@ from deltaconvex import (ExperimentConfig, NormedSpace, SolverConfig,
                          ball_grid, build_sign_tree, corpus_function,
                          inf_convolve_grid, rate_bound, regularize_power_grid,
                          run_converge, run_sandwich, save_tree)
-from deltaconvex import cli, experiments
+from deltaconvex import cli, experiments, trees
 from deltaconvex.cli import CSV_HEADER, main
 
 FAST_CONVERGE = ["--set", "dim=1", "--set", "grid=9",
@@ -123,6 +123,41 @@ class TestExitCodes:
     def test_unknown_key(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "lambda_sched=4"])
         assert code == 2
+
+    @pytest.mark.parametrize("runner", ["converge", "sandwich", "adversary",
+                                        "modulus"])
+    def test_unknown_key_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                         runner):
+        # no solve, tree build or modulus call runs before an unknown key
+        # exits 2
+        called = []
+
+        def spy(*args, **kwargs):
+            called.append(args)
+            raise AssertionError("work before the unknown key")
+
+        for owner, name in ((experiments, "regularize_power_grid"),
+                            (experiments, "inf_convolve_grid"),
+                            (trees, "build_tree_family"),
+                            (experiments, "modulus_of_convexity")):
+            monkeypatch.setattr(owner, name, spy)
+        code, data = run(tmp_path, [runner, "--set", "lambda_sched=4"])
+        assert code == 2 and data == b"" and called == []
+        assert ("config field 'lambda_sched': unknown key"
+                in capsys.readouterr().err)
+        # the spies do catch the runner's work when no key is unknown
+        with pytest.raises(AssertionError, match="unknown key"):
+            main([runner])
+        assert len(called) == 1
+
+    @pytest.mark.parametrize("runner", ["converge", "sandwich"])
+    def test_empty_grid(self, tmp_path, capsys, runner):
+        # two points per axis keep no point of the l_2 ball: a config
+        # error (exit 2), not a bound violation (exit 1)
+        code, data = run(tmp_path, [runner, "--set", "grid=2"])
+        assert code == 2
+        assert data == b""
+        assert "config field 'grid'" in capsys.readouterr().err
 
     def test_removed_subcommand(self, capsys):
         # the deleted subcommand is refused like any unknown command

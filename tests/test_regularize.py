@@ -12,8 +12,8 @@ import deltaconvex.regularize as reg
 from deltaconvex import (CORPUS_LABELS, ConvexPair, DimensionMismatchError,
                          LipschitzFunction, NormedSpace, ParameterError, SolverConfig,
                          SolverError, ball_grid, corpus_function, decompose,
-                         inf_convolve, inf_convolve_grid, inner_minimize,
-                         rate_bound, regularize_power, regularize_power_grid,
+                         inf_convolve, inf_convolve_grid, rate_bound,
+                         regularize_power, regularize_power_grid,
                          regularize_quadratic)
 
 L2_1 = NormedSpace(1, 2.0)
@@ -71,58 +71,6 @@ class TestSearchRadius:
         with pytest.raises(ParameterError, match="[Rr]aise lambda"):
             regularize_power_grid(f, 2.0, 2.0, np.zeros((1, 2)), self.L1_2,
                                   self.CFG)
-
-
-class TestInnerMinimize:
-    def test_smooth_quadratic(self):
-        q = np.array([0.3, -0.4])
-
-        def obj(y):
-            y = np.atleast_2d(y)
-            return ((y - q) ** 2).sum(axis=-1)
-
-        y, v, diag = inner_minimize(obj, np.zeros(2), 2.0)
-        assert v <= 1e-8
-        assert np.abs(y - q).max() <= 1e-4
-        assert diag["evaluations"] > 0
-
-    def test_constant(self):
-        def obj(y):
-            y = np.atleast_2d(y)
-            return np.full(y.shape[0], 7.0)
-
-        _, v, _ = inner_minimize(obj, np.zeros(1), 1.0)
-        assert v == 7.0
-
-    def test_1d_kinked_oracle(self):
-        # min of |y| + (y-1)^2 is 0.75 at y = 0.5 (frozen dense-grid value)
-        def obj(y):
-            y = np.atleast_2d(y)[:, 0]
-            return np.abs(y) + (y - 1.0) ** 2
-
-        y, v, _ = inner_minimize(obj, np.zeros(1), 3.0)
-        assert abs(v - 0.75) <= 1e-6
-        assert abs(y[0] - 0.5) <= 1e-3
-
-    def test_scalar_objective_wrapped(self):
-        y, v, _ = inner_minimize(lambda y: float((y ** 2).sum()),
-                                 np.array([0.5]), 1.0)
-        assert v <= 1e-8
-
-    def test_non_finite_reported(self):
-        def obj(y):
-            y = np.atleast_2d(y)
-            out = y[:, 0].copy()
-            out[out > 0.5] = math.nan
-            return out
-
-        with pytest.raises(SolverError) as err:
-            inner_minimize(obj, np.zeros(1), 2.0)
-        assert err.value.point is not None
-
-    def test_bad_radius(self):
-        with pytest.raises(ValueError):
-            inner_minimize(lambda y: 0.0, np.zeros(1), 0.0)
 
 
 class TestRegularizeQuadratic:
@@ -336,6 +284,26 @@ class TestGridHelpers:
         with pytest.raises(ValueError):
             ball_grid(NormedSpace(5, 2.0), np.zeros(5), 1.0, 3)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_ball_grid_radius_checked_at_entry(self, radius):
+        # -1 and nan would otherwise return an empty grid with no error
+        with pytest.raises(ValueError, match="radius"):
+            ball_grid(L2_2, np.zeros(2), radius, 5)
+
+    @pytest.mark.parametrize("n", [5.0, 2.5, "5", None])
+    def test_ball_grid_count_must_be_an_integer(self, n):
+        # a float count would otherwise fail inside np.linspace
+        with pytest.raises(ValueError, match="grid"):
+            ball_grid(L2_2, np.zeros(2), 1.0, n)
+
+    def test_ball_grid_takes_numpy_integers(self):
+        got = ball_grid(L2_2, np.zeros(2), 1.0, np.int64(5))
+        assert np.array_equal(got, ball_grid(L2_2, np.zeros(2), 1.0, 5))
+
+    def test_ball_grid_may_keep_no_point(self):
+        # the four corners of a 2-per-axis grid lie outside the l_2 ball
+        assert ball_grid(L2_2, np.zeros(2), 1.0, 2).shape == (0, 2)
+
 
 BOUNDARY_CFG = SolverConfig(coarse_samples=16, refine_iterations=5)
 
@@ -348,8 +316,6 @@ def _entry_points(space):
         "inf_convolve_grid": lambda X: inf_convolve_grid(
             f, 2.0, 4.0, X, space, BOUNDARY_CFG),
         "decompose.d": lambda X: decompose(f, 4.0, space, BOUNDARY_CFG).d(X),
-        "inner_minimize": lambda X: inner_minimize(
-            lambda Y: np.asarray(Y)[..., 0], X[0], 1.0, BOUNDARY_CFG, space),
     }
 
 
@@ -374,18 +340,15 @@ class TestBoundaryValidation:
         *[(name, shape) for name in ("regularize_quadratic",
                                      "regularize_power", "inf_convolve")
           for shape in [(), (1, 2), (3, 2)]],
-        ("inner_minimize", (1, 2)), ("inner_minimize", (3, 2)),
+        ("regularize_quadratic", (1, 1, 2)), ("inf_convolve", (1, 1, 2)),
         *[(name, shape) for name in ("decompose.d", "regularize_power_grid",
                                      "inf_convolve_grid")
           for shape in [(), (1, 1, 2), (2, 512, 2)]]])
     def test_point_shape(self, monkeypatch, name, shape):
-        # a batch at a single-point call, or a scalar or a 3-D batch at a
-        # batch call, fails with its shape before any solve or evaluation
+        # a batch or a 3-D array at a single-point call, or a scalar or a
+        # 3-D batch at a batch call, fails with its shape before any solve
         def solve(*args, **kwargs):
             raise AssertionError("solved")
-
-        def objective(Y):
-            raise AssertionError("evaluated")
 
         monkeypatch.setattr(reg, "_minimize_rows", solve)
         f = corpus_function(L2_2, "linear")
@@ -396,8 +359,6 @@ class TestBoundaryValidation:
                 f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
             "inf_convolve": lambda x: inf_convolve(
                 f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
-            "inner_minimize": lambda x: inner_minimize(
-                objective, x, 1.0, BOUNDARY_CFG, L2_2),
             "decompose.d": decompose(f, 4.0, L2_2, BOUNDARY_CFG).d,
             "regularize_power_grid": lambda x: regularize_power_grid(
                 f, 2.0, 4.0, x, L2_2, BOUNDARY_CFG),
@@ -408,16 +369,20 @@ class TestBoundaryValidation:
                            match=re.escape(str(shape))):
             call(np.zeros(shape))
 
-    def test_inner_minimize_checks_before_evaluating(self):
-        calls = []
-
-        def obj(Y):
-            calls.append(Y)
-            return np.zeros(np.atleast_2d(Y).shape[0])
-
-        with pytest.raises(ValueError, match="non-finite"):
-            inner_minimize(obj, np.array([math.nan, 0.0]), 1.0)
-        assert calls == []
+    @pytest.mark.parametrize("q,p", [(2.0, 2.0), (2.0, 4.0), (1.0, 2.0)],
+                             ids=["split", "difference", "restricted"])
+    def test_empty_batch(self, q, p):
+        # a batch of no rows returns empty arrays and no evaluations
+        space = NormedSpace(2, q)
+        f = corpus_function(space, "linear")
+        X = np.zeros((0, 2))
+        for op in (regularize_power_grid, inf_convolve_grid):
+            vals, pts, evals, conv, radii = op(f, p, 9.0, X, space,
+                                               BOUNDARY_CFG)
+            assert vals.shape == radii.shape == (0,)
+            assert pts.shape == (0, 2)
+            assert evals == 0 and conv
+        assert decompose(f, 9.0, space, BOUNDARY_CFG).d(X).shape == (0,)
 
 
 class TestRateBound:
@@ -591,7 +556,7 @@ def _ref_compass(obj, H, vals, step, space, cfg, radii, counter, centers):
     return (step < tol).all()
 
 
-def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
+def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals):
     """The row-major stacked minimizer."""
     N = X.shape[0]
     counter = reg._Counter()
@@ -610,14 +575,13 @@ def _ref_minimize_rows(obj, X, space, cfg, centers, radii, extra_vals=None):
     best = vals.reshape(-1, N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals[best]
     best_pts = centers + H[best]
-    if extra_vals is not None:
-        upd = extra_vals < best_vals
-        best_vals[upd] = extra_vals[upd]
-        best_pts[upd] = X[upd]
+    upd = extra_vals < best_vals
+    best_vals[upd] = extra_vals[upd]
+    best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
 
 
-def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
+def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals):
     """Reference: one row-major compass search per start, reduced in start
     order with a strict <, as the minimizer ran before the starts were
     stacked."""
@@ -638,10 +602,9 @@ def _sequential_minimize(obj, X, space, cfg, centers, radii, extra_vals=None):
         upd = vals < best_vals
         best_vals[upd] = vals[upd]
         best_pts[upd] = centers[upd] + H[upd]
-    if extra_vals is not None:
-        upd = extra_vals < best_vals
-        best_vals[upd] = extra_vals[upd]
-        best_pts[upd] = X[upd]
+    upd = extra_vals < best_vals
+    best_vals[upd] = extra_vals[upd]
+    best_pts[upd] = X[upd]
     return best_vals, best_pts, counter.evals, converged
 
 
@@ -702,13 +665,11 @@ class TestStackedMultistart:
         self.assert_identical(solves, 2)
 
     @pytest.mark.parametrize("starts", [1, 2, 3, 5])
-    def test_decompose_d_and_scalar_inner_minimize(self, solves, starts):
+    def test_decompose_d(self, solves, starts):
         cfg = replace(STACK_CFG, starts=starts)
         f = corpus_function(L2_2, "sawtooth")
         decompose(f, 9.0, L2_2, cfg).d(ball_grid(L2_2, np.zeros(2), 1.0, 5))
-        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()),
-                       np.array([0.1, -0.2]), 1.0, cfg)
-        self.assert_identical(solves, 2)
+        self.assert_identical(solves, 1)
 
     @pytest.mark.parametrize("m", [1, 4, 7])
     def test_pool_smaller_than_keep(self, solves, m):
@@ -753,9 +714,11 @@ class TestStackedMultistart:
                                    k_starts=starts)
         assert all(obj(Y0, None)[0] == 0.0 for Y0 in first)
         assert not np.array_equal(first[0], first[1])
+        none = np.full(1, np.inf)  # no y = x candidate
         vals, pts, _, _ = reg._minimize_rows(_bound(obj), X, L2_1, cfg,
-                                             X, radii)
-        want = _sequential_minimize(_bound(obj), X, L2_1, cfg, X, radii)
+                                             X, radii, none)
+        want = _sequential_minimize(_bound(obj), X, L2_1, cfg, X, radii,
+                                    none)
         assert vals[0] == 0.0
         assert np.array_equal(pts, first[0])
         assert np.array_equal(pts, want[1])
@@ -814,7 +777,7 @@ class TestCoordinateMajorLayout:
 
         for n in (1, 65):
             args = (_bound(obj), X[:n], space, REF_CFG, X[:n],
-                    radii[:n])
+                    radii[:n], np.full(n, np.inf))
             got = reg._minimize_rows(*args)
             _assert_same_solve(got, _ref_minimize_rows(*args))
             r = space.norm(got[1] - X[:n])
@@ -876,7 +839,8 @@ class TestCoordinateMajorLayout:
         errors = []
         for solve in (reg._minimize_rows, _ref_minimize_rows):
             with pytest.raises(SolverError) as err:
-                solve(_bound(obj), X, space, REF_CFG, X, radii)
+                solve(_bound(obj), X, space, REF_CFG, X, radii,
+                      np.full(5, np.inf))
             errors.append(err.value.point)
         got, want = errors
         assert got.shape == (d,) and got[0] > 0.5
@@ -919,28 +883,35 @@ class TestCoordinateMajorLayout:
         for y in points:
             assert np.array_equal(y, points[0]) and np.isnan(f(y))
 
-    def test_non_finite_reports_y_through_inner_minimize(self, monkeypatch):
-        center = np.array([0.7, -0.4])
+    def test_non_finite_reports_y_through_the_grid_operators(self,
+                                                             monkeypatch):
+        # on l2^2 at lambda 2 both operators search the ball of radius 0.5
+        # about x, which reaches the nan region y_0 > 1
+        def ev(Y):
+            return np.where(Y[..., 0] > 1.0, math.nan, Y[..., 1])
 
-        def objective(Y):
-            return np.where(Y[:, 0] > 1.0, math.nan, Y.sum(axis=1))
-
-        points = self.raised_points(
-            monkeypatch, lambda: inner_minimize(objective, center, 1.0,
-                                                REF_CFG))
-        assert len(points) == 3
-        for y in points:
-            assert np.array_equal(y, points[0]) and y[0] > 1.0
+        f = LipschitzFunction(ev, 1.0, "nan-right")
+        X = np.array([[0.7, -0.4]])
+        for op in (regularize_power_grid, inf_convolve_grid):
+            points = self.raised_points(
+                monkeypatch, lambda: op(f, 2.0, 2.0, X, L2_2, REF_CFG))
+            monkeypatch.undo()
+            assert len(points) == 3
+            for y in points:
+                assert np.array_equal(y, points[0]) and y[0] > 1.0
 
     def test_objective_receives_point_rows(self):
-        # objectives get (n, d) float arrays, which may be strided views
+        # evaluators get (n, d) float arrays, which may be strided views
         seen = []
 
-        def obj(Y):
+        def ev(Y):
             seen.append((Y.ndim, Y.shape[-1], Y.dtype))
             return (Y ** 2).sum(axis=-1)
 
-        inner_minimize(obj, np.array([0.2, -0.1, 0.4]), 1.0, REF_CFG)
+        space = NormedSpace(3, 2.0)
+        f = LipschitzFunction(ev, 4.0, "square")
+        regularize_power_grid(f, 2.0, 9.0, np.array([[0.2, -0.1, 0.4]]),
+                              space, REF_CFG)
         assert set(seen) == {(2, 3, np.dtype(float))}
 
 
@@ -967,7 +938,7 @@ class TestBatchIndependence:
 
 
 class TestPublicParameters:
-    """lambda, power and radius are checked once, at the public entry."""
+    """lambda and power are checked once, at the public entry."""
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, math.inf, math.nan])
     def test_lambda_must_be_finite_positive(self, lam):
@@ -1006,11 +977,6 @@ class TestPublicParameters:
                      lambda: rate_bound(1.0, 1.0, 9.0)):
             with pytest.raises(ParameterError, match="power"):
                 call()
-
-    @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0])
-    def test_radius_must_be_finite_positive(self, radius):
-        with pytest.raises(ParameterError, match="radius"):
-            inner_minimize(lambda y: 0.0, np.zeros(2), radius)
 
 
 # one-row chunks and slices, then sizes that split the batches unevenly:
@@ -1064,14 +1030,12 @@ class TestSolverBlocks:
             inf_convolve_grid(f, p, 9.0, X, space, REF_CFG)
         self.assert_identical(solves, 6)
 
-    def test_decompose_d_and_scalar_inner_minimize(self, solves):
+    def test_decompose_d(self, solves):
         space = NormedSpace(3, 2.0)
         f = corpus_function(space, "sawtooth")
         decompose(f, 9.0, space, REF_CFG).d(
             space.ball_sample(np.random.default_rng(2), 9))
-        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()),
-                       np.array([0.1, -0.2, 0.05]), 1.0, REF_CFG)
-        self.assert_identical(solves, 2)
+        self.assert_identical(solves, 1)
 
     def test_objective_calls_follow_the_block(self, monkeypatch):
         # block 97 on l2^2 with 24 pool points: coarse chunks of 2 rows (48
@@ -1086,7 +1050,7 @@ class TestSolverBlocks:
 
         X = L2_2.ball_sample(np.random.default_rng(4), 9)
         reg._minimize_rows(_bound(obj), X, L2_2, REF_CFG, X,
-                           np.full(9, 0.5))
+                           np.full(9, 0.5), np.full(9, np.inf))
         assert sizes[:6] == [48, 48, 48, 48, 24, 18]
         assert max(sizes[6:]) == 48
         assert all(n % 4 == 0 for n in sizes[6:])
@@ -1235,12 +1199,11 @@ class TestCompactedCompass:
             inf_convolve_grid(f, p, 9.0, X, space, REF_CFG)
         decompose(corpus_function(space, "sawtooth"), 9.0, space,
                   REF_CFG).d(X[:3])
-        inner_minimize(lambda y: float(np.abs(y - 0.3).sum()), X[0], 1.0,
-                       REF_CFG, space)
-        assert len(seen) == 6
+        assert len(seen) == 5
         # every compass call holds at most ``width`` rows of 2d trials
         obj, _, sizes = _pulls(space, 7, 5)
-        real(_bound(obj), X, space, REF_CFG, X, np.full(7, 0.5))
+        real(_bound(obj), X, space, REF_CFG, X, np.full(7, 0.5),
+             np.full(7, np.inf))
         trials = sizes[sizes.index(7 * REF_CFG.starts) + 1:]
         assert max(trials) == 2 * d * width
         assert all(t % (2 * d) == 0 for t in trials)
