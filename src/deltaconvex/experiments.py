@@ -51,9 +51,12 @@ class ExperimentConfig:
     """Flat key -> string configuration with typed, defaulted accessors.
 
     Every key that an experiment reads is recorded with its final value, so
-    the CSV header can echo the fully resolved configuration."""
+    the CSV header can echo the fully resolved configuration.  Once
+    ``reject_unknown`` has run, a further read raises RuntimeError: a key
+    read after the check would escape it."""
     values: dict = field(default_factory=dict)
     resolved: dict = field(default_factory=dict)
+    checked: bool = field(default=False, init=False)
 
     @classmethod
     def from_sources(cls, path=None, overrides=(), seed=None):
@@ -80,6 +83,8 @@ class ExperimentConfig:
         return cls(values=values)
 
     def _get(self, key, default, cast, kind):
+        if self.checked:
+            raise RuntimeError(f"key {key!r} read after the unknown-key check")
         raw = self.values.get(key)
         if raw is None:
             val = default
@@ -112,6 +117,7 @@ class ExperimentConfig:
 
     def reject_unknown(self):
         """Fail on the first unread key; runners call it before any work."""
+        self.checked = True
         unknown = sorted(set(self.values) - set(self.resolved))
         if unknown:
             raise ConfigError(unknown[0], "unknown key")

@@ -51,8 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._sobol import ScrambledSobol
-from .spaces import (_BLOCK, DimensionMismatchError, _norm_rounding,
-                     _q_kernel, analytic_power_constant)
+from .spaces import (_BLOCK, _MAX_POWER, DimensionMismatchError,
+                     _norm_rounding, _q_kernel, analytic_power_constant)
 
 __all__ = [
     "SolverConfig",
@@ -267,24 +267,20 @@ def _coarse_stage(obj, space, cfg, radii):
 
 
 def _select_starts(space, keep_pts, sep, k_starts):
-    """Greedy value-ordered start selection, forcing mutual separation so the
-    multistart explores distinct basins."""
-    N, n_keep, d = keep_pts.shape
-    starts = [keep_pts[:, 0, :]]
-    chosen = [np.zeros(N, dtype=int)]
-    for _ in range(1, k_starts):
-        ok = np.ones((N, n_keep), dtype=bool)
-        for idx in chosen:
-            prev = keep_pts[np.arange(N), idx]
-            dist = space._norm(keep_pts - prev[:, None, :])
-            ok &= dist >= sep[:, None]
-        for idx in chosen:
-            ok[np.arange(N), idx] = False
-        any_ok = ok.any(axis=1)
-        first_ok = np.where(any_ok, ok.argmax(axis=1),
-                            np.minimum(len(chosen), n_keep - 1))
-        chosen.append(first_ok)
-        starts.append(keep_pts[np.arange(N), first_ok])
+    """Greedy value-ordered starts: start r is each row's best candidate
+    at least ``sep`` from every earlier start, else candidate
+    min(r, n_keep - 1), which may repeat one.  One mask runs across the
+    rounds, so each start but the last has its distances computed once."""
+    N, n_keep = keep_pts.shape[:2]
+    rows = np.arange(N)
+    ok = np.ones((N, n_keep), dtype=bool)
+    starts = []
+    for r in range(k_starts):
+        idx = np.where(ok.any(axis=1), ok.argmax(axis=1), min(r, n_keep - 1))
+        starts.append(keep_pts[rows, idx])
+        if r < k_starts - 1:
+            ok &= space._norm(keep_pts - starts[-1][:, None]) >= sep[:, None]
+            ok[rows, idx] = False
     return starts
 
 
@@ -422,10 +418,10 @@ def _check_lambda(lam):
 
 
 def _check_exponent(p, least):
-    """A power exponent is finite and at least ``least``."""
-    if not least <= p < math.inf:
-        raise ParameterError(
-            f"power must be finite and >= {least:g}, got {p}")
+    """A power exponent lies in [least, 1025): 2^(p-1) overflows beyond."""
+    if not least <= p < _MAX_POWER:
+        raise ParameterError(f"power must be >= {least:g} and below "
+                             f"{_MAX_POWER:g} (2^(p-1) overflows), got {p}")
 
 
 def _check_threshold(L, lam):

@@ -21,18 +21,7 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def _err_sum3(a, b, c):
-    """a + b + c with error-free transformations (vectorized Kahan-style).
-
-    The power-p defect is a difference of large near-equal terms; for big
-    exponents the naive sum loses all significant digits.
-    """
-    s1 = a + b
-    e1 = b - (s1 - a)
-    s2 = s1 + c
-    e2 = c - (s2 - s1)
-    return s2 + (e1 + e2)
-
+_MAX_POWER = 1025.0  # from here on 2^(p-1), the Q kernel's scale, overflows
 
 # doubles in one working block (512 KB, which fits in L2): the tree checks
 # and both solver stages split their rows into blocks of about this size
@@ -116,7 +105,7 @@ def _norm_rounding(space):
 
 @dataclass(frozen=True)
 class NormedSpace:
-    """R^dim under the l_p norm. ``p_exponent`` is a real >= 1 or math.inf."""
+    """R^dim under the l_p norm: 1 <= p_exponent < 1025, or math.inf."""
 
     dim: int
     p_exponent: float
@@ -124,8 +113,10 @@ class NormedSpace:
     def __post_init__(self):
         if self.dim < 1 or int(self.dim) != self.dim:
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if self.p_exponent != math.inf and not self.p_exponent >= 1.0:
-            raise ValueError(f"p_exponent must be >= 1 or inf, got {self.p_exponent}")
+        p = self.p_exponent
+        if p != math.inf and not 1.0 <= p < _MAX_POWER:
+            raise ValueError(f"p_exponent must be inf, or >= 1 and below "
+                             f"{_MAX_POWER:g} (2^(p-1) overflows), got {p}")
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -159,22 +150,19 @@ class NormedSpace:
             return np.sqrt(_rowsum(np.square(x)))
         if p == math.inf:
             return np.abs(x).max(axis=-1)
-        return _root(self._powered(x, p), p)
-
-    def _powered(self, x, power):
-        """|x|^power per row, unchecked, through ``_q_kernel``."""
-        return _q_kernel(self, power)[0](x)
+        return _root(_q_kernel(self, p)[0](x), p)
 
     def defect2(self, x, y):
         """Quadratic convexity defect 2|x|^2 + 2|y|^2 - |x+y|^2 (>= 0)."""
         return self.defect_p(2.0, x, y)
 
     def defect_p(self, p, x, y):
-        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, p >= 2; at an
-        even integer p equal to the space's exponent (p <= 8) it is summed
-        from s = x + y and t = x - y without cancellation."""
-        if not p >= 2.0:
-            raise ValueError(f"defect exponent must be >= 2, got {p}")
+        """Power-p defect 2^(p-1)(|x|^p + |y|^p) - |x+y|^p, 2 <= p < 1025;
+        at an even integer p equal to the space's exponent (p <= 8) it is
+        summed from s = x + y and t = x - y without cancellation."""
+        if not 2.0 <= p < _MAX_POWER:
+            raise ValueError(f"defect exponent must be >= 2 and below "
+                             f"{_MAX_POWER:g} (2^(p-1) overflows), got {p}")
         _, defect, split = _q_kernel(self, p)
         x = self._check(x)
         y = self._check(y)
@@ -209,8 +197,7 @@ def _q_kernel(space, power):
     ``(powered, defect, split)`` with ``powered(x)`` = |x|^power per row,
     ``defect(x, y, x + y)`` the difference formula
     2^(power-1)(|x|^power + |y|^power) - |x+y|^power, its three terms all
-    taken per call and summed with ``_err_sum3`` above power 8, and
-    ``split``.
+    taken per call and summed plainly at every power, and ``split``.
 
     At the space's own finite exponent ``powered`` takes no root: it sums
     products of x*x at integer powers up to 8 (at most four roundings, and
@@ -256,13 +243,9 @@ def _q_kernel(space, power):
         def powered(x):
             return _rowsum(np.abs(x) ** power)
     scale = 2.0 ** (power - 1.0)
-    if power > 8.0:
-        def defect(x, y, xy):
-            return _err_sum3(scale * powered(x), scale * powered(y),
-                             -powered(xy))
-    else:
-        def defect(x, y, xy):
-            return scale * powered(x) + scale * powered(y) - powered(xy)
+
+    def defect(x, y, xy):
+        return scale * powered(x) + scale * powered(y) - powered(xy)
     split = None
     if power == space.p_exponent and power in (2.0, 4.0, 6.0, 8.0):
         q = int(power)

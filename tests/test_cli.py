@@ -119,7 +119,89 @@ class TestDocumentedSubcommands:
                 if ln.startswith("deltaconvex ")] == self._parser_commands()
 
 
+def _documented_keys(readme_text):
+    """subcommand -> sorted keys, from README's ``- `name`: k, k`` lines
+    in its CLI section."""
+    section = readme_text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return {m.group(1): sorted(k.strip() for k in m.group(2).split(","))
+            for m in re.finditer(r"^- `([a-z-]+)`: (.+)$", section, re.M)}
+
+
+class _Resolved(Exception):
+    pass
+
+
+class TestDocumentedKeys:
+    """README lists, per subcommand, exactly the keys its runner reads."""
+
+    def _runner_keys(self, monkeypatch):
+        # the resolved keys at the unknown-key check, before any work
+        def record(cfg):
+            raise _Resolved(sorted(cfg.resolved))
+
+        monkeypatch.setattr(ExperimentConfig, "reject_unknown", record)
+        keys = {}
+        for name, runner in cli._RUNNERS.items():
+            with pytest.raises(_Resolved) as exc:
+                runner(ExperimentConfig())
+            keys[name] = exc.value.args[0]
+        return keys
+
+    def test_readme_lists_each_runners_keys(self, monkeypatch):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        keys = self._runner_keys(monkeypatch)
+        assert _documented_keys(text) == keys
+        # a copy with one key dropped fails the comparison
+        dropped = text.replace(", bound_slack,", ",", 1)
+        assert dropped != text
+        assert _documented_keys(dropped) != keys
+
+
+class TestReadAfterCheck:
+    """After ``reject_unknown`` no key can be read: a read there would
+    escape the unknown-key check."""
+
+    @pytest.mark.parametrize("runner,values", [
+        (experiments.run_converge, {"dim": "1", "grid": "5",
+                                    "lambdas": "16", "coarse_samples": "16"}),
+        (experiments.run_sandwich, {"dim": "1", "grid": "5",
+                                    "lambdas": "16", "coarse_samples": "16"}),
+        (experiments.run_adversary, {"depths": "4", "deep_samples": "4"}),
+        (experiments.run_modulus, {"epsilons": "1"}),
+    ], ids=lambda v: getattr(v, "__name__", ""))
+    def test_runner_refuses_a_later_read(self, runner, values):
+        cfg = ExperimentConfig(values=dict(values))
+        assert runner(cfg).violations == []
+        for read in (lambda: cfg.get_int("seed", 0),
+                     lambda: cfg.get_str("p", "2.0"),
+                     lambda: cfg.get_float("unread", 1.0),
+                     cfg.solver):
+            with pytest.raises(RuntimeError, match="after the unknown-key"):
+                read()
+
+    def test_not_a_settable_field(self):
+        with pytest.raises(TypeError):
+            ExperimentConfig(values={}, checked=True)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,field", [
+        (["modulus", "--set", "p=1e308"], "'p'"),
+        (["converge", "--set", "power=1e308"], "power must be"),
+        (["converge", "--set", "p=2000", "--set", "power=2000"], "'p'"),
+    ], ids=["modulus-p", "converge-power", "converge-p-and-power"])
+    def test_overflowing_exponent(self, tmp_path, capsys, argv, field):
+        # 2^(p-1) overflows a double from 1025 on: a config error, not a
+        # traceback with the bound-violation code
+        code, data = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 2 and data == b""
+        assert err.startswith("config error") and "overflows" in err
+        assert field in err and "Traceback" not in err
+
     def test_unknown_key(self, tmp_path):
         code, _ = run(tmp_path, ["converge", "--set", "lambda_sched=4"])
         assert code == 2

@@ -319,6 +319,11 @@ def _entry_points(space):
     }
 
 
+def _shape_id(shape):
+    """A test id for an array shape: ``1x2``, or ``scalar`` for ()."""
+    return "x".join(map(str, shape)) or "scalar"
+
+
 class TestBoundaryValidation:
     """Each public entry point checks its points once, before any solve."""
 
@@ -337,13 +342,16 @@ class TestBoundaryValidation:
                 call(np.zeros((1, dim)))
 
     @pytest.mark.parametrize("name,shape", [
-        *[(name, shape) for name in ("regularize_quadratic",
-                                     "regularize_power", "inf_convolve")
-          for shape in [(), (1, 2), (3, 2)]],
-        ("regularize_quadratic", (1, 1, 2)), ("inf_convolve", (1, 1, 2)),
-        *[(name, shape) for name in ("decompose.d", "regularize_power_grid",
-                                     "inf_convolve_grid")
-          for shape in [(), (1, 1, 2), (2, 512, 2)]]])
+        pytest.param(name, shape, id=f"{name}-{_shape_id(shape)}")
+        for name, shape in [
+            *[(name, shape) for name in ("regularize_quadratic",
+                                         "regularize_power", "inf_convolve")
+              for shape in [(), (1, 2), (3, 2)]],
+            ("regularize_quadratic", (1, 1, 2)), ("inf_convolve", (1, 1, 2)),
+            *[(name, shape) for name in ("decompose.d",
+                                         "regularize_power_grid",
+                                         "inf_convolve_grid")
+              for shape in [(), (1, 1, 2), (2, 512, 2)]]]])
     def test_point_shape(self, monkeypatch, name, shape):
         # a batch or a 3-D array at a single-point call, or a scalar or a
         # 3-D batch at a batch call, fails with its shape before any solve
@@ -724,6 +732,81 @@ class TestStackedMultistart:
         assert np.array_equal(pts, want[1])
 
 
+def _ref_select_starts(space, keep_pts, sep, k_starts):
+    """The start selection as it ran when every round rebuilt its mask from
+    all earlier starts."""
+    N, n_keep, d = keep_pts.shape
+    starts = [keep_pts[:, 0, :]]
+    chosen = [np.zeros(N, dtype=int)]
+    for _ in range(1, k_starts):
+        ok = np.ones((N, n_keep), dtype=bool)
+        for idx in chosen:
+            prev = keep_pts[np.arange(N), idx]
+            dist = space._norm(keep_pts - prev[:, None, :])
+            ok &= dist >= sep[:, None]
+        for idx in chosen:
+            ok[np.arange(N), idx] = False
+        any_ok = ok.any(axis=1)
+        first_ok = np.where(any_ok, ok.argmax(axis=1),
+                            np.minimum(len(chosen), n_keep - 1))
+        chosen.append(first_ok)
+        starts.append(keep_pts[np.arange(N), first_ok])
+    return starts
+
+
+def _kept_blocks(n_keep, d, seed):
+    """Seeded (60, n_keep, d) kept blocks and separations: random rows
+    (every other one at separation 0, where only the cleared columns keep
+    a start from being chosen again), rows shrunk inside the separation,
+    rows with repeated candidates, and rows on a grid of step 1/4 whose
+    distances tie the separation 1/4 exactly."""
+    rng = np.random.default_rng(seed)
+    keep = rng.uniform(-1.0, 1.0, (60, n_keep, d))
+    keep[1::4] *= 0.05  # no candidate separated from the first
+    keep[2::4, 1:] = keep[2::4, :1]  # every candidate repeats the first
+    keep[3::4] = rng.integers(-2, 3, (15, n_keep, d)) * 0.25
+    sep = rng.choice([0.25, 0.5], 60)
+    sep[3::4] = 0.25
+    sep[::8] = 0.0
+    return keep, sep
+
+
+class TestSelectStarts:
+    """One mask across rounds selects what the per-round rebuild selected,
+    and computes each start's distances once."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, math.inf])
+    @pytest.mark.parametrize("n_keep,d", [(8, 2), (8, 3), (3, 2), (1, 2)])
+    def test_matches_per_round_rebuild(self, q, n_keep, d):
+        space = NormedSpace(d, q)
+        keep, sep = _kept_blocks(n_keep, d, seed=n_keep + d)
+        # candidates spaced exactly sep apart tie the >= test
+        ties = space.norm(keep[3::4, :, None] - keep[3::4, None]) == 0.25
+        assert ties.any() or n_keep == 1
+        for starts in (1, 2, 3, 5, 9):
+            got = reg._select_starts(space, keep, sep, starts)
+            want = _ref_select_starts(space, keep, sep, starts)
+            assert len(got) == len(want) == starts
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("starts,calls", [(1, 0), (2, 1), (3, 2),
+                                              (5, 4)])
+    def test_one_norm_per_start_but_the_last(self, monkeypatch, starts,
+                                             calls):
+        seen = []
+        real = NormedSpace._norm
+
+        def spy(self, x):
+            seen.append(x.shape)
+            return real(self, x)
+
+        monkeypatch.setattr(NormedSpace, "_norm", spy)
+        keep, sep = _kept_blocks(8, 2, seed=0)
+        reg._select_starts(L2_2, keep, sep, starts)
+        assert seen == [keep.shape] * calls
+
+
 REF_CFG = SolverConfig(coarse_samples=24, refine_iterations=12,
                        tolerance=1e-5, starts=2, seed=5)
 REF_BATCHES = (1, 63, 64, 65, 700)
@@ -976,6 +1059,25 @@ class TestPublicParameters:
                      lambda: rate_bound(math.nan, 1.0, 9.0),
                      lambda: rate_bound(1.0, 1.0, 9.0)):
             with pytest.raises(ParameterError, match="power"):
+                call()
+
+    @pytest.mark.parametrize("power", [1025.0, 1e308])
+    def test_power_must_not_overflow(self, monkeypatch, power):
+        # 2^(power-1) overflows a double from 1025 on: refused before any
+        # solve, with the reason
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the power check")
+
+        monkeypatch.setattr(reg, "_minimize_rows", no_solve)
+        f = corpus_function(L2_2, "norm")
+        x = np.zeros(2)
+        for call in (
+                lambda: regularize_power_grid(f, power, 9.0, x[None], L2_2),
+                lambda: inf_convolve_grid(f, power, 9.0, x[None], L2_2),
+                lambda: regularize_power(f, power, 9.0, x, L2_2),
+                lambda: inf_convolve(f, power, 9.0, x, L2_2),
+                lambda: rate_bound(power, 1.0, 9.0)):
+            with pytest.raises(ParameterError, match="power.*overflows"):
                 call()
 
 

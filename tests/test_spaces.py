@@ -9,8 +9,8 @@ from deltaconvex import (DimensionMismatchError, NormedSpace,
                          analytic_modulus_lower, analytic_power_constant,
                          modulus_of_convexity)
 from deltaconvex.regularize import _rows
-from deltaconvex.spaces import (_err_sum3, _modulus_witness, _norm_rounding,
-                                _q_kernel, _root, _rowsum)
+from deltaconvex.spaces import (_modulus_witness, _norm_rounding, _q_kernel,
+                                _root, _rowsum)
 
 
 def vec(*xs):
@@ -100,16 +100,30 @@ class TestDefects:
             gap = space.defect2(x, y) - (space.norm(x) - space.norm(y)) ** 2
             assert gap.min() >= -1e-9
 
-    def test_defect_p_high_power_compensated(self):
-        space = NormedSpace(2, 2.0)
-        rng = np.random.default_rng(2)
-        x = space.ball_sample(rng, 200, radius=1.0)
-        q = space.defect_p(12.0, x, x * (1.0 + 1e-9))
-        assert np.all(q >= -1e-9)
-
     def test_defect_p_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             NormedSpace(2, 2.0).defect_p(1.5, vec(1, 0), vec(0, 1))
+
+    @pytest.mark.parametrize("p", [1025.0, 1e308, math.inf])
+    def test_defect_p_rejects_overflowing_exponent(self, p):
+        # 2^(p-1) overflows a double from p = 1025 on
+        with pytest.raises(ValueError, match="overflows"):
+            NormedSpace(2, 2.0).defect_p(p, vec(1, 0), vec(0, 1))
+
+
+class TestExponentRange:
+    """2^(p-1) overflows a double from p = 1025 on, so no l_p norm there
+    ever returned: such spaces are refused when built."""
+
+    @pytest.mark.parametrize("p", [1025.0, 2000.0, 1e308])
+    def test_overflowing_exponent_refused(self, p):
+        with pytest.raises(ValueError, match="p_exponent.*overflows"):
+            NormedSpace(2, p)
+
+    def test_largest_exponents_still_work(self):
+        assert NormedSpace(2, 1024.0).norm(vec(1.0, 0.5)) == 1.0
+        assert NormedSpace(2, math.inf).norm(vec(1.0, 0.5)) == 1.0
+        assert NormedSpace(2, 1024.9).norm(vec(1.0, 0.5)) == 1.0
 
 
 def near_diagonal(d, n=1000, seed=17):
@@ -123,7 +137,7 @@ def root_formula(space, p, x, y):
     a = 2.0 ** (p - 1.0) * space.norm(x) ** p
     b = 2.0 ** (p - 1.0) * space.norm(y) ** p
     c = -(space.norm(x + y) ** p)
-    return _err_sum3(a, b, c) if p > 8.0 else a + b + c
+    return a + b + c
 
 
 def exact_defect(q, x, y):
@@ -168,6 +182,47 @@ class TestPowerKernel:
         assert_within_ulps(got, ref)
         assert (got >= 0.0).all()
 
+    @pytest.mark.parametrize("q,d,p", [
+        (2, 2, 9), (2, 3, 10), (2, 2, 12), (2, 2, 16),
+        (9, 2, 9), (10, 3, 10), (12, 2, 12), (16, 2, 16)])
+    def test_exact_reference_high_power(self, q, d, p):
+        # The difference formula at powers above 8, on near-diagonal pairs
+        # and the same pairs scaled out to |x| = 1e3, against Q at the
+        # float x and y to 80 digits.  With u = 2^-53, terms
+        # T1 = 2^(p-1)|x|^p, T2 = 2^(p-1)|y|^p, T3 = |x+y|^p and
+        # M = max(T1, T2, T3), each computed term errs by a relative rho:
+        # on l_q at p = q, 8u for pow (4 ulps) and (d-1)u for the row sum;
+        # on l_2, (d/2 + 1)u in the norm (squares, row sum, sqrt) raised to
+        # the p-th power, plus 8u for pow.  T3 also carries the rounding of
+        # x + y, a relative u per coordinate, so p*u more; 2^(p-1) is a
+        # power of two and exact.  The two additions err by u * |T1 + T2|
+        # and u * |result|, each at most 2uM.  So to first order
+        # |computed - Q| <= (3 rho + p + 4) u M, and the second-order terms
+        # are below 1e-12 of that.  These rows measure at most 35u (l_2^2
+        # at power 16), about a quarter of each case's bound.
+        mpmath = pytest.importorskip("mpmath")
+        space = NormedSpace(d, float(q))
+        x, y = near_diagonal(d, n=400, seed=p + d)
+        scale = (1e3 / space.norm(x))[:, None]
+        x, y = np.vstack([x, x * scale]), np.vstack([y, y * scale])
+        got = space.defect_p(float(p), x, y)
+        assert (got >= 0.0).all()
+        rho = (p * (d / 2 + 1) + 8) if q == 2 else (d + 7)
+        limit = (3 * rho + p + 4) * (1 + 1e-12) * 2.0 ** -53
+        with mpmath.workdps(80):
+            def powered(v):
+                if q == 2:
+                    return mpmath.fsum(c * c for c in v) ** (mpmath.mpf(p) / 2)
+                return mpmath.fsum(abs(c) ** p for c in v)
+
+            for g, xr, yr in zip(got, x, y):
+                a = [mpmath.mpf(float(c)) for c in xr]
+                b = [mpmath.mpf(float(c)) for c in yr]
+                terms = (2 ** (p - 1) * powered(a), 2 ** (p - 1) * powered(b),
+                         powered([s + t for s, t in zip(a, b)]))
+                exact = terms[0] + terms[1] - terms[2]
+                assert abs(mpmath.mpf(float(g)) - exact) <= limit * max(terms)
+
     @pytest.mark.parametrize("q,p", [(3.0, 4.0), (math.inf, 2.0),
                                      (1.0, 2.0), (2.0, 4.0), (3.0, 12.0)])
     def test_other_exponents_bit_identical(self, q, p):
@@ -175,7 +230,7 @@ class TestPowerKernel:
         x, y = near_diagonal(3, n=500)
         assert np.array_equal(space.defect_p(p, x, y),
                               root_formula(space, p, x, y))
-        assert np.array_equal(space._powered(x - y, p),
+        assert np.array_equal(_q_kernel(space, p)[0](x - y),
                               space.norm(x - y) ** p)
 
     def test_defect2_is_defect_p2(self):
@@ -189,7 +244,7 @@ class TestPowerKernel:
     def test_powered_matches_norm_power(self, q):
         space = NormedSpace(4, q)
         v = np.random.default_rng(1).uniform(-2.0, 2.0, (300, 4))
-        assert np.allclose(space._powered(v, q), space.norm(v) ** q,
+        assert np.allclose(_q_kernel(space, q)[0](v), space.norm(v) ** q,
                            rtol=1e-14, atol=0.0)
 
     def test_checked_entry_points(self):
@@ -204,8 +259,8 @@ class TestPowerKernel:
 
 
 def _dispatched_powered(space, x, power):
-    """|x|^power as ``NormedSpace._powered`` computed it when it chose its
-    branch on every call."""
+    """|x|^power as the Q kernel computed it when it chose its branch on
+    every call."""
     if power != space.p_exponent or power in (1.0, math.inf):
         return space._norm(x) ** power
     if float(power).is_integer() and power <= 8.0:
@@ -221,13 +276,11 @@ def _dispatched_powered(space, x, power):
 
 
 def _dispatched_defect(space, p, x, y):
-    """The power-p defect as ``NormedSpace._defect`` computed it from
-    ``_defect_term`` and ``_powered``."""
+    """The power-p defect as the difference formula computed it when it
+    chose its branch on every call."""
     ax = 2.0 ** (p - 1.0) * _dispatched_powered(space, x, p)
     b = 2.0 ** (p - 1.0) * _dispatched_powered(space, y, p)
     c = -_dispatched_powered(space, x + y, p)
-    if p > 8.0:
-        return _err_sum3(ax, b, c)
     return ax + b + c
 
 
@@ -259,7 +312,6 @@ class TestResolvedKernel:
             for a, b in layouts:
                 want = _dispatched_powered(space, a, power)
                 assert np.array_equal(powered(a), want)
-                assert np.array_equal(space._powered(a, power), want)
                 want = _dispatched_defect(space, power, a, b)
                 assert np.array_equal(defect(a, b, a + b), want)
                 if even:
@@ -330,10 +382,10 @@ class TestBatchIndependence:
         space = NormedSpace(3, q)
         X = np.random.default_rng(8).uniform(-2.0, 2.0, (200, 3))
         powers = (q, q + 1.0, 12.0)
-        batch = [space._norm(X)] + [space._powered(X, w) for w in powers]
+        batch = [space._norm(X)] + [_q_kernel(space, w)[0](X) for w in powers]
         for i in range(X.shape[0]):
             row = X[i:i + 1]
-            single = [space._norm(row)] + [space._powered(row, w)
+            single = [space._norm(row)] + [_q_kernel(space, w)[0](row)
                                            for w in powers]
             for b, s in zip(batch, single):
                 assert s.shape == (1,)
