@@ -4,7 +4,7 @@ Subcommands: converge, sandwich, adversary, modulus, validate-tree.
 Results go to CSV with the fully resolved configuration echoed as
 '# key=value' header comments; identical config and seed produce
 byte-identical output.  Exit codes: 0 success, 1 a measured value violated
-its bound, 2 configuration error.
+its bound, 2 configuration error or a solve that failed (``SolverError``).
 """
 
 import argparse
@@ -15,7 +15,7 @@ import time
 
 from . import experiments as _exp
 from . import trees as _trees
-from .regularize import ParameterError
+from .regularize import ParameterError, SolverError
 from .spaces import NormedSpace
 
 CSV_HEADER = ("experiment,space,function,lambda,measured,bound,slack,"
@@ -63,6 +63,9 @@ def _run_experiment(name, args):
         elapsed_ms = int(round((time.perf_counter() - t0) * 1000.0))
     except (_exp.ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 2
     rows = result.rows
     if args.timing and rows:

@@ -8,12 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (NormedSpace, analytic_power_constant,
-                     modulus_of_convexity)
+from .spaces import NormedSpace, modulus_of_convexity
 from .functions import LipschitzFunction, corpus_function, CORPUS_LABELS
-from .regularize import (_GRID_MAX_DIM, SolverConfig, ball_grid,
-                         inf_convolve_grid, rate_bound,
-                         regularize_power_grid)
+from .regularize import (_GRID_MAX_DIM, ParameterError, SolverConfig,
+                         _proven_constant, ball_grid, inf_convolve_grid,
+                         rate_bound, regularize_power_grid)
 from . import trees as _trees
 
 __all__ = [
@@ -208,19 +207,15 @@ def _region(cfg, space):
 
 def _power(cfg, space, default):
     """The ``power`` key, at least 2, and Clarkson's C = 1 there, behind
-    both the rate bound and the lower sandwich inequality; C is proven only
-    on l_q with 2 <= q <= power, q finite, and on every l_q in dimension 1,
-    and other spaces are refused."""
+    both the rate bound and the lower sandwich inequality; a space where
+    the library proves no C is refused with its message."""
     power = cfg.get_float("power", default)
     if power < 2.0:
         raise ConfigError("power", "must be >= 2")
-    C = analytic_power_constant(space, power)
-    if C is None:
-        raise ConfigError(
-            "power", f"no proven bound on {space.describe()} at power "
-            f"{power:g}; it needs l_q with 2 <= q <= power, q finite, "
-            "or dimension 1")
-    return power, C
+    try:
+        return power, _proven_constant(space, power)
+    except ParameterError as exc:
+        raise ConfigError("power", str(exc)) from None
 
 
 def _lambdas(cfg, default):

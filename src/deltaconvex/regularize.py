@@ -1,11 +1,13 @@
 """Delta-convex regularization operators and the shared inner minimizer.
 
 The quadratic/power operators minimize f(y) + lambda * Q_p(x, y), and the
-inf-convolution baseline minimizes f(y) + lambda * |x - y|^power.  Both take
-their search ball from one rule: radius (L/(lambda*C))^(1/(p-1)) around x
-where a Clarkson constant C is proven (C = 1 for the inf-convolution at
-power > 1, which searches radius 8 at power 1), and |y| <= 2(1 + |x|)
-otherwise, which needs lambda >= 3L.  The pair of ``decompose`` has
+inf-convolution baseline minimizes f(y) + lambda * |x - y|^power.  Both
+search one ball about x, of radius r = (L/(lambda*C))^(1/(p-1)) with C
+Clarkson's constant: any y that beats y = x has lambda*C|x-y|^p <= L|x-y|.
+The inf-convolution has C = 1 on every norm and takes power > 1; the power
+operators and ``decompose`` refuse, before any evaluation of f, a pair
+where no C is proven, as no theorem bounds their search or their rate
+there.  So r is one number per call.  The pair of ``decompose`` has
 d = c - f_lambda, solved on the regularizer's own objective.  Its row solve
 ``_power_rows`` (the power grid and d) and ``inf_convolve_grid`` call one
 derivative-free solver with y = x as a candidate: a coarse stage on an
@@ -13,15 +15,15 @@ in-package scrambled Sobol' pool (bit-identical to scipy's), then compass
 search from the best separated candidates (three by default), run as one
 batch over every start of every row until each step is below
 tolerance/8; the single-point operators call the grid ones.  The solver
-works in an offset frame: it stores h = y - centre for each row and
-searches the ball of the row's radius about 0, so coarse candidates are
-``radius * pool`` and a compass trial is projected with no subtraction;
-only the winners are moved back to y = centre + h.  A slice of compass
-trials is projected only when a proven screen says one may leave its
-ball: each row carries a bound on |h|, its norm at compaction plus the
-steps it has taken since, and a slice whose rows all keep that bound plus
-the step below the radius, less a margin derived from the iteration cap,
-d and the norm's rounding, skips a projection that would move nothing.
+works in an offset frame: it stores h = y - x for each row and searches
+the ball of radius r about 0, so coarse candidates are ``r * pool`` and a
+compass trial is projected with no subtraction; only the winners are
+moved back to y = x + h.  A slice of compass trials is projected only when
+a proven screen says one may leave the ball: each row carries a bound on
+|h|, its norm at compaction plus the steps it has taken since, and a slice
+whose rows all keep that bound plus the step below r, less a margin
+derived from the iteration cap, d and the norm's rounding, skips a
+projection that would move nothing.
 It stores its points by coordinate, as (d, ...) blocks whose coordinates
 are contiguous runs.
 Its objectives are bound per block: ``obj(idx)`` gathers the data of rows
@@ -30,13 +32,12 @@ offsets, which may be non-contiguous.  The compass search keeps only its
 active rows, compacted, and rebinds when that set shrinks.  Both stages
 take their rows in blocks of about ``spaces._BLOCK`` doubles.
 
-A returned value is f at the rounded point y = centre + h plus lambda
-times Q at the offset h.  On l_q at an even integer power p = q <= 8 the
-ball is centred at x, and Q(x, x + h) is summed from t = -h and s = y + x
-as nonnegative terms (``spaces._q_kernel``), to a few ulps at every |x|:
-a value is the objective at x + h up to those ulps and L times the
-rounding of x + h, so the rate bound holds on the whole space.  Every
-other pair, the restricted-infimum route about 0 included, evaluates the
+A returned value is f at the rounded point y = x + h plus lambda times Q
+at the offset h.  On l_q at an even integer power p = q <= 8,
+Q(x, x + h) is summed from t = -h and s = y + x as nonnegative terms
+(``spaces._q_kernel``), to a few ulps at every |x|: a value is the
+objective at x + h up to those ulps and L times the rounding of x + h, so
+the rate bound holds on the whole space.  Every other pair evaluates the
 difference formula at the rounded y; its rounding grows as 2^p |x|^p and
 the minimizer can exploit it, so there a value can undershoot the
 infimum by that much.  The inf-convolution evaluates |x - y|^power at the
@@ -72,7 +73,6 @@ __all__ = [
 
 _POOL_BATCH = 1 << 16  # Sobol' points drawn at once for a unit-ball pool
 _POOL_DRAWS = 1 << 20  # Sobol' points drawn for one pool at most
-_POWER1_RADIUS = 8.0  # search radius of the inf-convolution at power 1
 _N_KEEP = 8  # coarse candidates kept per row for the start selection
 _GRID_MAX_DIM = 4  # the largest dimension ``ball_grid`` covers
 
@@ -117,10 +117,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RegularizationResult:
-    """``search_radius`` bounds where the search looked: from
-    ``regularize_power`` a bound on |y|, |x| + r where a Clarkson constant
-    is proven and 2(1 + |x|) otherwise; from ``inf_convolve`` the radius r
-    of the ball about x."""
+    """``search_radius`` bounds where the search looked, in the ball of
+    radius r = (L/(lambda*C))^(1/(p-1)) about x: from ``regularize_power``
+    the bound |x| + r on |y|, from ``inf_convolve`` r itself."""
     value: float
     minimizer: np.ndarray
     search_radius: float
@@ -169,19 +168,18 @@ def _rows(B):
     return B.reshape(B.shape[0], -1).T
 
 
-def _project(space, B, radii):
+def _project(space, B, r):
     """Radial projection, in place, of every offset of the coordinate-major
-    block B, shape (d, ...), into the ball of radius ``radii`` about 0;
-    ``radii`` need only broadcast against B's point axes.  A point inside
-    its ball is untouched, so a row's result does not depend on the other
-    rows of the batch.  A projected point is each coordinate times
+    block B, shape (d, ...), into the ball of radius r about 0.  A point
+    inside the ball is untouched, so a row's result does not depend on the
+    other rows of the batch.  A projected point is each coordinate times
     radius/norm <= 1, so projection only shrinks a point; the compass
     search relies on that in its screen, and calls this only for slices
     whose screen fails (``_compass``)."""
     nd = space._norm(_rows(B)).reshape(B.shape[1:])
-    over = nd > radii
+    over = nd > r
     if np.count_nonzero(over):
-        B[:, over] *= np.broadcast_to(radii, nd.shape)[over] / nd[over]
+        B[:, over] *= r / nd[over]
 
 
 class _Counter:
@@ -191,16 +189,15 @@ class _Counter:
         self.evals = 0
 
 
-def _checked(obj, counter, centers):
+def _checked(obj, counter, X):
     """``obj`` bound for the stages.  ``obj(idx)`` returns an evaluator g
     of one offset per row of ``idx``.  The result maps ``idx`` to g with
     every evaluation counted in ``counter`` and checked: a non-finite value
-    raises SolverError at its point y = centre + h, the centre a row of
-    ``centers``.  The evaluator names that row from its own copy of
-    ``idx`` in the smallest unsigned type holding every row of
-    ``centers`` (one byte a row up to 256 rows), not the caller's int64
-    array."""
-    rowtype = np.min_scalar_type(max(centers.shape[0] - 1, 0))
+    raises SolverError at its point y = x + h, x a row of X.  The
+    evaluator names that row from its own copy of ``idx`` in the smallest
+    unsigned type holding every row of X (one byte a row up to 256 rows),
+    not the caller's int64 array."""
+    rowtype = np.min_scalar_type(max(X.shape[0] - 1, 0))
 
     def bind(idx):
         g = obj(idx)
@@ -213,7 +210,7 @@ def _checked(obj, counter, centers):
             if np.count_nonzero(finite) < finite.size:
                 bad = int(np.argmin(finite))
                 raise SolverError("objective returned a non-finite value",
-                                  point=centers[idx[bad]] + H[bad])
+                                  point=X[idx[bad]] + H[bad])
             return v
         return ev
     return bind
@@ -230,39 +227,37 @@ def _lex_best(cands, vals):
     return int(tied[order[0]])
 
 
-def _coarse_stage(obj, space, cfg, radii):
-    """Evaluate the offsets ``radii[i] * pool`` of each row i; return the
+def _coarse_stage(obj, space, cfg, N, r):
+    """Evaluate the offsets ``r * pool`` at each of N rows; return the
     min(_N_KEEP, m) best per row, value-sorted, as an
     (N, min(_N_KEEP, m), d) array.  The pool lies in the unit ball, so an
-    offset leaves its ball by rounding only and needs no projection.  A
-    chunk holds ``_BLOCK // (m*d)`` rows (at least one), so its (d, n, m)
-    candidate block is about ``_BLOCK`` doubles."""
-    d, N = space.dim, radii.size
-    m = cfg.coarse_samples
+    offset leaves the ball by rounding only and needs no projection.  A
+    chunk holds ``_BLOCK // (m*d)`` rows (at least one), so its (d, n*m)
+    candidate block, one copy of ``r * pool`` per row, is about ``_BLOCK``
+    doubles."""
+    d, m = space.dim, cfg.coarse_samples
     k = min(_N_KEEP, m)
-    pool = _unit_ball_pool(space, m, cfg.seed).T
+    pool = r * _unit_ball_pool(space, m, cfg.seed).T  # (d, m)
     keep_pts = np.empty((N, k, d))
     chunk = max(1, _BLOCK // (m * d))
     for lo in range(0, N, chunk):
         hi = min(N, lo + chunk)
         n = hi - lo
-        cand = radii[lo:hi, None] * pool[:, None, :]  # (d, n, m)
+        cand = np.tile(pool, n)  # (d, n*m)
         vals = obj(np.repeat(np.arange(lo, hi), m))(_rows(cand)).reshape(n, m)
         # flat indices into vals of each row's k best, value-sorted
         part = (np.argpartition(vals, k - 1, axis=1)[:, :k]
                 + np.arange(0, n * m, m)[:, None])
         order = np.argsort(vals.take(part), axis=1, kind="stable")
         sel = part.take(order + np.arange(0, n * k, k)[:, None])
-        keep_pts[lo:hi] = cand.reshape(d, -1).take(sel, axis=1).transpose(
-            1, 2, 0)
+        keep_pts[lo:hi] = cand.take(sel, axis=1).transpose(1, 2, 0)
         if k > 1:
             # exact lexicographic tie-break for the leading candidate: every
             # copy of the minimum is among the k best, so a tie shows in
             # the two best values
             best = vals.take(sel[:, :2])
             for t in np.flatnonzero(best[:, 0] == best[:, 1]):
-                keep_pts[lo + t, 0] = cand[:, t, _lex_best(cand[:, t],
-                                                           vals[t])]
+                keep_pts[lo + t, 0] = pool[:, _lex_best(pool, vals[t])]
     return keep_pts
 
 
@@ -279,15 +274,15 @@ def _select_starts(space, keep_pts, sep, k_starts):
         idx = np.where(ok.any(axis=1), ok.argmax(axis=1), min(r, n_keep - 1))
         starts.append(keep_pts[rows, idx])
         if r < k_starts - 1:
-            ok &= space._norm(keep_pts - starts[-1][:, None]) >= sep[:, None]
+            ok &= space._norm(keep_pts - starts[-1][:, None]) >= sep
             ok[rows, idx] = False
     return starts
 
 
-def _compass(obj, H, vals, step, space, cfg, radii):
+def _compass(obj, H, vals, step, space, cfg, r):
     """Compass search of every row's offset, in place.  ``H`` holds the
-    offsets by coordinate, shape (d, N), each kept in the ball of radius
-    ``radii`` about 0.  A row finishes once its step falls below
+    offsets by coordinate, shape (d, N), each kept in the ball of radius r
+    about 0.  A row finishes once its step falls below
     tolerance/8; the search counts as converged when every row's step ended
     below the tolerance itself.  Iterations run on a compacted copy of the
     active rows, in slices of ``_BLOCK // (2*d*d)`` rows (at least one, so
@@ -297,7 +292,7 @@ def _compass(obj, H, vals, step, space, cfg, radii):
     tolerance/8, and at the iteration cap; rows move only on their own
     values, so neither the slicing nor the compaction changes a result.
 
-    A slice projects its trials only when one of them may leave its ball.
+    A slice projects its trials only when one of them may leave the ball.
     Each row carries a bound b on |h|: the computed norm at compaction,
     plus the step of every move it accepts since.  A trial moves one
     coordinate by exactly s, |e_k| = 1 in every l_p, and a projection only
@@ -324,7 +319,7 @@ def _compass(obj, H, vals, step, space, cfg, radii):
     cap = cfg.refine_iterations + 40 * d
     kappa, eta, big = _norm_rounding(space)
     margin = 2.0 * kappa + 2.0 * (cap + 4) * 2.0 ** -53
-    limits = (np.minimum(radii, big) - 3.0 * eta) * (1.0 - margin)
+    limit = (min(r, big) - 3.0 * eta) * (1.0 - margin)
     rows = None
     for it in range(cap):
         if rows is None:
@@ -332,20 +327,19 @@ def _compass(obj, H, vals, step, space, cfg, radii):
             if not rows.size:
                 break
             Ha, va, sa = H.take(rows, axis=1), vals.take(rows), step.take(rows)
-            ra, limit = radii.take(rows), limits.take(rows)
             ba = space._norm(_rows(Ha))
             slices = []
             for lo in range(0, rows.size, width):
                 sl = slice(lo, lo + width)
-                n = ra[sl].size
+                n = va[sl].size
                 slices.append((
                     Ha[:, sl], Ha[:, None, sl], va[sl], sa[sl], ba[sl],
-                    limit[sl], ra[sl], np.arange(n), n,
+                    np.arange(n), n,
                     obj(np.concatenate((rows[sl],) * (2 * d)))))
-        for h, h3, v, s, b, lim, r, ar, n, g in slices:
+        for h, h3, v, s, b, ar, n, g in slices:
             # trial point j of row i of the slice sits at T[:, j, i]
             T = h3 + s * dirs
-            if np.count_nonzero(b + s > lim):
+            if np.count_nonzero(b + s > limit):
                 _project(space, T, r)
             tv = g(_rows(T))
             pick = tv.reshape(2 * d, n).argmin(axis=0) * n + ar
@@ -362,15 +356,15 @@ def _compass(obj, H, vals, step, space, cfg, radii):
     return (step < cfg.tolerance).all()
 
 
-def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals):
+def _minimize_rows(obj, X, space, cfg, r, extra_vals):
     """Shared batch minimizer in the offset frame.  Row i minimizes over
-    the ball of radius radii[i] about centers[i] (both (N, ...)), as a
-    search over offsets h = y - centers[i] in the ball about 0.
-    ``obj(idx)`` binds the objective to rows ``idx``: it returns an
-    evaluator of one offset per row, which evaluates f at y = centre + h
-    (see ``_checked``).  ``extra_vals`` holds its value at X[i], and
-    y = X[i] wins where it beats the search.  Returns (values, minimizers
-    y = centre + h, evaluations, converged), empty for no rows.
+    the ball of radius r about X[i], as a search over offsets h = y - X[i]
+    in the ball about 0.  ``obj(idx)`` binds the objective to rows
+    ``idx``: it returns an evaluator of one offset per row, which
+    evaluates f at y = x + h (see ``_checked``).  ``extra_vals`` holds its
+    value at X[i], and y = X[i] wins where it beats the search.  Returns
+    (values, minimizers y = x + h, evaluations, converged), empty for no
+    rows.
 
     Coarse candidates, compass points and trial points are stored by
     coordinate, so that each coordinate of a block is one contiguous run,
@@ -381,9 +375,9 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals):
     equals one search per start."""
     N = X.shape[0]
     counter = _Counter()
-    obj = _checked(obj, counter, centers)
-    keep_pts = _coarse_stage(obj, space, cfg, radii)
-    starts = _select_starts(space, keep_pts, sep=radii * 0.25,
+    obj = _checked(obj, counter, X)
+    keep_pts = _coarse_stage(obj, space, cfg, N, r)
+    starts = _select_starts(space, keep_pts, sep=r * 0.25,
                             k_starts=cfg.starts)
     owner = np.tile(np.arange(N), len(starts))
 
@@ -392,12 +386,12 @@ def _minimize_rows(obj, X, space, cfg, centers, radii, extra_vals):
 
     H = np.concatenate(starts).T.copy()
     vals = obj(owner)(H.T)
-    rad = radii.take(owner)
-    converged = _compass(stacked, H, vals, rad * 0.25, space, cfg, rad)
+    converged = _compass(stacked, H, vals, np.full(owner.size, r * 0.25),
+                         space, cfg, r)
     # argmin keeps the first minimum: a tie goes to the earlier start
     best = vals.reshape(len(starts), N).argmin(axis=0) * N + np.arange(N)
     best_vals = vals.take(best)
-    best_pts = centers + np.ascontiguousarray(H.take(best, axis=1).T)
+    best_pts = X + np.ascontiguousarray(H.take(best, axis=1).T)
     upd = extra_vals < best_vals
     best_vals[upd] = extra_vals[upd]
     best_pts[upd] = X[upd]
@@ -424,44 +418,44 @@ def _check_exponent(p, least):
                              f"{_MAX_POWER:g} (2^(p-1) overflows), got {p}")
 
 
-def _check_threshold(L, lam):
-    """The restricted-infimum reduction |y| <= 2(1 + |x|) is proven only
-    for lambda >= 3L; the one place that rule is checked."""
-    if lam < 3.0 * L - 1e-12:
+def _proven_constant(space, p):
+    """Clarkson's C for Q_p on ``space`` (``analytic_power_constant``); a
+    pair without a proven C is refused, as no theorem bounds its search
+    ball or its rate.  The one place that rule and its message live."""
+    C = analytic_power_constant(space, p)
+    if C is None:
         raise ParameterError(
-            f"lambda = {lam:.6g} below the proven threshold 3L = "
-            f"{3.0 * L:.6g} of the restricted-infimum reduction; raise "
-            "lambda.")
+            f"no proven bound on {space.describe()} at power {p:g}; it "
+            "needs l_q with 2 <= q <= power, q finite, or dimension 1")
+    return C
 
 
-def _search_ball(X, nx, L, lam, p, C):
-    """Centres and radii of the ball holding the infimum of
-    f(y) + lam*Q_p(x, y) for each row x of X (nx = |x|), and of
-    f(y) + lam*|x-y|^p with C = 1.
+def _search_radius(L, lam, p, C):
+    """The radius r = (L/(lam*C))^(1/(p-1)) of the ball about x that holds
+    the infimum of f(y) + lam*Q_p(x, y), or of f(y) + lam*|x-y|^p with
+    C = 1: any y beating y = x has lam*C*|x-y|^p <= L*|x-y|.  An r that
+    is not finite is refused before any solve."""
+    try:
+        r = (L / (lam * C)) ** (1.0 / (p - 1.0))
+    except OverflowError:
+        r = math.inf
+    if not r < math.inf:
+        raise ParameterError(
+            f"the search radius (L/(lambda*C))^(1/(p-1)) overflows at power "
+            f"{p:g} and lambda {lam:g}; raise lambda or the power")
+    return r
 
-    With a proven Clarkson constant C, any y beating y = x satisfies
-    lam*C*|x-y|^p <= L*|x-y|, so the infimum lies in ball(x, r_loc) for
-    every lambda > 0.  Without one, only the restricted-infimum reduction
-    |y| <= 2(1 + |x|) is available, and it needs lambda >= 3L.
-    """
-    if C is not None:
-        return X, np.full(X.shape[0], (L / (lam * C)) ** (1.0 / (p - 1.0)))
-    _check_threshold(L, lam)
-    return np.zeros_like(X), 2.0 * (1.0 + nx)
 
+def _power_rows(f, p, lam, X, space, cfg, r):
+    """The power-p regularizer at the checked rows of X, searched in the
+    ball of radius r about each row: (values, minimizers, evaluations,
+    converged).
 
-def _power_rows(f, p, lam, X, nx, space, cfg, C):
-    """The power-p regularizer at the checked rows of X (nx = |x|, C the
-    Clarkson constant or None): (values, minimizers, evaluations,
-    converged, radii).
-
-    An objective value is f at the rounded point y = centre + h plus
-    lam*Q.  A ``split`` kernel exists only at an even integer p equal to
-    the space's exponent, where C = 1 and the ball is centred at x, so
-    t = x - y is -h before rounding and Q is ``split(y + x, h)``, which
-    never cancels.  Every other pair evaluates the difference formula at y
-    about the ball's centre: x, or 0 on the restricted-infimum route."""
-    centers, radii = _search_ball(X, nx, f.lipschitz_constant, lam, p, C)
+    An objective value is f at the rounded point y = x + h plus lam*Q.  A
+    ``split`` kernel exists only at an even integer p equal to the space's
+    exponent, where t = x - y is -h before rounding and Q is
+    ``split(y + x, h)``, which never cancels.  Every other pair evaluates
+    the difference formula at y."""
     _, defect, split = _q_kernel(space, p)
     XT = np.ascontiguousarray(X.T)
     if split is not None:
@@ -476,18 +470,16 @@ def _power_rows(f, p, lam, X, nx, space, cfg, C):
                 return fy + lam * split(s, H)
             return g
     else:
-        CT = np.ascontiguousarray(centers.T)
-
         def obj(idx):
-            Ci, Xi = CT.take(idx, axis=1).T, XT.take(idx, axis=1).T
+            Xi = XT.take(idx, axis=1).T
 
             def g(H):
-                Y = Ci + H
+                Y = Xi + H
                 return f(Y) + lam * defect(Xi, Y, Xi + Y)
             return g
 
-    return _minimize_rows(obj, X, space, cfg, centers, radii,
-                          np.asarray(f(X), dtype=float)) + (radii,)
+    return _minimize_rows(obj, X, space, cfg, r,
+                          np.asarray(f(X), dtype=float))
 
 
 def _at_point(grid, f, p, lam, x, space, cfg):
@@ -516,16 +508,14 @@ def _batch(points, space):
 
 
 def regularize_power_grid(f, p, lam, points, space, cfg=SolverConfig()):
-    """Values of the power-p regularizer at every row of ``points``."""
+    """Values of the power-p regularizer at every row of ``points``, with
+    the bound |x| + r on each minimizer's norm."""
     _check_exponent(p, 2.0)
     _check_lambda(lam)
+    r = _search_radius(f.lipschitz_constant, lam, p,
+                       _proven_constant(space, p))
     X = _batch(points, space)
-    C = analytic_power_constant(space, p)
-    nx = space._norm(X)
-    vals, pts, evals, conv, radii = _power_rows(f, p, lam, X, nx, space, cfg,
-                                                C)
-    R = nx + radii if C is not None else radii
-    return vals, pts, evals, conv, R
+    return _power_rows(f, p, lam, X, space, cfg, r) + (space._norm(X) + r,)
 
 
 def regularize_power(f, p, lam, x, space, cfg=SolverConfig()):
@@ -538,16 +528,15 @@ def regularize_quadratic(f, lam, x, space, cfg=SolverConfig()):
 
 
 def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
-    """Values of (f square lam*|.|^power) at every row of ``points``."""
+    """Values of (f square lam*|.|^power) at every row of ``points``, at
+    a power above 1, with the search radius r of each row."""
     _check_exponent(power, 1.0)
+    if power == 1.0:
+        raise ParameterError("power must be > 1: no search ball is proven "
+                             "at power 1")
     _check_lambda(lam)
+    r = _search_radius(f.lipschitz_constant, lam, power, 1.0)
     X = _batch(points, space)
-    if power > 1.0:
-        _, radii = _search_ball(X, None, f.lipschitz_constant, lam, power,
-                                1.0)
-    else:
-        radii = np.full(X.shape[0], _POWER1_RADIUS)
-
     XT = np.ascontiguousarray(X.T)
     powered = _q_kernel(space, power)[0]
 
@@ -562,8 +551,9 @@ def inf_convolve_grid(f, power, lam, points, space, cfg=SolverConfig()):
             return fy + lam * powered(t)
         return g
 
-    return _minimize_rows(obj, X, space, cfg, X, radii,
-                          np.asarray(f(X), dtype=float)) + (radii,)
+    return _minimize_rows(obj, X, space, cfg, r,
+                          np.asarray(f(X), dtype=float)) + (
+                              np.full(X.shape[0], r),)
 
 
 def inf_convolve(f, power, lam, x, space, cfg=SolverConfig()):
@@ -572,16 +562,16 @@ def inf_convolve(f, power, lam, x, space, cfg=SolverConfig()):
 
 def decompose(f, lam, space, cfg=SolverConfig()):
     """Convex pair (c, d) with c - d equal to the quadratic regularizer:
-    c(x) = 2*lam*|x|^2 and d = c - f_lam.
+    c(x) = 2*lam*|x|^2 and d = c - f_lam, on a space with a proven
+    Clarkson constant at power 2 (refused here otherwise, with lambda).
 
     d solves f_lam with its own solver seed, so comparing c - d against
     regularize_quadratic is a genuine two-route consistency check.
     """
     # fail here rather than at the first call of d
     _check_lambda(lam)
-    C = analytic_power_constant(space, 2.0)
-    if C is None:
-        _check_threshold(f.lipschitz_constant, lam)
+    r = _search_radius(f.lipschitz_constant, lam, 2.0,
+                       _proven_constant(space, 2.0))
     d_cfg = replace(cfg, seed=cfg.seed + 1)
 
     def c(x):
@@ -591,9 +581,8 @@ def decompose(f, lam, space, cfg=SolverConfig()):
     def d(x):
         x = np.asarray(x, dtype=float)
         X = _batch(x, space)
-        nx = space._norm(X)
-        out = (2.0 * lam * nx ** 2
-               - _power_rows(f, 2.0, lam, X, nx, space, d_cfg, C)[0])
+        out = (2.0 * lam * space._norm(X) ** 2
+               - _power_rows(f, 2.0, lam, X, space, d_cfg, r)[0])
         return float(out[0]) if x.ndim == 1 else out
 
     return ConvexPair(c=c, d=d, lam=lam)

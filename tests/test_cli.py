@@ -241,6 +241,18 @@ class TestExitCodes:
         assert data == b""
         assert "config field 'grid'" in capsys.readouterr().err
 
+    def test_solver_error_exits_two(self, tmp_path, capsys):
+        # at lambda 1e-300 the search ball's Q overflows to a non-finite
+        # value: one stderr line and exit 2, not a traceback with the
+        # bound-violation code, and no CSV
+        code, data = run(tmp_path, ["converge", "--set", "lambdas=1e-300",
+                                    "--set", "grid=3"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and data == b""
+        assert len(err) == 1
+        assert err[0].startswith("solver error: objective returned a "
+                                 "non-finite value")
+
     def test_removed_subcommand(self, capsys):
         # the deleted subcommand is refused like any unknown command
         with pytest.raises(SystemExit) as exc:
